@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -346,17 +347,35 @@ def _policy_from_config(cfg: dict, model: DetectionModel):
             (k for k in rows[0] if k.startswith("c") and k[1:].isdigit()),
             key=lambda k: int(k[1:]),
         )
-        coords = np.array([[int(r[k]) for k in coord_keys] for r in rows])
-        actions = np.array([int(r["policy"]) for r in rows])
         if len(coord_keys) != model.n_states:
             raise ConfigError(
                 "config.policy.solution: grid dimension does not match the model"
             )
-        m = int(coords[0].sum())
-        grid = dp.build_grid(len(coord_keys), m)
+        if "policy" not in rows[0]:
+            raise ConfigError("config.policy.solution: missing 'policy' column")
+        try:
+            coords = np.array([[int(r[k]) for k in coord_keys] for r in rows])
+            actions = np.array([int(r["policy"]) for r in rows])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config.policy.solution: {exc}") from None
+        x, m = model.n_states, int(coords[0].sum())
+        n_points = math.comb(m + x - 1, x - 1) if m >= 1 else 0
+        if len(rows) != n_points:
+            raise ConfigError(
+                f"config.policy.solution: {len(rows)} rows, but the grid of the first "
+                f"row (m={m}) has {n_points} points"
+            )
+        grid = dp.build_grid(x, m)
+        try:
+            idx = grid.index_of(coords)
+        except ValueError as exc:
+            raise ConfigError(f"config.policy.solution: {exc}") from None
+        seen = np.bincount(idx, minlength=grid.n_points)
+        if (seen > 1).any():
+            twice = tuple(int(v) for v in grid.coords[np.argmax(seen)])
+            raise ConfigError(f"config.policy.solution: grid point {twice} appears more than once")
         ordered = np.empty(grid.n_points, dtype=int)
-        for c, a in zip(coords, actions):
-            ordered[grid.index_of(tuple(c))] = a
+        ordered[idx] = actions
         return dp.GridPolicy(grid, ordered)
     raise ConfigError("config.policy: expected 'theta' or 'solution'")
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -36,16 +38,24 @@ STOP, CONTINUE = 1, 2
 # Simplex grid
 
 
+NEGATIVE_TOL = 1e-12  # float noise allowed below zero in a belief coordinate
+
+
 @dataclass
 class SimplexGrid:
-    """Barycentric grid: all integer compositions of ``m`` into ``X`` parts."""
+    """Barycentric grid: all integer compositions of ``m`` into ``X`` parts.
+
+    The compositions are the points of the A_{X-1} lattice on the plane
+    ``sum(c) = m``, stored in lexicographic order.  ``rank`` maps the first
+    ``X - 1`` coordinates of a composition (the last one is implied) to its
+    grid index; entries whose coordinates sum past ``m`` hold -1.
+    """
 
     m: int
     coords: np.ndarray  # (N, X) integer barycentric coordinates
     points: np.ndarray  # (N, X) belief vectors
     neighbors: tuple  # per-point arrays of indices at barycentric L1 distance 2
-
-    _index: dict = field(repr=False, default_factory=dict)
+    rank: np.ndarray = field(repr=False)  # (m+1,)*(X-1) composition -> index
 
     @property
     def n_states(self) -> int:
@@ -55,44 +65,78 @@ class SimplexGrid:
     def n_points(self) -> int:
         return self.coords.shape[0]
 
-    def index_of(self, coords) -> int:
-        return self._index[tuple(int(c) for c in coords)]
+    @cached_property
+    def _rank_strides(self) -> np.ndarray:
+        return np.array(self.rank.strides) // self.rank.itemsize
+
+    def _flat(self, coords: np.ndarray) -> np.ndarray:
+        """Offsets into ``rank.ravel()`` of the rows of ``coords`` (shape (..., X))."""
+        return coords[..., :-1] @ self._rank_strides
+
+    def _lookup(self, coords: np.ndarray) -> np.ndarray:
+        """Grid indices of valid compositions ``coords`` (shape (..., X))."""
+        return self.rank.ravel()[self._flat(coords)]
+
+    def index_of(self, coords):
+        """Grid index of one composition, or an index array for an (K, X) array.
+
+        Raises ``ValueError`` for a row that is not a composition of ``m``
+        into ``X`` non-negative parts.
+        """
+        c = np.asarray(coords)
+        if c.shape[-1:] != (self.n_states,) or c.ndim > 2:
+            raise ValueError(
+                f"expected compositions of length {self.n_states}, got shape {c.shape}"
+            )
+        rows = np.atleast_2d(c).astype(int)
+        off = (rows < 0).any(axis=1) | (rows.sum(axis=1) != self.m)
+        if off.any():
+            bad = tuple(int(v) for v in rows[np.argmax(off)])
+            raise ValueError(f"{bad} is not on the grid (non-negative parts summing to {self.m})")
+        idx = self._lookup(rows)
+        return int(idx[0]) if c.ndim == 1 else idx
 
     def nearest(self, pts) -> np.ndarray:
         """Indices of the grid points nearest (Euclidean) to each row of ``pts``.
 
-        Distance ties resolve to the lexicographically smallest barycentric
-        coordinates (the grid is stored in lexicographic order).
+        Exact lattice rounding (Conway & Sloane 1982): ``z = m * pi`` as
+        computed is shifted by a constant onto the plane ``sum(z) = m``, then
+        floored, and the ``k = m - sum(floor)`` coordinates with the largest
+        fractional parts are rounded up.  Among equal fractional parts the
+        later coordinate is rounded up, so an exact distance tie resolves to
+        the lexicographically smallest of the tied grid points.
+
+        Raises ``ValueError`` for a row that is non-finite, has a coordinate
+        below ``-NEGATIVE_TOL``, or lies so far off the simplex that its
+        rounding has a negative part.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.n_states == 2:
-            idx = np.ceil(pts[:, 0] * self.m - 0.5).astype(int)
-            return np.clip(idx, 0, self.m)
-        g = self.points
-        g2 = (g * g).sum(axis=1)
-        out = np.empty(pts.shape[0], dtype=int)
-        step = 8192
-        for lo in range(0, pts.shape[0], step):
-            chunk = pts[lo : lo + step]
-            d2 = g2[None, :] - 2.0 * chunk @ g.T
-            out[lo : lo + step] = np.argmin(d2, axis=1)
-        return out
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head, *rest)
+        if not np.isfinite(pts).all():
+            raise ValueError("nearest: non-finite belief")
+        if (pts < -NEGATIVE_TOL).any():
+            raise ValueError("nearest: negative belief coordinate")
+        z = pts * self.m
+        z += (self.m - z.sum(axis=1, keepdims=True)) / self.n_states
+        low = np.floor(z)
+        # rank by descending fractional part, the later coordinate first among equals
+        order = np.argsort((low - z)[:, ::-1], axis=1, kind="stable")
+        rank = np.argsort(order, axis=1)[:, ::-1]
+        c = (low + (rank < self.m - low.sum(axis=1, keepdims=True))).astype(int)
+        if (c < 0).any():
+            raise ValueError("nearest: belief too far off the simplex")
+        return self._lookup(c)
 
 
 def build_grid(n_states: int, m: int) -> SimplexGrid:
     """Grid of all beliefs with coordinates k/m, in lexicographic order."""
     if m < 1:
         raise ValueError("resolution m must be >= 1")
-    coords = np.array(list(_compositions(m, n_states)), dtype=int)
+    # C order over the first X-1 coordinates is the lexicographic order
+    head = np.indices((m + 1,) * (n_states - 1)).reshape(n_states - 1, -1).T
+    head = head[head.sum(axis=1) <= m]
+    coords = np.hstack([head, m - head.sum(axis=1, keepdims=True)])
+    rank = np.full((m + 1,) * (n_states - 1), -1, dtype=int)
+    rank[tuple(head.T)] = np.arange(coords.shape[0])
     points = coords / float(m)
     # force exact unit sums (the divisions can lose a ulp in the row total)
     for row in points:
@@ -116,23 +160,21 @@ def build_grid(n_states: int, m: int) -> SimplexGrid:
                 if best_j < 0:
                     break
                 row[best_j] += resid
-    index = {tuple(int(v) for v in c): i for i, c in enumerate(coords)}
-    nbr: list[list[int]] = [[] for _ in range(len(coords))]
-    for i, c in enumerate(coords):
-        for a in range(n_states):
-            if c[a] == 0:
+    src, dst = [], []
+    for a in range(n_states):
+        for b in range(n_states):
+            if a == b:
                 continue
-            for b in range(n_states):
-                if a == b:
-                    continue
-                key = list(c)
-                key[a] -= 1
-                key[b] += 1
-                j = index.get(tuple(key))
-                if j is not None:
-                    nbr[i].append(j)
-    neighbors = tuple(np.array(sorted(v), dtype=int) for v in nbr)
-    return SimplexGrid(m=m, coords=coords, points=points, neighbors=neighbors, _index=index)
+            i = np.nonzero(coords[:, a] > 0)[0]
+            moved = coords[i]
+            moved[:, a] -= 1
+            moved[:, b] += 1
+            src.append(i)
+            dst.append(rank[tuple(moved[:, :-1].T)])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    dst = dst[np.lexsort((dst, src))]
+    neighbors = tuple(np.split(dst, np.cumsum(np.bincount(src, minlength=len(coords)))[:-1]))
+    return SimplexGrid(m=m, coords=coords, points=points, neighbors=neighbors, rank=rank)
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +517,13 @@ def expected_value_after_update(
     b = model.discrete_obs(bins).matrix
     pred = model.transition.T @ pi0
     vals = sol.values_original if original else sol.values
+    unnorm = np.ascontiguousarray((b * pred[:, None]).T)  # (Y, X), one row per symbol
+    sigma = unnorm.sum(axis=1)
+    live = sigma > 0.0
+    idx = grid.nearest(unnorm[live] / sigma[live, None])
     total = 0.0
-    for y in range(b.shape[1]):
-        unnorm = b[:, y] * pred
-        sigma = float(unnorm.sum())
-        if sigma <= 0.0:
-            continue
-        total += sigma * float(vals[grid.nearest((unnorm / sigma)[None, :])[0]])
+    for s, v in zip(sigma[live].tolist(), vals[idx].tolist()):
+        total += s * v
     return total
 
 
@@ -541,32 +583,69 @@ def extract_regions(sol: GridSolution, grid: SimplexGrid) -> RegionReport:
     )
 
 
-def convexity_check(region, grid: SimplexGrid, tie_tol: float = 1e-9) -> list[tuple[int, int]]:
+def _half_roundings(x: int) -> np.ndarray:
+    """0/1 up-rounding vectors, shape (2**x, K, x).
+
+    Row ``code`` lists, for the odd coordinates given by the bits of
+    ``code`` (an even number q of them), the C(q, q/2) ways to round up
+    exactly half of them, padded with copies of the first to the common
+    length K.  Rows of odd-sized masks hold zeros; no pair of grid points
+    has such a mask.
+    """
+    rows = []
+    for code in range(2**x):
+        odd = [a for a in range(x) if code >> a & 1]
+        halves = combinations(odd, len(odd) // 2) if len(odd) % 2 == 0 else [()]
+        rows.append([np.isin(np.arange(x), h) for h in halves])
+    k = max(len(r) for r in rows)
+    return np.array([r + r[:1] * (k - len(r)) for r in rows], dtype=int)
+
+
+CONVEXITY_CHUNK = 1 << 16  # pairs per block; bounds the check's memory
+
+
+def convexity_check(region, grid: SimplexGrid) -> list[tuple[int, int]]:
     """Pairs of region points whose midpoint projects outside the region.
 
-    Midpoints of lattice points routinely sit exactly between several grid
-    points; a pair only counts as violating when no minimum-distance grid
-    point (ties resolved within ``tie_tol`` on the squared distance) belongs
-    to the region.
+    The midpoint of lattice points ``a`` and ``b`` is ``s / 2`` with
+    ``s = a + b``.  Its nearest grid points are exactly ``floor(s / 2)`` with
+    half of the q odd coordinates of ``s`` rounded up: the C(q, q/2) choices
+    tie at squared distance q/4 and every other grid point is farther.  A
+    pair counts as violating when none of these points is in the region.
+    Pairs ``(i, j)``, ``i < j``, are listed in lexicographic order.
     """
     region = np.asarray(sorted(int(i) for i in region), dtype=int)
-    if region.size < 2:
+    r = region.size
+    if r < 2:
         return []
-    member = np.zeros(grid.n_points, dtype=bool)
-    member[region] = True
-    ii, jj = np.triu_indices(region.size, k=1)
-    mids = 0.5 * (grid.points[region[ii]] + grid.points[region[jj]])
-    g = grid.points
-    g2 = (g * g).sum(axis=1)
+    coords = grid.coords[region]
+    flat = grid._flat(coords)
+    parity = (coords & 1) @ (1 << np.arange(grid.n_states))
+    # Rank offsets are linear in the coordinates, so a pair's candidates
+    # depend only on code = its odd-coordinate bit mask and S = flat(a) +
+    # flat(b): they sit at (S - flat(odd)) / 2 + flat(up).  ok[code, S] says
+    # whether any of them is in the region; entries no pair has are unused.
+    ups = _half_roundings(grid.n_states)
+    odd = (np.arange(len(ups))[:, None] >> np.arange(grid.n_states)) & 1
+    size = grid.rank.size
+    inside = np.zeros(2 * size, dtype=bool)
+    inside[flat] = True
+    half = (np.arange(2 * size)[None, :] - grid._flat(odd)[:, None]) >> 1
+    ok = np.zeros((len(ups), 2 * size), dtype=bool)
+    for up in np.moveaxis(grid._flat(ups), 1, 0):
+        ok |= inside[half + up[:, None]]
+    ok = ok.ravel()
     bad_pairs: list[tuple[int, int]] = []
-    step = 4096
-    for lo in range(0, mids.shape[0], step):
-        chunk = mids[lo : lo + step]
-        d2 = g2[None, :] - 2.0 * chunk @ g.T  # squared distance minus constant
-        dmin = d2.min(axis=1, keepdims=True)
-        ok = (member[None, :] & (d2 <= dmin + tie_tol)).any(axis=1)
-        for k in np.nonzero(~ok)[0]:
-            bad_pairs.append((int(region[ii[lo + k]]), int(region[jj[lo + k]])))
+    lo = 0
+    while lo < r - 1:  # rows lo..hi-1 against the columns after lo
+        hi = min(r - 1, lo + max(1, CONVEXITY_CHUNK // (r - lo)))
+        cols = slice(lo + 1, r)
+        code = parity[lo:hi, None] ^ parity[None, cols]
+        key = code * (2 * size) + flat[lo:hi, None] + flat[None, cols]
+        upper = np.arange(lo + 1, r)[None, :] > np.arange(lo, hi)[:, None]
+        i, j = np.nonzero(upper & ~ok[key])
+        bad_pairs.extend(zip(region[lo + i].tolist(), region[lo + 1 + j].tolist()))
+        lo = hi
     return bad_pairs
 
 

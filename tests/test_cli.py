@@ -172,6 +172,52 @@ def test_simulate_from_solution_csv(tmp_path):
     assert traj[0] == "step,state,observation,belief0,belief1,action"
 
 
+def _drop_row(lines):
+    del lines[3]
+
+
+def _duplicate_row(lines):
+    lines[3] = lines[2]
+
+
+def _off_grid_row(lines):
+    lines[3] = "2,9," + lines[3].split(",", 2)[2]
+
+
+def _negative_row(lines):
+    lines[1] = "-1,11," + lines[1].split(",", 2)[2]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_row, "10 rows, but the grid of the first row (m=10) has 11 points"),
+        (_duplicate_row, "grid point (1, 9) appears more than once"),
+        (_off_grid_row, "(2, 9) is not on the grid"),
+        (_negative_row, "(-1, 11) is not on the grid"),
+    ],
+)
+def test_simulate_rejects_bad_solution_csv(tmp_path, capsys, edit, message):
+    solve_cfg = {"model": SMALL_MODEL, "cost": SMALL_COST, "grid": {"m": 10}, "tol": 1e-10}
+    ref = write_config(tmp_path, "base", solve_cfg)
+    assert cli.main(["solve", "--config", ref, "--out", str(tmp_path)]) == 0
+    csv_path = tmp_path / "base_solution.csv"
+    lines = csv_path.read_text().splitlines()
+    edit(lines)
+    csv_path.write_text("\n".join(lines) + "\n")
+    sim_cfg = {
+        "model": SMALL_MODEL,
+        "cost": SMALL_COST,
+        "policy": {"solution": str(csv_path)},
+        "trajectories": 10,
+    }
+    capsys.readouterr()
+    sim_ref = write_config(tmp_path, "sim", sim_cfg)
+    assert cli.main(["simulate", "--config", sim_ref, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config.policy.solution" in err and message in err
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = {
         "model": SMALL_MODEL,

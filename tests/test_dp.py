@@ -1,7 +1,36 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from phasestop import dp, filters, model, orders
+
+
+def brute_nearest(grid, pts):
+    """Reference projection: exact squared distances from ``m * pi`` (as
+    computed) to every grid point; ties go to the lexicographically smallest
+    grid point, i.e. the smallest index."""
+    out = []
+    for z in np.atleast_2d(pts) * grid.m:
+        zf = [Fraction(float(v)) for v in z]
+        dist = [sum((int(c) - v) ** 2 for c, v in zip(row, zf)) for row in grid.coords]
+        out.append(min(range(grid.n_points), key=lambda i: (dist[i], i)))
+    return np.array(out)
+
+
+def brute_convexity(region, grid):
+    """Reference convexity check: for each pair, all grid points at the
+    minimum exact distance (4x squared, in integers) from the midpoint."""
+    member = {int(i) for i in region}
+    bad = []
+    for a, b in itertools.combinations(sorted(member), 2):
+        s = grid.coords[a] + grid.coords[b]
+        d4 = ((2 * grid.coords - s) ** 2).sum(axis=1)
+        if not member.intersection(np.nonzero(d4 == d4.min())[0].tolist()):
+            bad.append((a, b))
+    return bad
 
 
 def test_build_grid_two_state():
@@ -29,6 +58,64 @@ def test_nearest_projection_two_state():
     assert list(g.nearest(pts)) == [0, 3, 10]
     # exact midpoint resolves to the lexicographically smaller coordinates
     assert g.nearest(np.array([[0.25, 0.75]]))[0] == 2
+
+
+@pytest.mark.parametrize("x,m", [(2, 10), (3, 12), (4, 8), (5, 6)])
+def test_nearest_matches_exact_brute_force(x, m):
+    g = dp.build_grid(x, m)
+    assert np.array_equal(g.nearest(g.points), np.arange(g.n_points))
+    rng = np.random.default_rng(x * 100 + m)
+    pts = np.vstack([rng.dirichlet(np.ones(x), size=40), rng.dirichlet(0.2 * np.ones(x), size=20)])
+    assert np.array_equal(g.nearest(pts), brute_nearest(g, pts))
+
+
+@pytest.mark.parametrize("x,m", [(3, 8), (3, 20), (4, 10), (4, 16)])
+def test_nearest_exact_ties(x, m):
+    # m * pi on a half- or quarter-integer lattice: several grid points at
+    # exactly the same distance, resolved to the lexicographically smallest
+    # (dyadic for m = 8, 16; for m = 10, 20 the float distances of a brute
+    # force search can settle such ties either way)
+    g = dp.build_grid(x, m)
+    rng = np.random.default_rng(m + x)
+    for q in (2, 4):
+        parts = rng.multinomial(q * m, np.ones(x) / x, size=40)
+        pts = parts / (q * m)
+        assert np.array_equal(g.nearest(pts), brute_nearest(g, pts))
+
+
+def test_nearest_tie_rule_example():
+    g = dp.build_grid(3, 8)
+    # m * pi = (4.5, 1.5, 2): (5, 1, 2) and (4, 2, 2) tie; the smaller wins
+    assert tuple(g.coords[g.nearest([[4.5 / 8, 1.5 / 8, 2 / 8]])[0]]) == (4, 2, 2)
+    g4 = dp.build_grid(4, 8)
+    # (1.25, 1.25, 1.25, 4.25): four-way tie, the last coordinate rounds up
+    pts = np.array([[1.25, 1.25, 1.25, 4.25]]) / 8
+    assert tuple(g4.coords[g4.nearest(pts)[0]]) == (1, 1, 1, 5)
+
+
+@pytest.mark.parametrize(
+    "row", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [-0.1, 0.6, 0.5], [1.0, 1.0, 0.0]]
+)
+def test_nearest_rejects_invalid_beliefs(row):
+    g = dp.build_grid(3, 10)
+    with pytest.raises(ValueError):
+        g.nearest(np.array([[0.2, 0.3, 0.5], row]))
+
+
+@pytest.mark.parametrize("x,m", [(2, 7), (3, 9), (4, 6), (5, 4)])
+def test_rank_table_round_trip(x, m):
+    g = dp.build_grid(x, m)
+    assert g.n_points == math.comb(m + x - 1, x - 1)
+    assert [tuple(c) for c in g.coords] == sorted(tuple(c) for c in g.coords)
+    assert np.array_equal(g.index_of(g.coords), np.arange(g.n_points))
+    assert [g.index_of(tuple(c)) for c in g.coords] == list(range(g.n_points))
+    assert np.count_nonzero(g.rank >= 0) == g.n_points
+    l1 = np.abs(g.coords[:, None, :] - g.coords[None, :, :]).sum(axis=2)
+    for i in range(g.n_points):
+        assert np.array_equal(g.neighbors[i], np.nonzero(l1[i] == 2)[0])
+    for bad in ([m + 1] + [0] * (x - 2) + [-1], [m] + [0] * (x - 2) + [1], [0] * x):
+        with pytest.raises(ValueError):
+            g.index_of(bad)
 
 
 def test_stage_costs_predictive_examples(three_state_model):
@@ -145,6 +232,26 @@ def test_convexity_check_trivial_and_punctured():
     assert len(dp.convexity_check(punctured, g)) > 0
 
 
+@pytest.mark.parametrize("x,m", [(2, 12), (3, 8), (4, 6)])
+def test_convexity_check_matches_brute_force(x, m):
+    g = dp.build_grid(x, m)
+    rng = np.random.default_rng(x * 10 + m)
+    found = 0
+    for t in range(12):
+        w = rng.normal(size=x)
+        if t % 3 == 0:
+            region = np.nonzero(rng.random(g.n_points) < 0.5)[0]
+        elif t % 3 == 1:
+            region = np.nonzero(g.points @ w > 0.2 * rng.normal())[0]
+        else:
+            half = np.nonzero(g.points @ w > 0.0)[0]
+            region = np.setdiff1d(half, rng.choice(g.n_points, 2))
+        got = dp.convexity_check(region, g)
+        assert got == brute_convexity(region, g)
+        found += len(got)
+    assert found > 0
+
+
 def test_line_crossing_detects_hand_built_violation():
     g = dp.build_grid(3, 6)
     policy = np.full(g.n_points, dp.CONTINUE)
@@ -243,7 +350,7 @@ def test_expected_value_after_update_matches_manual(geometric_model):
         s = unnorm.sum()
         manual += s * sol.values_original[g.nearest((unnorm / s)[None, :])[0]]
     w = dp.expected_value_after_update(geometric_model, spec, sol, g, pi0)
-    assert w == pytest.approx(manual, rel=1e-12)
+    assert w == manual
     i0 = g.nearest(pi0[None, :])[0]
     # in transformed coordinates the continue branch of the fixed point is
     # exact on the grid
@@ -256,6 +363,23 @@ def test_expected_value_after_update_matches_manual(geometric_model):
     # cost vanishes, so the after-update value tracks the value itself up to
     # the offset projection error O((alpha+beta)/m)
     assert w == pytest.approx(sol.values_original[i0], abs=5.0 / 500 * 2)
+
+
+def test_expected_value_after_update_gaussian_symbols(three_state_model):
+    # one batched projection over all 101 symbols, summed in symbol order
+    spec = model.QuickestPredictiveDelay(alpha=0.5, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
+    g = dp.build_grid(3, 20)
+    sol = dp.value_iterate(three_state_model, spec, g, horizon=50)
+    pi0 = np.array([0.1, 0.3, 0.6])
+    b = three_state_model.discrete_obs().matrix
+    pred = three_state_model.transition.T @ pi0
+    manual = 0.0
+    for y in range(b.shape[1]):
+        unnorm = b[:, y] * pred
+        s = float(unnorm.sum())
+        if s > 0.0:
+            manual += s * float(sol.values_original[g.nearest((unnorm / s)[None, :])[0]])
+    assert dp.expected_value_after_update(three_state_model, spec, sol, g, pi0) == manual
 
 
 def test_constrained_social_stop_set_structure(identity_model_2):
