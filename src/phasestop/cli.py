@@ -21,6 +21,7 @@ import numpy as np
 
 from . import dp, orders, policy as policy_mod, sim
 from .model import (
+    DEFAULT_BINS,
     ConstrainedSocial,
     DetectionModel,
     DiscreteObs,
@@ -154,7 +155,7 @@ def _solve_from_config(cfg: dict):
         grid,
         horizon=cfg.get("horizon"),
         tol=cfg.get("tol"),
-        bins=int(cfg.get("bins", 101)),
+        bins=int(cfg.get("bins", DEFAULT_BINS)),
     )
     return model, spec, grid, sol
 
@@ -220,7 +221,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, name: str) -> int:
         horizon=cfg.get("horizon"),
         tol=cfg.get("tol"),
         labels=labels,
-        bins=int(cfg.get("bins", 101)),
+        bins=int(cfg.get("bins", DEFAULT_BINS)),
     )
     for label, sol in zip(labels, res.solutions):
         _write(out_dir, f"{name}_{label}_solution.csv", dp.solution_csv(sol, grid))
@@ -279,10 +280,11 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
     iterations = int(cfg.get("iterations", 200))
     restarts = int(cfg.get("restarts", 5))
     max_steps = cfg.get("max_steps")
+    bins = int(cfg.get("bins", DEFAULT_BINS))
     if iterations == 0:
         init = np.asarray(cfg.get("init_phi", np.zeros(model.n_states - 1)), dtype=float)
         result = policy_mod.spsa_optimize(
-            model, spec, init, 0, params, priors, rng, max_steps=max_steps
+            model, spec, init, 0, params, priors, rng, max_steps=max_steps, bins=bins
         )
         score = float("nan")
     else:
@@ -295,6 +297,7 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
             rng,
             restarts=restarts,
             max_steps=max_steps,
+            bins=bins,
         )
     buf = io.StringIO()
     dim = model.n_states - 1
@@ -390,10 +393,11 @@ def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
     seed = int(cfg.get("seed", 0))
     max_steps = int(cfg.get("max_steps", 10_000))
     record = int(cfg.get("record", 1))
+    bins = int(cfg.get("bins", DEFAULT_BINS))
     rng = np.random.default_rng(seed)
     priors = np.tile(np.asarray(model.initial, dtype=float), (n, 1))
     batch = sim.simulate_batch(
-        model, spec, pol, priors, rng, max_steps=max_steps, transformed=False
+        model, spec, pol, priors, rng, max_steps=max_steps, transformed=False, bins=bins
     )
     d = getattr(spec, "d", 1.0)
     beta = getattr(spec, "beta", 1.0)
@@ -417,7 +421,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
     )
     rec_rng = np.random.default_rng(seed + 1)
     for k in range(min(record, n)):
-        traj = sim.sample_trajectory(model, pol, max_steps=max_steps, rng=rec_rng)
+        traj = sim.sample_trajectory(model, pol, max_steps=max_steps, rng=rec_rng, bins=bins)
         _write(out_dir, f"{name}_trajectory{k}.csv", sim.trajectory_csv(traj))
     print(
         f"{name}: criterion={summary.criterion:.6g} (se {summary.stderr:.2g}) "

@@ -653,38 +653,32 @@ def vertex_chains(grid: SimplexGrid, vertex: int) -> list[np.ndarray]:
     """Maximal grid-aligned lines toward the (1-based) vertex.
 
     Points are grouped by the projective class of their remaining
-    coordinates; each chain is ordered by increasing mass on the vertex and
-    ends at the vertex itself.
+    coordinates (divided by their gcd); the chains come in ascending order
+    of that class, each ordered by increasing mass on the vertex and ending
+    at the vertex itself.
     """
     axis = vertex - 1
     if not 0 <= axis < grid.n_states:
         raise ValueError("vertex out of range")
-    vertex_idx = None
-    classes: dict[tuple, list[tuple[int, int]]] = {}
-    for i, c in enumerate(grid.coords):
-        rest = np.delete(c, axis)
-        g = int(np.gcd.reduce(rest))
-        if g == 0:
-            vertex_idx = i
-            continue
-        key = tuple(int(v) for v in rest // g)
-        classes.setdefault(key, []).append((int(c[axis]), i))
-    chains = []
-    for key, items in sorted(classes.items()):
-        items.sort()
-        chain = [i for _, i in items]
-        chain.append(vertex_idx)
-        chains.append(np.array(chain, dtype=int))
-    return chains
+    rest = np.delete(grid.coords, axis, axis=1)
+    g = np.gcd.reduce(rest, axis=1)
+    vertex_idx = int(np.flatnonzero(g == 0)[0])
+    pts = np.flatnonzero(g)
+    keys = rest[pts] // g[pts, None]
+    # class keys ascending (first column primary), then mass on the vertex
+    perm = np.lexsort((grid.coords[pts, axis], *keys.T[::-1]))
+    keys = keys[perm]
+    starts = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
+    return [np.append(chain, vertex_idx) for chain in np.split(pts[perm], starts)]
 
 
 def line_crossing_check(sol: GridSolution, grid: SimplexGrid, vertex: int) -> int:
     """Maximum number of policy switches along grid-aligned lines to a vertex."""
-    worst = 0
-    for chain in vertex_chains(grid, vertex):
-        seq = sol.policy[chain]
-        worst = max(worst, int(np.sum(seq[1:] != seq[:-1])))
-    return worst
+    chains = vertex_chains(grid, vertex)
+    seq = sol.policy[np.concatenate(chains)]
+    chain_id = np.repeat(np.arange(len(chains)), [len(c) for c in chains])
+    switch = (seq[1:] != seq[:-1]) & (chain_id[1:] == chain_id[:-1])
+    return int(np.bincount(chain_id[1:][switch], minlength=len(chains)).max())
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,14 @@ class FilterOutput:
     norm: float
 
 
-def hmm_update(pi, y: int, model: DetectionModel) -> FilterOutput:
-    """One Bayesian filter step: predict through the chain, correct by symbol ``y``."""
+def hmm_update(pi, y: int, model: DetectionModel, obs_matrix: np.ndarray | None = None) -> FilterOutput:
+    """One Bayesian filter step: predict through the chain, correct by symbol ``y``.
+
+    ``obs_matrix`` is the observation matrix the symbol was drawn from; by
+    default the model's, with Gaussians discretized at the default bins.
+    """
     p = as_belief(pi)
-    b = model.discrete_obs().matrix
+    b = model.discrete_obs().matrix if obs_matrix is None else obs_matrix
     unnorm = b[:, y] * (model.transition.T @ p)
     sigma = float(unnorm.sum())
     if sigma <= 0.0:

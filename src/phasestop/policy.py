@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CostSpec, DetectionModel
+from .model import DEFAULT_BINS, CostSpec, DetectionModel
 from .sim import simulate_batch
 
 STOP, CONTINUE = 1, 2
@@ -152,11 +152,13 @@ def sample_cost(
     rng: np.random.Generator,
     transformed: bool = True,
     max_steps: int | None = None,
+    bins: int = DEFAULT_BINS,
 ) -> float:
     """Average discounted sample-path cost of a policy over the given priors,
     one simulated trajectory per prior."""
     res = simulate_batch(
-        model, spec, policy, priors, rng, max_steps=max_steps, transformed=transformed
+        model, spec, policy, priors, rng, max_steps=max_steps, transformed=transformed,
+        bins=bins,
     )
     return float(res.costs.mean())
 
@@ -207,6 +209,7 @@ def spsa_optimize(
     rng: np.random.Generator,
     cost_fn=None,
     max_steps: int | None = None,
+    bins: int = DEFAULT_BINS,
 ) -> SpsaResult:
     """Two-point simultaneous-perturbation gradient descent on the
     unconstrained parametrization.
@@ -223,7 +226,7 @@ def spsa_optimize(
 
         def cost_fn(p, r):
             pol = LinearThresholdPolicy(phi_to_theta(p))
-            return sample_cost(pol, model, spec, priors, r, max_steps=max_steps)
+            return sample_cost(pol, model, spec, priors, r, max_steps=max_steps, bins=bins)
 
     dim = phi.size
     phi_trace = [phi.copy()]
@@ -267,6 +270,7 @@ def optimize_with_restarts(
     eval_seed: int | None = None,
     eval_priors: np.ndarray | None = None,
     max_steps: int | None = None,
+    bins: int = DEFAULT_BINS,
 ) -> tuple[SpsaResult, float]:
     """Run SPSA from several random initial points and keep the cheapest
     final policy, scored on a shared evaluation seed."""
@@ -277,7 +281,7 @@ def optimize_with_restarts(
     for _ in range(max(1, restarts)):
         init = rng.normal(0.0, init_scale, size=dim)
         res = spsa_optimize(
-            model, spec, init, iterations, params, priors, rng, max_steps=max_steps
+            model, spec, init, iterations, params, priors, rng, max_steps=max_steps, bins=bins
         )
         score = sample_cost(
             res.policy,
@@ -286,6 +290,7 @@ def optimize_with_restarts(
             eval_priors,
             np.random.default_rng(eval_seed),
             max_steps=max_steps,
+            bins=bins,
         )
         if best is None or score < best[1]:
             best = (res, score)

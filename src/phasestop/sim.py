@@ -5,6 +5,15 @@ at each step ``k >= 1`` the chain moves, a symbol is observed, the belief is
 updated, and the decision is applied to the updated belief.  ``tau`` is the
 first step whose decision is stop, ``tau0`` the first step in the absorbing
 state.  Costs therefore start accruing at the first post-observation belief.
+
+Draw convention: a draw from a pmf is the inverse CDF of one uniform
+``u = rng.random()``.  The batch paths (:func:`simulate_batch`,
+:func:`sample_change_times`) return the first index with ``u <= cdf``
+(``searchsorted(..., side="left")``), on CDF tables built once per call; the
+single-path :func:`_draw` returns the first index with ``u < cdf``
+(``side="right"``).  The two differ only when ``u`` equals a CDF value
+exactly.  A batch step draws one uniform per active row for the state moves,
+then one per active row for the symbols, in ascending row order.
 """
 
 from __future__ import annotations
@@ -14,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import STOP, stage_cost_vectors
-from .filters import SocialContext, hmm_update, social_local_action, social_update
+from .filters import (
+    SocialContext,
+    ZeroProbabilityError,
+    hmm_update,
+    social_local_action,
+    social_update,
+)
 from .model import DEFAULT_BINS, CostSpec, DetectionModel, as_belief
 
 DETECTION_MAX_STEPS = 10_000
@@ -69,7 +84,7 @@ def sample_trajectory(
         if tau0 is None and x == 0:
             tau0 = k
         y = _draw(rng, b[x])
-        pi = hmm_update(pi, y, model).next_belief
+        pi = hmm_update(pi, y, model, b).next_belief
         u = int(decide(pi))
         states.append(x + 1)
         observations.append(y)
@@ -148,9 +163,25 @@ class BatchResult:
 
 
 def _draw_rows(rng: np.random.Generator, pmf_rows: np.ndarray) -> np.ndarray:
+    """One inverse-CDF draw from each row of ``pmf_rows`` (the per-row priors)."""
     cum = np.cumsum(pmf_rows, axis=1)
     u = rng.random(pmf_rows.shape[0])
     return (u[:, None] > cum).sum(axis=1)
+
+
+def _draw_by_state(cdf: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: entry ``i`` draws from row ``states[i]`` of the
+    CDF table ``cdf`` with the uniform ``u[i]``.
+
+    Returns the number of entries of the row below ``u[i]``, which is what
+    ``(u[:, None] > cdf[states]).sum(axis=1)`` gives for the non-decreasing
+    rows of a cumulative sum of non-negative probabilities.
+    """
+    out = np.empty(states.size, dtype=np.intp)
+    for s in np.flatnonzero(np.bincount(states, minlength=cdf.shape[0])):
+        sel = np.flatnonzero(states == s)
+        out[sel] = np.searchsorted(cdf[s], u[sel], side="left")
+    return out
 
 
 def _stage_cost_bound(spec: CostSpec, model: DetectionModel, bins: int) -> float:
@@ -175,6 +206,10 @@ def simulate_batch(
 
     With ``transformed=False`` the raw expected costs are accumulated.
     Censored trajectories contribute their truncated cost and are flagged.
+    The step loop works on the still-active rows only, in ascending row
+    order.  Raises :class:`~phasestop.filters.ZeroProbabilityError` when a
+    row's filter normalisation is zero or not finite (a NaN prior, or a
+    belief that underflowed away from the true state).
     """
     from .model import ConstrainedSocial, RiskSensitive, Scheduling, SocialStopping
 
@@ -197,40 +232,55 @@ def simulate_batch(
             max_steps = max(1, min(max_steps, DETECTION_MAX_STEPS))
     decide_batch = policy.batch_decide if hasattr(policy, "batch_decide") else None
     decide_one = _policy_fn(policy)
+    cdf_p = np.cumsum(p, axis=1)
+    cdf_b = np.cumsum(b, axis=1)
+    b_t = np.ascontiguousarray(b.T)  # row y: likelihood of symbol y per state
 
-    states = _draw_rows(rng, priors)
-    beliefs = priors.copy()
     costs = np.zeros(n)
     tau = np.full(n, max_steps, dtype=int)
-    tau0 = np.where(states == 0, 0, -1)
-    active = np.ones(n, dtype=bool)
+    tau0 = np.full(n, -1)
+    censored = np.zeros(n, dtype=bool)
+    # the active rows, ascending, with their state, belief, running cost and tau0
+    rows = np.arange(n)
+    states = _draw_rows(rng, priors)
+    beliefs = priors.copy()
+    acc = np.zeros(n)
+    t0 = np.where(states == 0, 0, -1)
     disc = 1.0
     for k in range(1, max_steps + 1):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
+        if rows.size == 0:
             break
-        states[idx] = _draw_rows(rng, p[states[idx]])
-        hit = idx[(tau0[idx] < 0) & (states[idx] == 0)]
-        tau0[hit] = k
-        ys = _draw_rows(rng, b[states[idx]])
-        pred = beliefs[idx] @ p
-        unnorm = pred * b[:, ys].T
+        states = _draw_by_state(cdf_p, states, rng.random(rows.size))
+        t0[(t0 < 0) & (states == 0)] = k
+        ys = _draw_by_state(cdf_b, states, rng.random(rows.size))
+        unnorm = (beliefs @ p) * b_t[ys]
         sigma = unnorm.sum(axis=1)
-        beliefs[idx] = unnorm / sigma[:, None]
+        bad = ~((sigma > 0.0) & (sigma < np.inf))
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ZeroProbabilityError(
+                f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
+                f"{sigma[j]} after observation {int(ys[j])}"
+            )
+        beliefs = unnorm / sigma[:, None]
         if decide_batch is not None:
-            acts = np.asarray(decide_batch(beliefs[idx]))
+            acts = np.asarray(decide_batch(beliefs))
         else:
-            acts = np.array([decide_one(beliefs[i]) for i in idx])
+            acts = np.array([decide_one(pi) for pi in beliefs])
         c_stop, c_cont = stage_cost_vectors(
-            spec, model, beliefs[idx], original=not transformed, bins=bins
+            spec, model, beliefs, original=not transformed, bins=bins
         )
-        stop_mask = acts == STOP
-        costs[idx[stop_mask]] += disc * c_stop[stop_mask]
-        costs[idx[~stop_mask]] += disc * c_cont[~stop_mask]
-        tau[idx[stop_mask]] = k
-        active[idx[stop_mask]] = False
+        stop = acts == STOP
+        acc += disc * np.where(stop, c_stop, c_cont)
+        if stop.any():
+            done = rows[stop]
+            costs[done], tau[done], tau0[done] = acc[stop], k, t0[stop]
+            keep = ~stop
+            rows, states, beliefs, acc, t0 = (
+                rows[keep], states[keep], beliefs[keep], acc[keep], t0[keep]
+            )
         disc *= rho
-    censored = active.copy()
+    costs[rows], tau0[rows], censored[rows] = acc, t0, True
     return BatchResult(costs=costs, tau=tau, tau0=tau0, censored=censored)
 
 
@@ -243,18 +293,18 @@ def sample_change_times(
     """First-hit times of the absorbing state for ``n`` independent chains
     (-1 when not absorbed within ``max_steps``)."""
     pi0 = as_belief(model.initial)
-    p = model.transition
-    states = _draw_rows(rng, np.tile(pi0, (n, 1)))
+    cdf_p = np.cumsum(model.transition, axis=1)
+    states = np.searchsorted(np.cumsum(pi0), rng.random(n), side="left")
     times = np.where(states == 0, 0, -1)
-    active = states != 0
+    rows = np.flatnonzero(states != 0)
+    states = states[rows]
     for k in range(1, max_steps + 1):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
+        if rows.size == 0:
             break
-        states[idx] = _draw_rows(rng, p[states[idx]])
-        hit = idx[states[idx] == 0]
-        times[hit] = k
-        active[hit] = False
+        states = _draw_by_state(cdf_p, states, rng.random(rows.size))
+        hit = states == 0
+        times[rows[hit]] = k
+        rows, states = rows[~hit], states[~hit]
     return times
 
 

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasestop import cli
+from phasestop import cli, sim
+from phasestop import policy as pol
 
 BUNDLED = [
     "fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4c",
@@ -284,3 +285,59 @@ def test_sweep_command_unordered_pair(tmp_path, capsys):
 def test_bundled_configs_run_end_to_end(tmp_path, name, command):
     assert cli.main([command, "--config", name, "--out", str(tmp_path)]) == 0
     assert any(tmp_path.iterdir())
+
+
+GAUSS_MODEL = {
+    "transition": [[1, 0, 0], [0.3, 0.1, 0.6], [0, 0.02, 0.98]],
+    "initial": [0, 0, 1],
+    "observation": {"gaussian": {"means": [0, 1, 1], "variances": [0.25, 0.25, 0.25]}},
+}
+GAUSS_COST = {
+    "family": "quickest_predictive",
+    "alpha": 0.0, "beta": 1.0, "d": 1.0, "rho": 1.0, "op_cost": 0.001,
+}
+
+
+def test_simulate_honours_config_bins(tmp_path):
+    cfg = {
+        "model": GAUSS_MODEL,
+        "cost": GAUSS_COST,
+        "policy": {"theta": [1.2, 0.4]},
+        "trajectories": 300,
+        "max_steps": 400,
+        "seed": 3,
+        "record": 1,
+    }
+    means = {}
+    for bins in (51, 101):
+        ref = write_config(tmp_path, f"bins{bins}", {**cfg, "bins": bins})
+        assert cli.main(["simulate", "--config", ref, "--out", str(tmp_path)]) == 0
+        means[bins] = json.loads((tmp_path / f"bins{bins}_summary.json").read_text())["mean_cost"]
+        traj = (tmp_path / f"bins{bins}_trajectory0.csv").read_text().splitlines()
+        assert max(int(r.split(",")[2]) for r in traj[2:]) < bins
+    m, spec = cli.parse_model(GAUSS_MODEL), cli.parse_cost(GAUSS_COST)
+    direct = sim.simulate_batch(
+        m, spec, pol.LinearThresholdPolicy(np.array([1.2, 0.4])),
+        np.tile(m.initial, (300, 1)), np.random.default_rng(3),
+        max_steps=400, transformed=False, bins=51,
+    )
+    assert means[51] == float(direct.costs.mean())
+    assert means[51] != means[101]
+
+
+def test_spsa_honours_config_bins(tmp_path, monkeypatch):
+    seen = set()
+    batch = pol.simulate_batch
+
+    def recording(*args, **kwargs):
+        seen.add(kwargs.get("bins"))
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(pol, "simulate_batch", recording)
+    cfg = {
+        "model": GAUSS_MODEL, "cost": GAUSS_COST, "bins": 51,
+        "priors": 10, "iterations": 2, "restarts": 2, "max_steps": 50,
+    }
+    ref = write_config(tmp_path, "spsabins", cfg)
+    assert cli.main(["spsa", "--config", ref, "--out", str(tmp_path)]) == 0
+    assert seen == {51}

@@ -445,3 +445,45 @@ def test_reference_models_validate(three_state_model, staged_model):
         assert model.validate_model(geo, "strict") == []
     nu = model.ph_pmf(three_state_model, 10_000)
     assert nu.partial_sums()[-1] > 1 - 1e-6
+
+
+def _reference_vertex_chains(grid, vertex):
+    """Per-point grouping by the gcd-reduced remaining coordinates."""
+    axis = vertex - 1
+    vertex_idx = None
+    classes = {}
+    for i, c in enumerate(grid.coords):
+        rest = np.delete(c, axis)
+        g = int(np.gcd.reduce(rest))
+        if g == 0:
+            vertex_idx = i
+            continue
+        key = tuple(int(v) for v in rest // g)
+        classes.setdefault(key, []).append((int(c[axis]), i))
+    chains = []
+    for _, items in sorted(classes.items()):
+        chains.append(np.array([i for _, i in sorted(items)] + [vertex_idx], dtype=int))
+    return chains
+
+
+@pytest.mark.parametrize("x,m", [(2, 9), (3, 1), (3, 12), (3, 20), (4, 2), (4, 10), (5, 6)])
+def test_vertex_chains_match_reference(x, m):
+    g = dp.build_grid(x, m)
+    rng = np.random.default_rng(x * 100 + m)
+    for vertex in range(1, x + 1):
+        got, want = dp.vertex_chains(g, vertex), _reference_vertex_chains(g, vertex)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        for _ in range(5):
+            policy = rng.integers(1, 3, size=g.n_points)
+            sol = dp.GridSolution(
+                values=np.zeros(g.n_points),
+                values_original=np.zeros(g.n_points),
+                policy=policy,
+                sweeps=0,
+                sup_delta=0.0,
+                delta_history=np.zeros(1),
+            )
+            worst = max(int(np.sum(policy[c][1:] != policy[c][:-1])) for c in want)
+            assert dp.line_crossing_check(sol, g, vertex) == worst

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phasestop import dp, filters, model, sim
+from phasestop import policy as pol
 
 
 def always_stop(pi):
@@ -190,3 +191,217 @@ def test_trajectory_csv_layout(geometric_model):
     assert len(lines) == len(traj.beliefs) + 1
     first = lines[1].split(",")
     assert first[0] == "0" and first[2] == "" and first[-1] == ""
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity of the batch kernels against the plain step loop they replace
+
+
+def _reference_simulate_batch(
+    model_, spec, policy, priors, rng, max_steps=None, transformed=True,
+    truncation_tol=1e-8, bins=model.DEFAULT_BINS,
+):
+    """The full-width loop: a fresh ``cumsum`` per draw, every per-row array
+    gathered and scattered through the active mask on every step."""
+
+    def draw_rows(pmf_rows):
+        cum = np.cumsum(pmf_rows, axis=1)
+        u = rng.random(pmf_rows.shape[0])
+        return (u[:, None] > cum).sum(axis=1)
+
+    priors = np.atleast_2d(np.asarray(priors, dtype=float))
+    n = priors.shape[0]
+    b = model_.discrete_obs(bins).matrix
+    p = model_.transition
+    rho = getattr(spec, "rho", 1.0)
+    if max_steps is None:
+        if rho >= 1.0:
+            max_steps = 500
+        else:
+            bound = sim._stage_cost_bound(spec, model_, bins)
+            max_steps = int(np.ceil(np.log(truncation_tol / max(bound, 1e-12)) / np.log(rho)))
+            max_steps = max(1, min(max_steps, sim.DETECTION_MAX_STEPS))
+    decide_batch = getattr(policy, "batch_decide", None)
+    decide_one = getattr(policy, "decide", policy)
+    states = draw_rows(priors)
+    beliefs = priors.copy()
+    costs = np.zeros(n)
+    tau = np.full(n, max_steps, dtype=int)
+    tau0 = np.where(states == 0, 0, -1)
+    active = np.ones(n, dtype=bool)
+    disc = 1.0
+    for k in range(1, max_steps + 1):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        states[idx] = draw_rows(p[states[idx]])
+        tau0[idx[(tau0[idx] < 0) & (states[idx] == 0)]] = k
+        ys = draw_rows(b[states[idx]])
+        unnorm = (beliefs[idx] @ p) * b[:, ys].T
+        beliefs[idx] = unnorm / unnorm.sum(axis=1)[:, None]
+        if decide_batch is not None:
+            acts = np.asarray(decide_batch(beliefs[idx]))
+        else:
+            acts = np.array([decide_one(beliefs[i]) for i in idx])
+        c_stop, c_cont = dp.stage_cost_vectors(
+            spec, model_, beliefs[idx], original=not transformed, bins=bins
+        )
+        stop = acts == dp.STOP
+        costs[idx[stop]] += disc * c_stop[stop]
+        costs[idx[~stop]] += disc * c_cont[~stop]
+        tau[idx[stop]] = k
+        active[idx[stop]] = False
+        disc *= rho
+    return sim.BatchResult(costs=costs, tau=tau, tau0=tau0, censored=active.copy())
+
+
+def _reference_change_times(model_, n, rng, max_steps=sim.DETECTION_MAX_STEPS):
+    def draw_rows(pmf_rows):
+        u = rng.random(pmf_rows.shape[0])
+        return (u[:, None] > np.cumsum(pmf_rows, axis=1)).sum(axis=1)
+
+    p = model_.transition
+    states = draw_rows(np.tile(np.asarray(model_.initial, dtype=float), (n, 1)))
+    times = np.where(states == 0, 0, -1)
+    active = states != 0
+    for k in range(1, max_steps + 1):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        states[idx] = draw_rows(p[states[idx]])
+        hit = idx[states[idx] == 0]
+        times[hit] = k
+        active[hit] = False
+    return times
+
+
+def assert_batches_equal(a, b):
+    for field in ("costs", "tau", "tau0", "censored"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype, field
+        assert np.array_equal(x, y), field
+
+
+FOUR_PHASE = model.DetectionModel(
+    [[1, 0, 0, 0], [0.3, 0.5, 0.2, 0], [0, 0.03, 0.97, 0], [0, 0, 0.07, 0.93]],
+    [0, 0, 0, 1],
+    model.GaussianObs([0, 1, 1, 1], [0.5, 0.5, 0.5, 0.5]),
+)
+
+
+def both_batches(model_, spec, policy, priors, seed, **kw):
+    new = sim.simulate_batch(model_, spec, policy, priors, np.random.default_rng(seed), **kw)
+    ref = _reference_simulate_batch(
+        model_, spec, policy, priors, np.random.default_rng(seed), **kw
+    )
+    return new, ref
+
+
+@pytest.fixture(scope="module")
+def grid_policy_m12(three_state_model):
+    spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
+    g = dp.build_grid(3, 12)
+    sol = dp.value_iterate(three_state_model, spec, g, horizon=100)
+    return spec, dp.GridPolicy(g, sol.policy)
+
+
+@pytest.mark.parametrize("transformed", [True, False])
+def test_batch_bit_identical_grid_policy(three_state_model, grid_policy_m12, transformed):
+    spec, grid_policy = grid_policy_m12
+    priors = np.tile(three_state_model.initial, (5000, 1))
+    new, ref = both_batches(
+        three_state_model, spec, grid_policy, priors, 5,
+        max_steps=3000, transformed=transformed,
+    )
+    assert_batches_equal(new, ref)
+    assert new.tau.max() > 50  # a real tail, not a one-step batch
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_batch_bit_identical_linear_policy(three_state_model, seed):
+    spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
+    rng = np.random.default_rng(seed)
+    priors = rng.dirichlet(np.ones(3), size=100)
+    linear = pol.LinearThresholdPolicy(pol.phi_to_theta(rng.normal(size=2)))
+    new, ref = both_batches(three_state_model, spec, linear, priors, 100 + seed, max_steps=500)
+    assert_batches_equal(new, ref)
+
+
+def test_batch_bit_identical_plain_callable_discounted():
+    # no batch_decide, a 4-state Gaussian chain, and a derived step cap
+    spec = model.QuickestClassicalDelay(
+        alpha=0.5, beta=2.0, d=1.0, rho=0.95, false_alarm=[0, 1, 1, 1]
+    )
+    priors = np.random.default_rng(3).dirichlet(np.ones(4), size=400)
+    policy = lambda pi: 1 if pi[0] > 0.6 else 2
+    for transformed in (True, False):
+        new, ref = both_batches(FOUR_PHASE, spec, policy, priors, 9, transformed=transformed)
+        assert_batches_equal(new, ref)
+    assert new.tau.max() < 1000  # the derived cap, not the 500 default or 10 000
+
+
+def test_batch_bit_identical_always_stop_and_censoring(geometric_model):
+    spec = model.QuickestClassicalDelay(
+        alpha=0.0, beta=3.0, d=1.0, rho=1.0, false_alarm=[0, 1]
+    )
+    priors = np.tile([0.0, 1.0], (300, 1))
+    new, ref = both_batches(geometric_model, spec, always_stop, priors, 1, max_steps=50)
+    assert_batches_equal(new, ref)
+    assert np.all(new.tau == 1)
+    never = type("Never", (), {"batch_decide": lambda self, pts: np.full(len(pts), 2)})()
+    mixed = lambda pi: 1 if pi[0] > 0.95 else 2
+    for policy in (never, mixed):
+        new, ref = both_batches(geometric_model, spec, policy, priors, 2, max_steps=4)
+        assert_batches_equal(new, ref)
+        assert new.censored.any()
+
+
+def test_change_times_bit_identical(staged_model):
+    for m in (staged_model(0.2), FOUR_PHASE):
+        for seed in range(3):
+            new = sim.sample_change_times(m, 3000, np.random.default_rng(seed), max_steps=400)
+            ref = _reference_change_times(m, 3000, np.random.default_rng(seed), max_steps=400)
+            assert new.dtype == ref.dtype and np.array_equal(new, ref)
+
+
+def test_draw_by_state_matches_counting():
+    # exact CDF values as uniforms: the tie u == cdf counts as "not above"
+    rng = np.random.default_rng(12)
+    pmf = rng.dirichlet(np.ones(7), size=4)
+    pmf[1, 2:4] = 0.0
+    pmf[1] /= pmf[1].sum()
+    cdf = np.cumsum(pmf, axis=1)
+    states = rng.integers(0, 4, size=500)
+    u = rng.random(500)
+    u[:28] = cdf[states[:28], np.arange(28) % 7]
+    want = (u[:, None] > cdf[states]).sum(axis=1)
+    assert np.array_equal(sim._draw_by_state(cdf, states, u), want)
+
+
+def test_batch_nan_prior_raises_zero_probability(geometric_model):
+    spec = model.QuickestClassicalDelay(
+        alpha=0.0, beta=3.0, d=1.0, rho=1.0, false_alarm=[0, 1]
+    )
+    priors = np.tile([0.2, 0.8], (5, 1))
+    priors[3] = np.nan
+    linear = pol.LinearThresholdPolicy(np.array([0.5]))
+    with pytest.raises(filters.ZeroProbabilityError, match="step 1: row 3"):
+        sim.simulate_batch(
+            geometric_model, spec, linear, priors, np.random.default_rng(0), max_steps=20
+        )
+
+
+def test_sample_trajectory_filters_with_its_bins(three_state_model):
+    bins = 51
+    b = three_state_model.discrete_obs(bins).matrix
+    p = three_state_model.transition
+    policy = lambda pi: 1 if pi[0] > 0.9 else 2
+    traj = sim.sample_trajectory(
+        three_state_model, policy, max_steps=300, rng=np.random.default_rng(13), bins=bins
+    )
+    assert traj.observations.max() < bins
+    pi = traj.beliefs[0]
+    for k, y in enumerate(traj.observations, start=1):
+        unnorm = b[:, y] * (p.T @ pi)
+        pi = unnorm / unnorm.sum()
+        assert np.array_equal(traj.beliefs[k], pi)
