@@ -142,12 +142,31 @@ def _grid_for(cfg: dict, model: DetectionModel) -> dp.SimplexGrid:
     return dp.build_grid(model.n_states, m)
 
 
-def _solve_from_config(cfg: dict):
-    model = parse_model(_need(cfg, "model", "config"))
-    spec = parse_cost(_need(cfg, "cost", "config"))
-    problems = validate_model(model, cfg.get("validation", "relaxed"))
+def _valid_model(cfg: dict, model_cfg: dict, where: str = "model") -> DetectionModel:
+    """Parse a model and check it under the config's ``validation`` tag."""
+    model = parse_model(model_cfg, where)
+    try:
+        problems = validate_model(model, cfg.get("validation", "relaxed"))
+    except ValueError as exc:
+        raise ConfigError(f"config.validation: {exc}") from None
     if problems:
-        raise ConfigError("config.model: " + "; ".join(problems))
+        raise ConfigError(f"config.{where}: " + "; ".join(problems))
+    return model
+
+
+def _batch_spec(cfg: dict, command: str):
+    """Parse the cost spec of a command that runs the batch simulator."""
+    spec = parse_cost(_need(cfg, "cost", "config"))
+    if spec.family not in sim.BATCH_FAMILIES:
+        raise ConfigError(
+            f"config.cost.family: {command} supports {list(sim.BATCH_FAMILIES)}, not {spec.family!r}"
+        )
+    return spec
+
+
+def _solve_from_config(cfg: dict):
+    model = _valid_model(cfg, _need(cfg, "model", "config"))
+    spec = parse_cost(_need(cfg, "cost", "config"))
     grid = _grid_for(cfg, model)
     sol = dp.value_iterate(
         model,
@@ -212,7 +231,10 @@ def cmd_sweep(cfg: dict, out_dir: Path, name: str) -> int:
     if not isinstance(entries, list) or not entries:
         raise ConfigError("config.models: expected a non-empty list of {label, model} objects")
     labels = [str(_need(e, "label", "config.models[]")) for e in entries]
-    models = [parse_model(_need(e, "model", "config.models[]")) for e in entries]
+    models = [
+        _valid_model(cfg, _need(e, "model", "config.models[]"), f"models[{k}].model")
+        for k, e in enumerate(entries)
+    ]
     grid = _grid_for(cfg, models[0])
     res = dp.value_monotonicity_sweep(
         models,
@@ -250,8 +272,8 @@ def cmd_sweep(cfg: dict, out_dir: Path, name: str) -> int:
 
 
 def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
-    model = parse_model(_need(cfg, "model", "config"))
-    spec = parse_cost(_need(cfg, "cost", "config"))
+    model = _valid_model(cfg, _need(cfg, "model", "config"))
+    spec = _batch_spec(cfg, "spsa")
     report = None
     try:
         report = orders.check_assumptions(model, spec)
@@ -384,8 +406,8 @@ def _policy_from_config(cfg: dict, model: DetectionModel):
 
 
 def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
-    model = parse_model(_need(cfg, "model", "config"))
-    spec = parse_cost(_need(cfg, "cost", "config"))
+    model = _valid_model(cfg, _need(cfg, "model", "config"))
+    spec = _batch_spec(cfg, "simulate")
     n = int(_need(cfg, "trajectories", "config"))
     if n <= 0:
         raise ConfigError("config.trajectories: must be positive")

@@ -2,17 +2,21 @@
 
 Builds a barycentric grid, evaluates the per-family stage costs in the
 transformed coordinates (stop cost and continue cost after subtracting the
-linear stopping offset), and runs value iteration with off-grid successor
-beliefs projected to the nearest grid point.  Structural analysis helpers
-check connectedness, convexity, and single-crossing of the policy along
-vertex-anchored lines.
+linear stopping offset), and runs value iteration of one Bellman operator,
+``V(pi) = min_u { c(pi, u) + disc * sum_y sigma(pi, y, u) V(T(pi, y, u)) }``.
+Each cost family supplies two actions, each a stage cost with the grid
+indices and sigma-weights of its successor beliefs (projected to the
+nearest grid point); stopping is an action with no successors, and the
+scheduling family's two modes differ in their observation matrix.
+Structural analysis helpers check connectedness, convexity, and
+single-crossing of the policy along vertex-anchored lines.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 
 import numpy as np
@@ -181,11 +185,16 @@ def build_grid(n_states: int, m: int) -> SimplexGrid:
 # Stage costs
 
 
+def _symbol_scores(costs: np.ndarray, b: np.ndarray, pts: np.ndarray):
+    """Myopic local-action scores ``pi' (B_y o c)``, one (N, A) array per symbol y."""
+    for y in range(b.shape[1]):
+        yield pts @ (b[:, y : y + 1] * costs)
+
+
 def _welfare_term(costs: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Expected myopic local cost: sum over symbols of min_a c_a' (B_y o pi)."""
     total = np.zeros(pts.shape[0])
-    for y in range(b.shape[1]):
-        scores = pts @ (b[:, y : y + 1] * costs)  # (N, A)
+    for scores in _symbol_scores(costs, b, pts):
         total += scores.min(axis=1)
     return total
 
@@ -328,14 +337,12 @@ def _project(grid: SimplexGrid, beliefs: np.ndarray, interpolate: bool):
     return idx, w
 
 
-def _hmm_branches(model, grid, bins, interpolate, scale=None):
-    """Successor indices/weights per observation symbol for the HMM filter."""
-    b = model.discrete_obs(bins).matrix
-    pts = grid.points if scale is None else grid.points * scale[None, :]
-    pred = pts @ model.transition
+def _successors(grid: SimplexGrid, pred: np.ndarray, liks, interpolate: bool):
+    """Grid indices and sigma-weights of the successors ``pred * lik``, one
+    branch per likelihood in ``liks``; a zero-sigma branch goes to point 0."""
     idx_parts, w_parts = [], []
-    for y in range(b.shape[1]):
-        unnorm = pred * b[:, y][None, :]
+    for lik in liks:
+        unnorm = pred * lik
         sigma = unnorm.sum(axis=1)
         safe = np.where(sigma > 0.0, sigma, 1.0)
         nxt = unnorm / safe[:, None]
@@ -346,38 +353,15 @@ def _hmm_branches(model, grid, bins, interpolate, scale=None):
     return np.concatenate(idx_parts, axis=1), np.concatenate(w_parts, axis=1)
 
 
-def _static_obs_branches(model, grid, bins, interpolate):
-    """HMM branches with identity dynamics (social families)."""
-    frozen = model.with_transition(np.eye(model.n_states))
-    return _hmm_branches(frozen, grid, bins, interpolate)
-
-
-def _social_branches(spec, model, grid, bins, interpolate):
-    """Successor indices/weights per broadcast action under social learning."""
-    b = model.discrete_obs(bins).matrix
-    c = spec.local_costs
-    pts = grid.points
-    n, x = pts.shape
-    n_actions = c.shape[1]
-    chosen = np.empty((n, b.shape[1]), dtype=int)
-    for y in range(b.shape[1]):
-        scores = pts @ (b[:, y : y + 1] * c)  # (N, A)
-        chosen[:, y] = np.argmin(scores, axis=1)
-    idx_parts, w_parts = [], []
-    for a in range(n_actions):
-        lik = np.zeros((n, x))
+def _social_likelihoods(spec: SocialStopping, b: np.ndarray, pts: np.ndarray):
+    """Likelihood of each broadcast local action: the sum of the columns of
+    ``b`` whose symbol makes that action myopically optimal at the belief."""
+    chosen = np.stack([s.argmin(axis=1) for s in _symbol_scores(spec.local_costs, b, pts)], axis=1)
+    for a in range(spec.local_costs.shape[1]):
+        lik = np.zeros(pts.shape)
         for y in range(b.shape[1]):
-            mask = chosen[:, y] == a
-            lik[mask] += b[:, y][None, :]
-        unnorm = lik * pts
-        sigma = unnorm.sum(axis=1)
-        safe = np.where(sigma > 0.0, sigma, 1.0)
-        nxt = unnorm / safe[:, None]
-        nxt[sigma <= 0.0] = pts[0]
-        idx, w = _project(grid, nxt, interpolate)
-        idx_parts.append(idx)
-        w_parts.append(w * sigma[:, None])
-    return np.concatenate(idx_parts, axis=1), np.concatenate(w_parts, axis=1)
+            lik[chosen[:, y] == a] += b[:, y][None, :]
+        yield lik
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +385,42 @@ DEFAULT_TOL = 1e-8
 DEFAULT_HORIZON_UNDISCOUNTED = 200
 
 
+def _bellman_setup(model, spec, grid, offset, bins, interpolate):
+    """The family's ``(disc, init, actions)``: ``actions`` lists ``(stage_cost,
+    idx, w)``, stop / mode 1 first; a stop action has ``idx = w = None``."""
+    pts = grid.points
+    p = model.transition
+    b = model.discrete_obs(bins).matrix
+    c1, c2 = stage_cost_vectors(spec, model, pts, bins=bins)
+    disc = getattr(spec, "rho", 1.0)
+    init = -offset
+    if isinstance(spec, Scheduling):
+        pred = pts @ p
+        return disc, init, [
+            (c1, *_successors(grid, pred, b.T, interpolate)),
+            (c2, *_successors(grid, pred, spec.obs_hi.matrix.T, interpolate)),
+        ]
+    if isinstance(spec, RiskSensitive):
+        _, r2 = spec.scalings(p)
+        pred, liks = (pts * r2) @ p, b.T
+        # multiplicative recursion: the zero-horizon value is the forced stop
+        # factor, which is exactly the offset
+        init = np.zeros(grid.n_points)
+    elif isinstance(spec, SocialStopping):
+        pred, liks = pts, _social_likelihoods(spec, b, pts)
+    elif isinstance(spec, ConstrainedSocial):
+        pred, liks = pts, b.T
+    else:
+        pred, liks = pts @ p, b.T
+    return disc, init, [(c1, None, None), (c2, *_successors(grid, pred, liks, interpolate))]
+
+
+def _q_values(actions, disc: float, v: np.ndarray) -> list[np.ndarray]:
+    # a stop action's value is its stage cost alone (adding disc * 0 would
+    # turn a -0.0 cost into +0.0)
+    return [c if idx is None else c + disc * (w * v[idx]).sum(axis=1) for c, idx, w in actions]
+
+
 def value_iterate(
     model: DetectionModel,
     spec: CostSpec,
@@ -414,72 +434,22 @@ def value_iterate(
 
     Undiscounted runs (rho = 1, and the risk-sensitive family) default to a
     fixed horizon; discounted runs stop when the sup-norm change drops below
-    ``tol`` (default 1e-8) or after 10_000 sweeps.
+    ``tol`` (default 1e-8) or after 10_000 sweeps.  The greedy policy picks
+    the first action (stop / mode 1) on ties.
     """
     if grid.n_states != model.n_states:
         raise ValueError("grid dimension does not match the model")
-    undiscounted = isinstance(spec, RiskSensitive) or getattr(spec, "rho", 1.0) >= 1.0
+    offset = value_offset(spec, model, grid.points)
+    disc, v, actions = _bellman_setup(model, spec, grid, offset, bins, interpolate)
     if horizon is None and tol is None:
-        if undiscounted:
+        if disc >= 1.0:
             horizon = DEFAULT_HORIZON_UNDISCOUNTED
         else:
             tol = DEFAULT_TOL
-    pts = grid.points
-    offset = value_offset(spec, model, pts)
-
-    if isinstance(spec, Scheduling):
-        c1, c2 = stage_cost_vectors(spec, model, pts, bins=bins)
-        lo_model = model
-        hi_model = DetectionModel(model.transition, model.initial, spec.obs_hi)
-        idx1, w1 = _hmm_branches(lo_model, grid, bins, interpolate)
-        idx2, w2 = _hmm_branches(hi_model, grid, bins, interpolate)
-        v = -offset
-        deltas = []
-        sweeps = 0
-        while True:
-            q1 = c1 + spec.rho * (w1 * v[idx1]).sum(axis=1)
-            q2 = c2 + spec.rho * (w2 * v[idx2]).sum(axis=1)
-            v_new = np.minimum(q1, q2)
-            delta = float(np.max(np.abs(v_new - v)))
-            deltas.append(delta)
-            v = v_new
-            sweeps += 1
-            if horizon is not None and sweeps >= horizon:
-                break
-            if tol is not None and (delta < tol or sweeps >= MAX_SWEEPS):
-                break
-        # greedy policy extracted from the final value table
-        q1 = c1 + spec.rho * (w1 * v[idx1]).sum(axis=1)
-        q2 = c2 + spec.rho * (w2 * v[idx2]).sum(axis=1)
-        policy = np.where(q1 <= q2, STOP, CONTINUE)
-        return GridSolution(v, v + offset, policy, sweeps, deltas[-1], np.array(deltas))
-
-    # stopping families
-    c1, c2 = stage_cost_vectors(spec, model, pts, bins=bins)
-    init = -offset
-    if isinstance(spec, RiskSensitive):
-        _, r2 = spec.scalings(model.transition)
-        idx, w = _hmm_branches(model, grid, bins, interpolate, scale=r2)
-        disc = 1.0
-        # multiplicative recursion: the zero-horizon value is the forced stop
-        # factor, which is exactly the offset
-        init = np.zeros(grid.n_points)
-    elif isinstance(spec, SocialStopping):
-        idx, w = _social_branches(spec, model, grid, bins, interpolate)
-        disc = spec.rho
-    elif isinstance(spec, ConstrainedSocial):
-        idx, w = _static_obs_branches(model, grid, bins, interpolate)
-        disc = spec.rho
-    else:
-        idx, w = _hmm_branches(model, grid, bins, interpolate)
-        disc = spec.rho
-
-    v = init
     deltas = []
     sweeps = 0
     while True:
-        q2 = c2 + disc * (w * v[idx]).sum(axis=1)
-        v_new = np.minimum(c1, q2)
+        v_new = reduce(np.minimum, _q_values(actions, disc, v))
         delta = float(np.max(np.abs(v_new - v)))
         deltas.append(delta)
         v = v_new
@@ -488,9 +458,8 @@ def value_iterate(
             break
         if tol is not None and (delta < tol or sweeps >= MAX_SWEEPS):
             break
-    # greedy policy extracted from the final value table (stop wins ties)
-    q2 = c2 + disc * (w * v[idx]).sum(axis=1)
-    policy = np.where(c1 <= q2, STOP, CONTINUE)
+    q1, q2 = _q_values(actions, disc, v)
+    policy = np.where(q1 <= q2, STOP, CONTINUE)
     return GridSolution(v, v + offset, policy, sweeps, deltas[-1], np.array(deltas))
 
 
@@ -511,18 +480,14 @@ def expected_value_after_update(
     if isinstance(spec, (RiskSensitive, Scheduling)):
         raise ValueError("defined for the additive-cost detection and social families")
     pi0 = np.asarray(pi0, dtype=float)
+    vals = sol.values_original if original else sol.values
     if isinstance(spec, (SocialStopping, ConstrainedSocial)):
-        vals = sol.values_original if original else sol.values
         return float(vals[grid.nearest(pi0[None, :])[0]])
     b = model.discrete_obs(bins).matrix
     pred = model.transition.T @ pi0
-    vals = sol.values_original if original else sol.values
-    unnorm = np.ascontiguousarray((b * pred[:, None]).T)  # (Y, X), one row per symbol
-    sigma = unnorm.sum(axis=1)
-    live = sigma > 0.0
-    idx = grid.nearest(unnorm[live] / sigma[live, None])
+    idx, w = _successors(grid, pred[None, :], b.T, interpolate=False)
     total = 0.0
-    for s, v in zip(sigma[live].tolist(), vals[idx].tolist()):
+    for s, v in zip(w[0].tolist(), vals[idx[0]].tolist()):
         total += s * v
     return total
 

@@ -120,11 +120,6 @@ def social_fixed_points_from(costs: np.ndarray, b: np.ndarray) -> tuple[float, f
     return float(eta1), float(eta2), float(eta3)
 
 
-def social_fixed_points(ctx: SocialContext) -> tuple[float, float, float]:
-    """Interval boundaries (eta1, eta2, eta3) of the 2-state social filter."""
-    return social_fixed_points_from(ctx.local_costs, ctx.obs.matrix)
-
-
 def social_local_action(pi, y: int, ctx: SocialContext) -> int:
     """Myopic local action (1-based) after privately updating ``pi`` by ``y``.
 

@@ -37,15 +37,6 @@ def as_belief(probs, tol: float = SUM_TOL) -> np.ndarray:
     return pi
 
 
-def vertex_belief(state: int, n_states: int) -> np.ndarray:
-    """Unit-vector belief concentrated on ``state`` (1-based)."""
-    if not 1 <= state <= n_states:
-        raise ValueError(f"state {state} out of range 1..{n_states}")
-    e = np.zeros(n_states)
-    e[state - 1] = 1.0
-    return e
-
-
 def dirichlet_uniform_sample(n_states: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a belief uniformly from the simplex via normalized unit exponentials."""
     if n_states < 2:
@@ -73,10 +64,6 @@ class DiscreteObs:
             raise ValueError("observation probabilities must be non-negative")
         if np.any(np.abs(b.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("observation matrix rows must sum to 1")
-
-    @property
-    def n_symbols(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -154,9 +141,6 @@ class DetectionModel:
         if isinstance(self.obs, DiscreteObs):
             return self.obs
         return discretize_gaussian(self.obs, bins)
-
-    def with_transition(self, transition) -> "DetectionModel":
-        return DetectionModel(np.asarray(transition, dtype=float), self.initial, self.obs)
 
 
 def spectral_radius(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:

@@ -50,20 +50,22 @@ def fosd_geq(pi1, pi2, tol: float = ORDER_TOL) -> bool:
     return bool(np.all(ta >= tb - tol))
 
 
+def _min_minor(mat) -> float:
+    """Smallest 2x2 minor ``m[i,j] m[k,l] - m[i,l] m[k,j]`` over all rows
+    ``i < k`` and columns ``j < l`` (0 for a matrix with no 2x2 minor)."""
+    m = np.asarray(mat, dtype=float)
+    i, k = np.triu_indices(m.shape[0], k=1)
+    j, l = np.triu_indices(m.shape[1], k=1)
+    minors = m[i][:, j] * m[k][:, l] - m[i][:, l] * m[k][:, j]
+    return float(minors.min()) if minors.size else 0.0
+
+
 def is_tp2(mat, tol: float = ORDER_TOL) -> bool:
     """True when every 2x2 minor (adjacent or not) of the matrix is >= -tol."""
     m = np.asarray(mat, dtype=float)
     if np.any(m < -tol):
         raise ValueError("matrix must be non-negative")
-    rows, cols = m.shape
-    for r1 in range(rows - 1):
-        for r2 in range(r1 + 1, rows):
-            # vectorized over all column pairs for this row pair
-            prod = np.outer(m[r1], m[r2])
-            iu = np.triu_indices(cols, k=1)
-            if np.any(prod.T[iu] - prod[iu] > tol):
-                return False
-    return True
+    return _min_minor(m) >= -tol
 
 
 def matrix_order_geq(p1, p2, tol: float = ORDER_TOL) -> bool:
@@ -162,19 +164,7 @@ def _ineq(name: str, slack: float, detail: str = "", tol: float = 1e-12) -> Assu
 
 
 def _tp2_check(name: str, mat: np.ndarray, detail: str) -> AssumptionCheck:
-    m = np.asarray(mat, dtype=float)
-    rows, cols = m.shape
-    worst = np.inf
-    for r1 in range(rows - 1):
-        for r2 in range(r1 + 1, rows):
-            prod = np.outer(m[r1], m[r2])
-            iu = np.triu_indices(cols, k=1)
-            minors = prod[iu] - prod.T[iu]
-            if minors.size:
-                worst = min(worst, float(minors.min()))
-    if not np.isfinite(worst):
-        worst = 0.0
-    return _ineq(name, worst, detail)
+    return _ineq(name, _min_minor(mat), detail)
 
 
 def check_assumptions(model: DetectionModel, spec: CostSpec) -> AssumptionReport:
@@ -341,21 +331,6 @@ def random_tp2_stochastic(
     m = np.exp(-0.5 * ((idx[None, :] - centers[:, None]) / scale) ** 2)
     m /= m.sum(axis=1, keepdims=True)
     return m
-
-
-def random_absorbing_tp2(
-    n_states: int, rng: np.random.Generator, max_tries: int = 200
-) -> np.ndarray:
-    """Random TP2 transition matrix with an absorbing first state and
-    transient remainder (positive absorption mass from every state)."""
-    for _ in range(max_tries):
-        p = np.zeros((n_states, n_states))
-        p[0, 0] = 1.0
-        rest = random_tp2_stochastic(n_states - 1, n_states, rng)
-        p[1:] = rest
-        if np.all(p[1:, 0] > 1e-6) and is_tp2(p):
-            return p
-    raise RuntimeError("failed to generate an absorbing TP2 matrix")
 
 
 def random_ordered_matrix_pair(

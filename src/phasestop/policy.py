@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dp import CONTINUE, STOP
 from .model import DEFAULT_BINS, CostSpec, DetectionModel
 from .sim import simulate_batch
-
-STOP, CONTINUE = 1, 2
 
 
 @dataclass(frozen=True)

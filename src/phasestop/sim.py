@@ -33,6 +33,8 @@ from .filters import (
 from .model import DEFAULT_BINS, CostSpec, DetectionModel, as_belief
 
 DETECTION_MAX_STEPS = 10_000
+# the additive-cost families driven by the plain Bayesian filter
+BATCH_FAMILIES = ("quickest_predictive", "quickest_classical", "transient")
 SOCIAL_MAX_STEPS = 1_000
 
 
@@ -211,9 +213,7 @@ def simulate_batch(
     row's filter normalisation is zero or not finite (a NaN prior, or a
     belief that underflowed away from the true state).
     """
-    from .model import ConstrainedSocial, RiskSensitive, Scheduling, SocialStopping
-
-    if isinstance(spec, (ConstrainedSocial, RiskSensitive, Scheduling, SocialStopping)):
+    if spec.family not in BATCH_FAMILIES:
         raise ValueError(
             "batch cost simulation supports the additive-cost families driven "
             "by the plain Bayesian filter"

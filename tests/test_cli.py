@@ -341,3 +341,57 @@ def test_spsa_honours_config_bins(tmp_path, monkeypatch):
     ref = write_config(tmp_path, "spsabins", cfg)
     assert cli.main(["spsa", "--config", ref, "--out", str(tmp_path)]) == 0
     assert seen == {51}
+
+
+SOCIAL_COST = {
+    "family": "social_stopping", "d": 1.8, "beta": 2.0, "rho": 0.9,
+    "local_costs": [[4.57, 5.57], [2.57, 0.0]],
+}
+STATIC_MODEL = {**SMALL_MODEL, "transition": [[1, 0], [0, 1]], "initial": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", {"policy": {"theta": [0.3]}, "trajectories": 10}),
+        ("spsa", {"priors": 5, "iterations": 1, "restarts": 1, "max_steps": 20}),
+    ],
+)
+def test_batch_commands_reject_unsupported_family(tmp_path, capsys, command, extra):
+    cfg = {"model": STATIC_MODEL, "cost": SOCIAL_COST, "validation": "general", **extra}
+    ref = write_config(tmp_path, "social", cfg)
+    assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config.cost.family" in err and "'social_stopping'" in err
+    assert not list(tmp_path.glob("social_*"))
+
+
+NON_ABSORBING = {**SMALL_MODEL, "transition": [[0.9, 0.1], [0.3, 0.7]]}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("simulate", {"model": NON_ABSORBING, "cost": SMALL_COST,
+                      "policy": {"theta": [0.3]}, "trajectories": 10}),
+        ("spsa", {"model": NON_ABSORBING, "cost": SMALL_COST,
+                  "priors": 5, "iterations": 1, "restarts": 1, "max_steps": 20}),
+        ("sweep", {"cost": SMALL_COST, "grid": {"m": 10},
+                   "models": [{"label": "a", "model": SMALL_MODEL},
+                              {"label": "b", "model": NON_ABSORBING}]}),
+    ],
+)
+def test_commands_validate_the_model(tmp_path, capsys, command, cfg):
+    ref = write_config(tmp_path, "bad", cfg)
+    assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
+    assert "row 1 not absorbing" in capsys.readouterr().err
+    assert not list(tmp_path.glob("bad_*"))
+    # the general tag checks stochasticity only, so the same model runs
+    ok = write_config(tmp_path, "general", {**cfg, "validation": "general"})
+    assert cli.main([command, "--config", ok, "--out", str(tmp_path)]) == 0
+
+
+def test_unknown_validation_tag_rejected(tmp_path, capsys):
+    ref = write_config(tmp_path, "tag", {"model": SMALL_MODEL, "cost": SMALL_COST, "validation": "lax"})
+    assert cli.main(["solve", "--config", ref, "--out", str(tmp_path)]) == 2
+    assert "config.validation: unknown validation tag 'lax'" in capsys.readouterr().err

@@ -487,3 +487,179 @@ def test_vertex_chains_match_reference(x, m):
             )
             worst = max(int(np.sum(policy[c][1:] != policy[c][:-1])) for c in want)
             assert dp.line_crossing_check(sol, g, vertex) == worst
+
+
+# Reference: the two-loop value iteration with one successor builder per
+# family group, as it stood before the single Bellman operator.
+
+
+def _ref_hmm_branches(mdl, grid, bins, interpolate, scale=None):
+    b = mdl.discrete_obs(bins).matrix
+    pts = grid.points if scale is None else grid.points * scale[None, :]
+    pred = pts @ mdl.transition
+    idx_parts, w_parts = [], []
+    for y in range(b.shape[1]):
+        unnorm = pred * b[:, y][None, :]
+        sigma = unnorm.sum(axis=1)
+        safe = np.where(sigma > 0.0, sigma, 1.0)
+        nxt = unnorm / safe[:, None]
+        nxt[sigma <= 0.0] = grid.points[0]
+        idx, w = dp._project(grid, nxt, interpolate)
+        idx_parts.append(idx)
+        w_parts.append(w * sigma[:, None])
+    return np.concatenate(idx_parts, axis=1), np.concatenate(w_parts, axis=1)
+
+
+def _ref_static_obs_branches(mdl, grid, bins, interpolate):
+    frozen = model.DetectionModel(np.eye(mdl.n_states), mdl.initial, mdl.obs)
+    return _ref_hmm_branches(frozen, grid, bins, interpolate)
+
+
+def _ref_social_branches(spec, mdl, grid, bins, interpolate):
+    b = mdl.discrete_obs(bins).matrix
+    c = spec.local_costs
+    pts = grid.points
+    n, x = pts.shape
+    chosen = np.empty((n, b.shape[1]), dtype=int)
+    for y in range(b.shape[1]):
+        chosen[:, y] = np.argmin(pts @ (b[:, y : y + 1] * c), axis=1)
+    idx_parts, w_parts = [], []
+    for a in range(c.shape[1]):
+        lik = np.zeros((n, x))
+        for y in range(b.shape[1]):
+            lik[chosen[:, y] == a] += b[:, y][None, :]
+        unnorm = lik * pts
+        sigma = unnorm.sum(axis=1)
+        safe = np.where(sigma > 0.0, sigma, 1.0)
+        nxt = unnorm / safe[:, None]
+        nxt[sigma <= 0.0] = pts[0]
+        idx, w = dp._project(grid, nxt, interpolate)
+        idx_parts.append(idx)
+        w_parts.append(w * sigma[:, None])
+    return np.concatenate(idx_parts, axis=1), np.concatenate(w_parts, axis=1)
+
+
+def _ref_value_iterate(mdl, spec, grid, horizon=None, tol=None, bins=101, interpolate=False):
+    undiscounted = isinstance(spec, model.RiskSensitive) or getattr(spec, "rho", 1.0) >= 1.0
+    if horizon is None and tol is None:
+        if undiscounted:
+            horizon = dp.DEFAULT_HORIZON_UNDISCOUNTED
+        else:
+            tol = dp.DEFAULT_TOL
+    pts = grid.points
+    offset = dp.value_offset(spec, mdl, pts)
+    c1, c2 = dp.stage_cost_vectors(spec, mdl, pts, bins=bins)
+
+    def run(q_pair):
+        v = init
+        deltas = []
+        while True:
+            v_new = np.minimum(*q_pair(v))
+            deltas.append(float(np.max(np.abs(v_new - v))))
+            v = v_new
+            if horizon is not None and len(deltas) >= horizon:
+                break
+            if tol is not None and (deltas[-1] < tol or len(deltas) >= dp.MAX_SWEEPS):
+                break
+        q1, q2 = q_pair(v)
+        policy = np.where(q1 <= q2, dp.STOP, dp.CONTINUE)
+        return dp.GridSolution(v, v + offset, policy, len(deltas), deltas[-1], np.array(deltas))
+
+    init = -offset
+    if isinstance(spec, model.Scheduling):
+        hi_model = model.DetectionModel(mdl.transition, mdl.initial, spec.obs_hi)
+        idx1, w1 = _ref_hmm_branches(mdl, grid, bins, interpolate)
+        idx2, w2 = _ref_hmm_branches(hi_model, grid, bins, interpolate)
+        return run(lambda v: (c1 + spec.rho * (w1 * v[idx1]).sum(axis=1),
+                              c2 + spec.rho * (w2 * v[idx2]).sum(axis=1)))
+    if isinstance(spec, model.RiskSensitive):
+        _, r2 = spec.scalings(mdl.transition)
+        idx, w = _ref_hmm_branches(mdl, grid, bins, interpolate, scale=r2)
+        disc = 1.0
+        init = np.zeros(grid.n_points)
+    elif isinstance(spec, model.SocialStopping):
+        idx, w = _ref_social_branches(spec, mdl, grid, bins, interpolate)
+        disc = spec.rho
+    elif isinstance(spec, model.ConstrainedSocial):
+        idx, w = _ref_static_obs_branches(mdl, grid, bins, interpolate)
+        disc = spec.rho
+    else:
+        idx, w = _ref_hmm_branches(mdl, grid, bins, interpolate)
+        disc = spec.rho
+    return run(lambda v: (c1, c2 + disc * (w * v[idx]).sum(axis=1)))
+
+
+_BIN2 = model.DiscreteObs([[0.8, 0.2], [0.2, 0.8]])
+_BIN3 = model.DiscreteObs([[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.2, 0.7]])
+_GEO2 = model.DetectionModel([[1, 0], [0.3, 0.7]], [0, 1], _BIN2)
+_CHAIN3 = model.DetectionModel([[1, 0, 0], [0.3, 0.6, 0.1], [0.1, 0.2, 0.7]], [0, 0, 1], _BIN3)
+_GAUSS3 = model.DetectionModel(
+    [[1, 0, 0], [0.3, 0.1, 0.6], [0, 0.02, 0.98]], [0, 0, 1],
+    model.GaussianObs([0.0, 1.0, 1.0], [0.25, 0.25, 0.25]),
+)
+_STATIC2 = model.DetectionModel(np.eye(2), [0.5, 0.5], model.DiscreteObs([[0.9, 0.1], [0.1, 0.9]]))
+_STATIC3 = model.DetectionModel(np.eye(3), [1 / 3, 1 / 3, 1 / 3], _BIN3)
+_SELFISH = model.SocialStopping(d=1.8, beta=2.0, rho=0.9, local_costs=[[4.57, 5.57], [2.57, 0.0]])
+_WELFARE = model.SocialStopping(
+    d=1.0, beta=20.0, rho=0.9, local_costs=[[2.1, 3.1], [3.1, 0.53]], include_welfare=True
+)
+_CONSTRAINED2 = model.ConstrainedSocial(local_costs=[[2.0, 1.0], [1.9, 0.9]], d=1.0, beta=2.0, rho=0.5)
+_CONSTRAINED3 = model.ConstrainedSocial(
+    local_costs=[[2.0, 1.5, 1.0], [1.9, 1.4, 0.9], [1.0, 0.8, 0.5]], d=1.0, beta=2.0, rho=0.7
+)
+_SCHED2 = model.Scheduling(
+    alpha1=2.5, alpha2=0.5, c1=[0.1, 0.15], c2=[0.5, 0.65], g=[0, 1], rho=0.8,
+    obs_hi=model.DiscreteObs([[0.9, 0.1], [0.1, 0.9]]),
+)
+_SCHED3 = model.Scheduling(
+    alpha1=1.0, alpha2=0.2, c1=[0.1, 0.2, 0.3], c2=[0.4, 0.5, 0.6], g=[0, 1, 2], rho=0.9,
+    obs_hi=model.DiscreteObs([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]]),
+)
+
+BELLMAN_CASES = {
+    "predictive-x2-horizon": (_GEO2, model.QuickestPredictiveDelay(
+        alpha=0.5, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3), 40, {"horizon": 30}),
+    "predictive-x3-gaussian": (_GAUSS3, model.QuickestPredictiveDelay(
+        alpha=0.0, beta=1.0, d=0.9, rho=0.9), 12, {"bins": 21}),
+    "classical-x2-tol": (_GEO2, model.QuickestClassicalDelay(
+        alpha=0.0, beta=5.0, d=1.0, rho=0.95, false_alarm=[0, 1]), 60, {"tol": 1e-10}),
+    "classical-x3-horizon": (_CHAIN3, model.QuickestClassicalDelay(
+        alpha=0.2, beta=2.0, d=1.0, rho=1.0, false_alarm=[0, 1, 1.5]), 12, {}),
+    "classical-x2-interpolate": (_GEO2, model.QuickestClassicalDelay(
+        alpha=0.0, beta=5.0, d=1.0, rho=0.9, false_alarm=[0, 1]), 50, {"interpolate": True}),
+    "transient-x3": (_CHAIN3, model.TransientDetection(
+        alpha=0.5, beta=1.0, delays=[0, 1, 0], rho=0.9), 12, {}),
+    "transient-x3-gaussian": (_GAUSS3, model.TransientDetection(
+        alpha=0.0, beta=2.0, delays=[0, 1.5, 0], rho=1.0, false_alarm=[0, 1, 1.2]), 10,
+        {"bins": 15, "horizon": 25}),
+    "risk-x2": (_GEO2, model.RiskSensitive(risk=0.3, beta=2.0, d=1.0), 40, {}),
+    "risk-x3-horizon": (_CHAIN3, model.RiskSensitive(risk=0.1, beta=2.0, d=1.0), 12, {"horizon": 15}),
+    "risk-x2-interpolate": (_GEO2, model.RiskSensitive(risk=0.2, beta=1.0, d=1.0), 30,
+                            {"interpolate": True, "horizon": 20}),
+    "social-selfish-x2": (_STATIC2, _SELFISH, 99, {"tol": 1e-10}),
+    "social-welfare-x2": (_STATIC2, _WELFARE, 99, {}),
+    "social-selfish-interpolate": (_STATIC2, _SELFISH, 99, {"interpolate": True, "tol": 1e-10}),
+    "constrained-x2": (_STATIC2, _CONSTRAINED2, 80, {}),
+    "constrained-x3-horizon": (_STATIC3, _CONSTRAINED3, 10, {"horizon": 40}),
+    "scheduling-x2": (model.DetectionModel([[0.8, 0.2], [0.3, 0.7]], [0.5, 0.5], _BIN2),
+                      _SCHED2, 60, {"tol": 1e-10}),
+    "scheduling-x3-horizon": (model.DetectionModel(
+        [[0.8, 0.15, 0.05], [0.1, 0.8, 0.1], [0.05, 0.15, 0.8]], [1 / 3] * 3, _BIN3),
+        _SCHED3, 10, {"horizon": 30}),
+    "scheduling-x2-interpolate": (model.DetectionModel([[0.8, 0.2], [0.3, 0.7]], [0.5, 0.5], _BIN2),
+                                  _SCHED2, 60, {"interpolate": True}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BELLMAN_CASES))
+def test_value_iterate_matches_two_loop_reference(case):
+    mdl, spec, m, kwargs = BELLMAN_CASES[case]
+    g = dp.build_grid(mdl.n_states, m)
+    got = dp.value_iterate(mdl, spec, g, **kwargs)
+    want = _ref_value_iterate(mdl, spec, g, **kwargs)
+    for name in ("values", "values_original", "policy", "delta_history"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.sweeps == want.sweeps and got.sup_delta == want.sup_delta
+    assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+    assert np.array_equal(np.signbit(got.values_original), np.signbit(want.values_original))

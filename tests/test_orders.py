@@ -88,6 +88,33 @@ def test_is_tp2_matches_brute_force():
         assert orders.is_tp2(m) == brute_force_tp2(m)
 
 
+
+def _reference_tp2_slack(m):
+    """Smallest 2x2 minor, scanned one row pair at a time (0 when there is none)."""
+    worst = np.inf
+    for r1 in range(m.shape[0] - 1):
+        for r2 in range(r1 + 1, m.shape[0]):
+            prod = np.outer(m[r1], m[r2])
+            iu = np.triu_indices(m.shape[1], k=1)
+            minors = prod[iu] - prod.T[iu]
+            if minors.size:
+                worst = min(worst, float(minors.min()))
+    return worst if np.isfinite(worst) else 0.0
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (1, 1), (2, 2), (3, 3), (4, 4), (3, 101), (5, 2)])
+def test_tp2_check_slack_matches_row_pair_scan(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for k in range(50):
+        if k % 2 and min(shape) > 1:
+            m = orders.random_tp2_stochastic(*shape, rng, max_tries=5)
+        else:
+            m = rng.random(shape)
+        check = orders._tp2_check("A", m, "")
+        assert check.slack == _reference_tp2_slack(m)
+        assert orders.is_tp2(m) == (check.slack >= -orders.ORDER_TOL)
+
+
 def test_matrix_order_examples():
     p1 = [[0.2, 0.8], [0.1, 0.9]]
     p2 = [[0.8, 0.2], [0.7, 0.3]]
