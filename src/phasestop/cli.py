@@ -32,6 +32,7 @@ from .model import (
     Scheduling,
     SocialStopping,
     TransientDetection,
+    discretize_gaussian,
     validate_model,
 )
 
@@ -54,18 +55,24 @@ def _matrix(value, where: str) -> np.ndarray:
     return arr
 
 
-def parse_model(cfg: dict, where: str = "model") -> DetectionModel:
+def parse_model(cfg: dict, where: str = "model", bins=DEFAULT_BINS) -> DetectionModel:
+    """Parse a model.  A Gaussian observation model is discretized here onto
+    ``bins`` cells (the config's top-level ``bins``); no later layer does."""
+    if isinstance(bins, bool) or not isinstance(bins, int) or bins < 3:
+        raise ConfigError(f"config.bins: expected an integer >= 3, got {bins!r}")
     transition = _matrix(_need(cfg, "transition", where), f"{where}.transition")
     initial = _matrix(_need(cfg, "initial", where), f"{where}.initial")
     obs_cfg = _need(cfg, "observation", where)
     if "discrete" in obs_cfg:
         obs = DiscreteObs(_matrix(obs_cfg["discrete"], f"{where}.observation.discrete"))
     elif "gaussian" in obs_cfg:
-        g = obs_cfg["gaussian"]
-        obs = GaussianObs(
-            _matrix(_need(g, "means", f"{where}.observation.gaussian"), "means"),
-            _matrix(_need(g, "variances", f"{where}.observation.gaussian"), "variances"),
-        )
+        g, gw = obs_cfg["gaussian"], f"{where}.observation.gaussian"
+        means = _matrix(_need(g, "means", gw), "means")
+        variances = _matrix(_need(g, "variances", gw), "variances")
+        try:
+            obs = discretize_gaussian(GaussianObs(means, variances), bins)
+        except ValueError as exc:
+            raise ConfigError(f"{gw}: {exc}") from None
     else:
         raise ConfigError(f"{where}.observation: expected 'discrete' or 'gaussian'")
     try:
@@ -142,9 +149,12 @@ def _grid_for(cfg: dict, model: DetectionModel) -> dp.SimplexGrid:
     return dp.build_grid(model.n_states, m)
 
 
-def _valid_model(cfg: dict, model_cfg: dict, where: str = "model") -> DetectionModel:
-    """Parse a model and check it under the config's ``validation`` tag."""
-    model = parse_model(model_cfg, where)
+def _model(cfg: dict, model_cfg: dict, where: str = "model", validate: bool = True) -> DetectionModel:
+    """Parse a model at the config's ``bins`` and, with ``validate``, check it
+    under the config's ``validation`` tag."""
+    model = parse_model(model_cfg, where, cfg.get("bins", DEFAULT_BINS))
+    if not validate:
+        return model
     try:
         problems = validate_model(model, cfg.get("validation", "relaxed"))
     except ValueError as exc:
@@ -154,28 +164,36 @@ def _valid_model(cfg: dict, model_cfg: dict, where: str = "model") -> DetectionM
     return model
 
 
-def _batch_spec(cfg: dict, command: str):
-    """Parse the cost spec of a command that runs the batch simulator."""
+def _spec(cfg: dict, models: list, batch_command: str | None = None):
+    """Parse the cost spec and check it against the models it runs with.
+
+    ``batch_command`` names a command that runs the batch simulator, which
+    supports the families in ``sim.BATCH_FAMILIES`` only.
+    """
     spec = parse_cost(_need(cfg, "cost", "config"))
-    if spec.family not in sim.BATCH_FAMILIES:
+    if batch_command is not None and spec.family not in sim.BATCH_FAMILIES:
         raise ConfigError(
-            f"config.cost.family: {command} supports {list(sim.BATCH_FAMILIES)}, not {spec.family!r}"
+            f"config.cost.family: {batch_command} supports {list(sim.BATCH_FAMILIES)}, "
+            f"not {spec.family!r}"
         )
+    if hasattr(spec, "local_costs"):
+        # one row per state; constrained-social also one local action per symbol
+        costs, symbols = spec.local_costs, spec.family == "constrained_social"
+        for model in models:
+            want = (model.n_states, model.obs.matrix.shape[1] if symbols else costs.shape[1])
+            if costs.shape != want:
+                raise ConfigError(
+                    f"config.cost.local_costs: expected shape {want} "
+                    f"({'states x symbols' if symbols else 'one row per state'}), got {costs.shape}"
+                )
     return spec
 
 
 def _solve_from_config(cfg: dict):
-    model = _valid_model(cfg, _need(cfg, "model", "config"))
-    spec = parse_cost(_need(cfg, "cost", "config"))
+    model = _model(cfg, _need(cfg, "model", "config"))
+    spec = _spec(cfg, [model])
     grid = _grid_for(cfg, model)
-    sol = dp.value_iterate(
-        model,
-        spec,
-        grid,
-        horizon=cfg.get("horizon"),
-        tol=cfg.get("tol"),
-        bins=int(cfg.get("bins", DEFAULT_BINS)),
-    )
+    sol = dp.value_iterate(model, spec, grid, horizon=cfg.get("horizon"), tol=cfg.get("tol"))
     return model, spec, grid, sol
 
 
@@ -216,8 +234,8 @@ def cmd_solve(cfg: dict, out_dir: Path, name: str) -> int:
 
 
 def cmd_orders(cfg: dict, out_dir: Path, name: str) -> int:
-    model = parse_model(_need(cfg, "model", "config"))
-    spec = parse_cost(_need(cfg, "cost", "config"))
+    model = _model(cfg, _need(cfg, "model", "config"), validate=False)
+    spec = _spec(cfg, [model])
     report = orders.check_assumptions(model, spec)
     for line in report.lines():
         print(line)
@@ -226,24 +244,18 @@ def cmd_orders(cfg: dict, out_dir: Path, name: str) -> int:
 
 
 def cmd_sweep(cfg: dict, out_dir: Path, name: str) -> int:
-    spec = parse_cost(_need(cfg, "cost", "config"))
     entries = _need(cfg, "models", "config")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("config.models: expected a non-empty list of {label, model} objects")
     labels = [str(_need(e, "label", "config.models[]")) for e in entries]
     models = [
-        _valid_model(cfg, _need(e, "model", "config.models[]"), f"models[{k}].model")
+        _model(cfg, _need(e, "model", "config.models[]"), f"models[{k}].model")
         for k, e in enumerate(entries)
     ]
+    spec = _spec(cfg, models)
     grid = _grid_for(cfg, models[0])
     res = dp.value_monotonicity_sweep(
-        models,
-        spec,
-        grid,
-        horizon=cfg.get("horizon"),
-        tol=cfg.get("tol"),
-        labels=labels,
-        bins=int(cfg.get("bins", DEFAULT_BINS)),
+        models, spec, grid, horizon=cfg.get("horizon"), tol=cfg.get("tol"), labels=labels
     )
     for label, sol in zip(labels, res.solutions):
         _write(out_dir, f"{name}_{label}_solution.csv", dp.solution_csv(sol, grid))
@@ -272,8 +284,8 @@ def cmd_sweep(cfg: dict, out_dir: Path, name: str) -> int:
 
 
 def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
-    model = _valid_model(cfg, _need(cfg, "model", "config"))
-    spec = _batch_spec(cfg, "spsa")
+    model = _model(cfg, _need(cfg, "model", "config"))
+    spec = _spec(cfg, [model], "spsa")
     report = None
     try:
         report = orders.check_assumptions(model, spec)
@@ -302,11 +314,10 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
     iterations = int(cfg.get("iterations", 200))
     restarts = int(cfg.get("restarts", 5))
     max_steps = cfg.get("max_steps")
-    bins = int(cfg.get("bins", DEFAULT_BINS))
     if iterations == 0:
         init = np.asarray(cfg.get("init_phi", np.zeros(model.n_states - 1)), dtype=float)
         result = policy_mod.spsa_optimize(
-            model, spec, init, 0, params, priors, rng, max_steps=max_steps, bins=bins
+            model, spec, init, 0, params, priors, rng, max_steps=max_steps
         )
         score = float("nan")
     else:
@@ -319,7 +330,6 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
             rng,
             restarts=restarts,
             max_steps=max_steps,
-            bins=bins,
         )
     buf = io.StringIO()
     dim = model.n_states - 1
@@ -406,8 +416,8 @@ def _policy_from_config(cfg: dict, model: DetectionModel):
 
 
 def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
-    model = _valid_model(cfg, _need(cfg, "model", "config"))
-    spec = _batch_spec(cfg, "simulate")
+    model = _model(cfg, _need(cfg, "model", "config"))
+    spec = _spec(cfg, [model], "simulate")
     n = int(_need(cfg, "trajectories", "config"))
     if n <= 0:
         raise ConfigError("config.trajectories: must be positive")
@@ -415,12 +425,9 @@ def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
     seed = int(cfg.get("seed", 0))
     max_steps = int(cfg.get("max_steps", 10_000))
     record = int(cfg.get("record", 1))
-    bins = int(cfg.get("bins", DEFAULT_BINS))
     rng = np.random.default_rng(seed)
     priors = np.tile(np.asarray(model.initial, dtype=float), (n, 1))
-    batch = sim.simulate_batch(
-        model, spec, pol, priors, rng, max_steps=max_steps, transformed=False, bins=bins
-    )
+    batch = sim.simulate_batch(model, spec, pol, priors, rng, max_steps=max_steps, transformed=False)
     d = getattr(spec, "d", 1.0)
     beta = getattr(spec, "beta", 1.0)
     summary = sim.decompose_from_times(batch.tau, batch.tau0, d, beta, batch.censored)
@@ -443,7 +450,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
     )
     rec_rng = np.random.default_rng(seed + 1)
     for k in range(min(record, n)):
-        traj = sim.sample_trajectory(model, pol, max_steps=max_steps, rng=rec_rng, bins=bins)
+        traj = sim.sample_trajectory(model, pol, max_steps=max_steps, rng=rec_rng)
         _write(out_dir, f"{name}_trajectory{k}.csv", sim.trajectory_csv(traj))
     print(
         f"{name}: criterion={summary.criterion:.6g} (se {summary.stderr:.2g}) "
@@ -455,7 +462,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
 def cmd_phdist(cfg: dict, out_dir: Path, name: str) -> int:
     from .model import ph_pmf
 
-    model = parse_model(_need(cfg, "model", "config"))
+    model = _model(cfg, _need(cfg, "model", "config"), validate=False)
     k_max = int(cfg.get("k_max", 200))
     dist = ph_pmf(model, k_max, tag=cfg.get("validation", "relaxed"))
     buf = io.StringIO()

@@ -22,7 +22,6 @@ from itertools import combinations
 import numpy as np
 
 from .model import (
-    DEFAULT_BINS,
     ConstrainedSocial,
     CostSpec,
     DetectionModel,
@@ -204,7 +203,6 @@ def stage_cost_vectors(
     model: DetectionModel,
     pts: np.ndarray,
     original: bool = False,
-    bins: int = DEFAULT_BINS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stage costs (stop, continue) for each belief row of ``pts``.
 
@@ -249,12 +247,12 @@ def stage_cost_vectors(
         c1_bar = spec.beta * (1.0 - p1)
         c2_bar = spec.d * p1
         if spec.include_welfare:
-            c2_bar = c2_bar + _welfare_term(spec.local_costs, model.discrete_obs(bins).matrix, pts)
+            c2_bar = c2_bar + _welfare_term(spec.local_costs, model.discrete_obs().matrix, pts)
         if original:
             return c1_bar, c2_bar
         return np.zeros(pts.shape[0]), c2_bar - (1.0 - spec.rho) * c1_bar
     elif isinstance(spec, ConstrainedSocial):
-        b = model.discrete_obs(bins).matrix
+        b = model.discrete_obs().matrix
         c = spec.local_costs
         herd = (pts @ c).min(axis=1) / (1.0 - spec.rho)
         reveal = pts @ (b * c).sum(axis=1)
@@ -286,10 +284,9 @@ def stage_costs(
     model: DetectionModel,
     pi,
     original: bool = False,
-    bins: int = DEFAULT_BINS,
 ) -> tuple[float, float]:
     """Stage costs (stop, continue) at one belief; see :func:`stage_cost_vectors`."""
-    c1, c2 = stage_cost_vectors(spec, model, np.atleast_2d(pi), original=original, bins=bins)
+    c1, c2 = stage_cost_vectors(spec, model, np.atleast_2d(pi), original=original)
     return float(c1[0]), float(c2[0])
 
 
@@ -385,13 +382,13 @@ DEFAULT_TOL = 1e-8
 DEFAULT_HORIZON_UNDISCOUNTED = 200
 
 
-def _bellman_setup(model, spec, grid, offset, bins, interpolate):
+def _bellman_setup(model, spec, grid, offset, interpolate):
     """The family's ``(disc, init, actions)``: ``actions`` lists ``(stage_cost,
     idx, w)``, stop / mode 1 first; a stop action has ``idx = w = None``."""
     pts = grid.points
     p = model.transition
-    b = model.discrete_obs(bins).matrix
-    c1, c2 = stage_cost_vectors(spec, model, pts, bins=bins)
+    b = model.discrete_obs().matrix
+    c1, c2 = stage_cost_vectors(spec, model, pts)
     disc = getattr(spec, "rho", 1.0)
     init = -offset
     if isinstance(spec, Scheduling):
@@ -427,7 +424,6 @@ def value_iterate(
     grid: SimplexGrid,
     horizon: int | None = None,
     tol: float | None = None,
-    bins: int = DEFAULT_BINS,
     interpolate: bool = False,
 ) -> GridSolution:
     """Fixed-point iteration of the Bellman recursion on the grid.
@@ -440,7 +436,7 @@ def value_iterate(
     if grid.n_states != model.n_states:
         raise ValueError("grid dimension does not match the model")
     offset = value_offset(spec, model, grid.points)
-    disc, v, actions = _bellman_setup(model, spec, grid, offset, bins, interpolate)
+    disc, v, actions = _bellman_setup(model, spec, grid, offset, interpolate)
     if horizon is None and tol is None:
         if disc >= 1.0:
             horizon = DEFAULT_HORIZON_UNDISCOUNTED
@@ -470,7 +466,6 @@ def expected_value_after_update(
     grid: SimplexGrid,
     pi0,
     original: bool = True,
-    bins: int = DEFAULT_BINS,
 ) -> float:
     """Expected grid value of the belief after one filter step from ``pi0``.
 
@@ -483,7 +478,7 @@ def expected_value_after_update(
     vals = sol.values_original if original else sol.values
     if isinstance(spec, (SocialStopping, ConstrainedSocial)):
         return float(vals[grid.nearest(pi0[None, :])[0]])
-    b = model.discrete_obs(bins).matrix
+    b = model.discrete_obs().matrix
     pred = model.transition.T @ pi0
     idx, w = _successors(grid, pred[None, :], b.T, interpolate=False)
     total = 0.0
@@ -709,14 +704,13 @@ def value_monotonicity_sweep(
     horizon: int | None = None,
     tol: float | None = None,
     labels: list | None = None,
-    bins: int = DEFAULT_BINS,
 ) -> SweepResult:
     """Solve per model (given in dominance-descending order) and verify that
     the optimal expected cost increases pointwise down the family."""
     from .orders import matrix_order_geq
 
     labels = labels if labels is not None else list(range(len(models)))
-    sols = [value_iterate(m, spec, grid, horizon=horizon, tol=tol, bins=bins) for m in models]
+    sols = [value_iterate(m, spec, grid, horizon=horizon, tol=tol) for m in models]
     ordered = [
         matrix_order_geq(models[k].transition, models[k + 1].transition)
         for k in range(len(models) - 1)

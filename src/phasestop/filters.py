@@ -24,14 +24,11 @@ class FilterOutput:
     norm: float
 
 
-def hmm_update(pi, y: int, model: DetectionModel, obs_matrix: np.ndarray | None = None) -> FilterOutput:
-    """One Bayesian filter step: predict through the chain, correct by symbol ``y``.
-
-    ``obs_matrix`` is the observation matrix the symbol was drawn from; by
-    default the model's, with Gaussians discretized at the default bins.
-    """
+def hmm_update(pi, y: int, model: DetectionModel) -> FilterOutput:
+    """One Bayesian filter step: predict through the chain, correct by symbol
+    ``y`` of the model's observation matrix."""
     p = as_belief(pi)
-    b = model.discrete_obs().matrix if obs_matrix is None else obs_matrix
+    b = model.discrete_obs().matrix
     unnorm = b[:, y] * (model.transition.T @ p)
     sigma = float(unnorm.sum())
     if sigma <= 0.0:

@@ -84,8 +84,6 @@ class GaussianObs:
             raise ValueError("variances must be strictly positive")
 
 
-ObservationModel = Union[DiscreteObs, GaussianObs]
-
 DEFAULT_BINS = 101
 
 
@@ -116,13 +114,16 @@ def discretize_gaussian(obs: GaussianObs, bins: int = DEFAULT_BINS) -> DiscreteO
 
 @dataclass(frozen=True)
 class DetectionModel:
-    """Hidden Markov model: transition matrix, initial belief, observation model."""
+    """Hidden Markov model: transition matrix, initial belief, observation
+    matrix (a Gaussian model is discretized first, by :func:`discretize_gaussian`)."""
 
     transition: np.ndarray
     initial: np.ndarray
-    obs: ObservationModel
+    obs: DiscreteObs
 
     def __post_init__(self):
+        if not isinstance(self.obs, DiscreteObs):
+            raise TypeError(f"obs must be a DiscreteObs, not {type(self.obs).__name__}")
         p = np.asarray(self.transition, dtype=float)
         pi0 = np.asarray(self.initial, dtype=float)
         object.__setattr__(self, "transition", p)
@@ -136,11 +137,9 @@ class DetectionModel:
     def n_states(self) -> int:
         return self.transition.shape[0]
 
-    def discrete_obs(self, bins: int = DEFAULT_BINS) -> DiscreteObs:
-        """Observation matrix, discretizing Gaussian models on demand."""
-        if isinstance(self.obs, DiscreteObs):
-            return self.obs
-        return discretize_gaussian(self.obs, bins)
+    def discrete_obs(self) -> DiscreteObs:
+        """The observation matrix every layer filters through."""
+        return self.obs
 
 
 def spectral_radius(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
@@ -186,13 +185,8 @@ def validate_model(model: DetectionModel, tag: str = "strict") -> list[str]:
         as_belief(model.initial)
     except ValueError as exc:
         problems.append(f"initial belief invalid: {exc}")
-    if isinstance(model.obs, DiscreteObs):
-        b = model.obs.matrix
-        if b.shape[0] != model.n_states:
-            problems.append("observation matrix row count does not match state count")
-    else:
-        if model.obs.means.size != model.n_states:
-            problems.append("observation model size does not match state count")
+    if model.obs.matrix.shape[0] != model.n_states:
+        problems.append("observation matrix row count does not match state count")
     if tag in ("strict", "relaxed"):
         e1 = np.zeros(model.n_states)
         e1[0] = 1.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import CONTINUE, STOP
-from .model import DEFAULT_BINS, CostSpec, DetectionModel
+from .model import CostSpec, DetectionModel
 from .sim import simulate_batch
 
 
@@ -151,13 +151,11 @@ def sample_cost(
     rng: np.random.Generator,
     transformed: bool = True,
     max_steps: int | None = None,
-    bins: int = DEFAULT_BINS,
 ) -> float:
     """Average discounted sample-path cost of a policy over the given priors,
     one simulated trajectory per prior."""
     res = simulate_batch(
-        model, spec, policy, priors, rng, max_steps=max_steps, transformed=transformed,
-        bins=bins,
+        model, spec, policy, priors, rng, max_steps=max_steps, transformed=transformed
     )
     return float(res.costs.mean())
 
@@ -208,7 +206,6 @@ def spsa_optimize(
     rng: np.random.Generator,
     cost_fn=None,
     max_steps: int | None = None,
-    bins: int = DEFAULT_BINS,
 ) -> SpsaResult:
     """Two-point simultaneous-perturbation gradient descent on the
     unconstrained parametrization.
@@ -225,7 +222,7 @@ def spsa_optimize(
 
         def cost_fn(p, r):
             pol = LinearThresholdPolicy(phi_to_theta(p))
-            return sample_cost(pol, model, spec, priors, r, max_steps=max_steps, bins=bins)
+            return sample_cost(pol, model, spec, priors, r, max_steps=max_steps)
 
     dim = phi.size
     phi_trace = [phi.copy()]
@@ -269,7 +266,6 @@ def optimize_with_restarts(
     eval_seed: int | None = None,
     eval_priors: np.ndarray | None = None,
     max_steps: int | None = None,
-    bins: int = DEFAULT_BINS,
 ) -> tuple[SpsaResult, float]:
     """Run SPSA from several random initial points and keep the cheapest
     final policy, scored on a shared evaluation seed."""
@@ -280,7 +276,7 @@ def optimize_with_restarts(
     for _ in range(max(1, restarts)):
         init = rng.normal(0.0, init_scale, size=dim)
         res = spsa_optimize(
-            model, spec, init, iterations, params, priors, rng, max_steps=max_steps, bins=bins
+            model, spec, init, iterations, params, priors, rng, max_steps=max_steps
         )
         score = sample_cost(
             res.policy,
@@ -289,7 +285,6 @@ def optimize_with_restarts(
             eval_priors,
             np.random.default_rng(eval_seed),
             max_steps=max_steps,
-            bins=bins,
         )
         if best is None or score < best[1]:
             best = (res, score)

@@ -30,7 +30,7 @@ from .filters import (
     social_local_action,
     social_update,
 )
-from .model import DEFAULT_BINS, CostSpec, DetectionModel, as_belief
+from .model import CostSpec, DetectionModel, as_belief
 
 DETECTION_MAX_STEPS = 10_000
 # the additive-cost families driven by the plain Bayesian filter
@@ -66,12 +66,11 @@ def sample_trajectory(
     policy,
     max_steps: int = DETECTION_MAX_STEPS,
     rng: np.random.Generator | None = None,
-    bins: int = DEFAULT_BINS,
 ) -> Trajectory:
     """Simulate one chain/observation/belief/decision path until stop."""
     rng = rng if rng is not None else np.random.default_rng()
     decide = _policy_fn(policy)
-    b = model.discrete_obs(bins).matrix
+    b = model.discrete_obs().matrix
     p = model.transition
     pi = as_belief(model.initial)
     x = _draw(rng, pi)
@@ -86,7 +85,7 @@ def sample_trajectory(
         if tau0 is None and x == 0:
             tau0 = k
         y = _draw(rng, b[x])
-        pi = hmm_update(pi, y, model, b).next_belief
+        pi = hmm_update(pi, y, model).next_belief
         u = int(decide(pi))
         states.append(x + 1)
         observations.append(y)
@@ -186,9 +185,9 @@ def _draw_by_state(cdf: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.nda
     return out
 
 
-def _stage_cost_bound(spec: CostSpec, model: DetectionModel, bins: int) -> float:
+def _stage_cost_bound(spec: CostSpec, model: DetectionModel) -> float:
     eye = np.eye(model.n_states)
-    c1, c2 = stage_cost_vectors(spec, model, eye, bins=bins)
+    c1, c2 = stage_cost_vectors(spec, model, eye)
     bound = float(np.max(np.abs(np.concatenate([c1, c2]))))
     return bound + getattr(spec, "alpha", 0.0) + 1e-12
 
@@ -202,7 +201,6 @@ def simulate_batch(
     max_steps: int | None = None,
     transformed: bool = True,
     truncation_tol: float = 1e-8,
-    bins: int = DEFAULT_BINS,
 ) -> BatchResult:
     """Simulate one trajectory per prior row, accumulating discounted stage costs.
 
@@ -220,14 +218,14 @@ def simulate_batch(
         )
     priors = np.atleast_2d(np.asarray(priors, dtype=float))
     n = priors.shape[0]
-    b = model.discrete_obs(bins).matrix
+    b = model.discrete_obs().matrix
     p = model.transition
     rho = getattr(spec, "rho", 1.0)
     if max_steps is None:
         if rho >= 1.0:
             max_steps = 500
         else:
-            bound = _stage_cost_bound(spec, model, bins)
+            bound = _stage_cost_bound(spec, model)
             max_steps = int(np.ceil(np.log(truncation_tol / max(bound, 1e-12)) / np.log(rho)))
             max_steps = max(1, min(max_steps, DETECTION_MAX_STEPS))
     decide_batch = policy.batch_decide if hasattr(policy, "batch_decide") else None
@@ -267,9 +265,7 @@ def simulate_batch(
             acts = np.asarray(decide_batch(beliefs))
         else:
             acts = np.array([decide_one(pi) for pi in beliefs])
-        c_stop, c_cont = stage_cost_vectors(
-            spec, model, beliefs, original=not transformed, bins=bins
-        )
+        c_stop, c_cont = stage_cost_vectors(spec, model, beliefs, original=not transformed)
         stop = acts == STOP
         acc += disc * np.where(stop, c_stop, c_cont)
         if stop.any():

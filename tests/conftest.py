@@ -18,7 +18,7 @@ def three_state_model():
     return model.DetectionModel(
         [[1, 0, 0], [0.3, 0.1, 0.6], [0, 0.02, 0.98]],
         [0, 0, 1],
-        model.GaussianObs([0.0, 1.0, 1.0], [0.01, 0.01, 0.01]),
+        model.discretize_gaussian(model.GaussianObs([0.0, 1.0, 1.0], [0.01, 0.01, 0.01]), 101),
     )
 
 
@@ -30,7 +30,7 @@ def staged_model():
         return model.DetectionModel(
             [[1, 0, 0], [0.3, 0.6, 0.1], [0.1, p, 0.9 - p]],
             [0, 0, 1],
-            model.GaussianObs([0.0, 1.0, 1.0], [4.0, 4.0, 4.0]),
+            model.discretize_gaussian(model.GaussianObs([0.0, 1.0, 1.0], [4.0, 4.0, 4.0]), 101),
         )
 
     return make

@@ -40,7 +40,7 @@ def fig3():
     m = model.DetectionModel(
         [[1, 0, 0], [0.3, 0.1, 0.6], [0, 0.02, 0.98]],
         [0, 0, 1],
-        model.GaussianObs([0.0, 1.0, 1.0], [0.01, 0.01, 0.01]),
+        model.discretize_gaussian(model.GaussianObs([0.0, 1.0, 1.0], [0.01, 0.01, 0.01]), 101),
     )
     grid = dp.build_grid(3, 20)
     sols = {}
@@ -52,7 +52,7 @@ def fig3():
             alpha=alpha, beta=1.0, d=d, rho=1.0, op_cost=1e-3
         )
         t0 = time.time()
-        sols[key] = (spec, dp.value_iterate(m, spec, grid, horizon=200, bins=101))
+        sols[key] = (spec, dp.value_iterate(m, spec, grid, horizon=200))
         runtimes[key] = time.time() - t0
     return m, grid, sols, runtimes
 
@@ -465,7 +465,7 @@ def test_criterion_12_risk_sensitive_consistency():
     m3 = model.DetectionModel(
         [[1, 0, 0], [0.3, 0.1, 0.6], [0, 0.02, 0.98]],
         [0, 0, 1],
-        model.GaussianObs([0.0, 1.0, 1.0], [0.01, 0.01, 0.01]),
+        model.discretize_gaussian(model.GaussianObs([0.0, 1.0, 1.0], [0.01, 0.01, 0.01]), 101),
     )
     grid3 = dp.build_grid(3, 20)
     risk3 = model.RiskSensitive(risk=0.1, beta=2.0, d=1.0)

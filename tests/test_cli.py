@@ -315,11 +315,11 @@ def test_simulate_honours_config_bins(tmp_path):
         means[bins] = json.loads((tmp_path / f"bins{bins}_summary.json").read_text())["mean_cost"]
         traj = (tmp_path / f"bins{bins}_trajectory0.csv").read_text().splitlines()
         assert max(int(r.split(",")[2]) for r in traj[2:]) < bins
-    m, spec = cli.parse_model(GAUSS_MODEL), cli.parse_cost(GAUSS_COST)
+    m, spec = cli.parse_model(GAUSS_MODEL, bins=51), cli.parse_cost(GAUSS_COST)
     direct = sim.simulate_batch(
         m, spec, pol.LinearThresholdPolicy(np.array([1.2, 0.4])),
         np.tile(m.initial, (300, 1)), np.random.default_rng(3),
-        max_steps=400, transformed=False, bins=51,
+        max_steps=400, transformed=False,
     )
     assert means[51] == float(direct.costs.mean())
     assert means[51] != means[101]
@@ -329,9 +329,9 @@ def test_spsa_honours_config_bins(tmp_path, monkeypatch):
     seen = set()
     batch = pol.simulate_batch
 
-    def recording(*args, **kwargs):
-        seen.add(kwargs.get("bins"))
-        return batch(*args, **kwargs)
+    def recording(model, *args, **kwargs):
+        seen.add(model.discrete_obs().matrix.shape[1])
+        return batch(model, *args, **kwargs)
 
     monkeypatch.setattr(pol, "simulate_batch", recording)
     cfg = {
@@ -395,3 +395,59 @@ def test_unknown_validation_tag_rejected(tmp_path, capsys):
     ref = write_config(tmp_path, "tag", {"model": SMALL_MODEL, "cost": SMALL_COST, "validation": "lax"})
     assert cli.main(["solve", "--config", ref, "--out", str(tmp_path)]) == 2
     assert "config.validation: unknown validation tag 'lax'" in capsys.readouterr().err
+
+
+BINS_CONFIGS = {
+    "solve": {"model": GAUSS_MODEL, "cost": GAUSS_COST, "grid": {"m": 10}},
+    "orders": {"model": GAUSS_MODEL, "cost": GAUSS_COST},
+    "phdist": {"model": GAUSS_MODEL, "k_max": 10},
+    "sweep": {"cost": GAUSS_COST, "grid": {"m": 10},
+              "models": [{"label": "a", "model": GAUSS_MODEL}]},
+    "spsa": {"model": GAUSS_MODEL, "cost": GAUSS_COST,
+             "priors": 5, "iterations": 1, "restarts": 1, "max_steps": 20},
+    "simulate": {"model": GAUSS_MODEL, "cost": GAUSS_COST,
+                 "policy": {"theta": [1.2, 0.4]}, "trajectories": 10},
+}
+
+
+@pytest.mark.parametrize("command", sorted(BINS_CONFIGS))
+def test_bins_must_be_an_integer_of_at_least_3(tmp_path, capsys, command):
+    for bins in (2, "abc", 50.5, True, None):
+        ref = write_config(tmp_path, "bins", {**BINS_CONFIGS[command], "bins": bins})
+        assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
+        assert f"config.bins: expected an integer >= 3, got {bins!r}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("bins_*"))
+    ok = write_config(tmp_path, "three", {**BINS_CONFIGS[command], "bins": 3})
+    assert cli.main([command, "--config", ok, "--out", str(tmp_path)]) == 0
+
+
+def test_gaussian_observation_errors_exit_2(tmp_path, capsys):
+    bad_model = {**GAUSS_MODEL, "observation": {"gaussian": {"means": [0, 1, 1], "variances": [0.25, 0, 0.25]}}}
+    ref = write_config(tmp_path, "var", {"model": bad_model, "cost": GAUSS_COST})
+    assert cli.main(["solve", "--config", ref, "--out", str(tmp_path)]) == 2
+    assert "model.observation.gaussian: variances must be strictly positive" in capsys.readouterr().err
+
+
+THREE_SYMBOL_MODEL = {**SMALL_MODEL, "observation": {"discrete": [[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]]}}
+CONSTRAINED_COST = {"family": "constrained_social", "d": 1.0, "beta": 2.0, "rho": 0.5}
+
+
+@pytest.mark.parametrize("command", ["orders", "solve"])
+def test_constrained_social_costs_need_one_column_per_symbol(tmp_path, capsys, command):
+    costs = {"local_costs": [[2.0, 1.0], [1.9, 0.9]]}
+    cfg = {"model": THREE_SYMBOL_MODEL, "cost": {**CONSTRAINED_COST, **costs}, "grid": {"m": 10}}
+    ref = write_config(tmp_path, "cs", cfg)
+    assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config.cost.local_costs: expected shape (2, 3) (states x symbols), got (2, 2)" in err
+    assert not list(tmp_path.glob("cs_*"))
+    costs = {"local_costs": [[2.0, 1.5, 1.0], [1.9, 1.4, 0.9]]}
+    ok = write_config(tmp_path, "ok", {**cfg, "cost": {**CONSTRAINED_COST, **costs}})
+    assert cli.main([command, "--config", ok, "--out", str(tmp_path)]) == 0
+
+
+def test_social_costs_need_one_row_per_state(tmp_path, capsys):
+    cost = {**SOCIAL_COST, "local_costs": [[4.57, 5.57], [2.57, 0.0], [1.0, 1.0]]}
+    ref = write_config(tmp_path, "rows", {"model": STATIC_MODEL, "cost": cost, "validation": "general"})
+    assert cli.main(["solve", "--config", ref, "--out", str(tmp_path)]) == 2
+    assert "expected shape (2, 2) (one row per state), got (3, 2)" in capsys.readouterr().err

@@ -493,8 +493,8 @@ def test_vertex_chains_match_reference(x, m):
 # family group, as it stood before the single Bellman operator.
 
 
-def _ref_hmm_branches(mdl, grid, bins, interpolate, scale=None):
-    b = mdl.discrete_obs(bins).matrix
+def _ref_hmm_branches(mdl, grid, interpolate, scale=None):
+    b = mdl.discrete_obs().matrix
     pts = grid.points if scale is None else grid.points * scale[None, :]
     pred = pts @ mdl.transition
     idx_parts, w_parts = [], []
@@ -510,13 +510,13 @@ def _ref_hmm_branches(mdl, grid, bins, interpolate, scale=None):
     return np.concatenate(idx_parts, axis=1), np.concatenate(w_parts, axis=1)
 
 
-def _ref_static_obs_branches(mdl, grid, bins, interpolate):
+def _ref_static_obs_branches(mdl, grid, interpolate):
     frozen = model.DetectionModel(np.eye(mdl.n_states), mdl.initial, mdl.obs)
-    return _ref_hmm_branches(frozen, grid, bins, interpolate)
+    return _ref_hmm_branches(frozen, grid, interpolate)
 
 
-def _ref_social_branches(spec, mdl, grid, bins, interpolate):
-    b = mdl.discrete_obs(bins).matrix
+def _ref_social_branches(spec, mdl, grid, interpolate):
+    b = mdl.discrete_obs().matrix
     c = spec.local_costs
     pts = grid.points
     n, x = pts.shape
@@ -539,7 +539,7 @@ def _ref_social_branches(spec, mdl, grid, bins, interpolate):
     return np.concatenate(idx_parts, axis=1), np.concatenate(w_parts, axis=1)
 
 
-def _ref_value_iterate(mdl, spec, grid, horizon=None, tol=None, bins=101, interpolate=False):
+def _ref_value_iterate(mdl, spec, grid, horizon=None, tol=None, interpolate=False):
     undiscounted = isinstance(spec, model.RiskSensitive) or getattr(spec, "rho", 1.0) >= 1.0
     if horizon is None and tol is None:
         if undiscounted:
@@ -548,7 +548,7 @@ def _ref_value_iterate(mdl, spec, grid, horizon=None, tol=None, bins=101, interp
             tol = dp.DEFAULT_TOL
     pts = grid.points
     offset = dp.value_offset(spec, mdl, pts)
-    c1, c2 = dp.stage_cost_vectors(spec, mdl, pts, bins=bins)
+    c1, c2 = dp.stage_cost_vectors(spec, mdl, pts)
 
     def run(q_pair):
         v = init
@@ -568,23 +568,23 @@ def _ref_value_iterate(mdl, spec, grid, horizon=None, tol=None, bins=101, interp
     init = -offset
     if isinstance(spec, model.Scheduling):
         hi_model = model.DetectionModel(mdl.transition, mdl.initial, spec.obs_hi)
-        idx1, w1 = _ref_hmm_branches(mdl, grid, bins, interpolate)
-        idx2, w2 = _ref_hmm_branches(hi_model, grid, bins, interpolate)
+        idx1, w1 = _ref_hmm_branches(mdl, grid, interpolate)
+        idx2, w2 = _ref_hmm_branches(hi_model, grid, interpolate)
         return run(lambda v: (c1 + spec.rho * (w1 * v[idx1]).sum(axis=1),
                               c2 + spec.rho * (w2 * v[idx2]).sum(axis=1)))
     if isinstance(spec, model.RiskSensitive):
         _, r2 = spec.scalings(mdl.transition)
-        idx, w = _ref_hmm_branches(mdl, grid, bins, interpolate, scale=r2)
+        idx, w = _ref_hmm_branches(mdl, grid, interpolate, scale=r2)
         disc = 1.0
         init = np.zeros(grid.n_points)
     elif isinstance(spec, model.SocialStopping):
-        idx, w = _ref_social_branches(spec, mdl, grid, bins, interpolate)
+        idx, w = _ref_social_branches(spec, mdl, grid, interpolate)
         disc = spec.rho
     elif isinstance(spec, model.ConstrainedSocial):
-        idx, w = _ref_static_obs_branches(mdl, grid, bins, interpolate)
+        idx, w = _ref_static_obs_branches(mdl, grid, interpolate)
         disc = spec.rho
     else:
-        idx, w = _ref_hmm_branches(mdl, grid, bins, interpolate)
+        idx, w = _ref_hmm_branches(mdl, grid, interpolate)
         disc = spec.rho
     return run(lambda v: (c1, c2 + disc * (w * v[idx]).sum(axis=1)))
 
@@ -593,10 +593,15 @@ _BIN2 = model.DiscreteObs([[0.8, 0.2], [0.2, 0.8]])
 _BIN3 = model.DiscreteObs([[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.2, 0.7]])
 _GEO2 = model.DetectionModel([[1, 0], [0.3, 0.7]], [0, 1], _BIN2)
 _CHAIN3 = model.DetectionModel([[1, 0, 0], [0.3, 0.6, 0.1], [0.1, 0.2, 0.7]], [0, 0, 1], _BIN3)
-_GAUSS3 = model.DetectionModel(
-    [[1, 0, 0], [0.3, 0.1, 0.6], [0, 0.02, 0.98]], [0, 0, 1],
-    model.GaussianObs([0.0, 1.0, 1.0], [0.25, 0.25, 0.25]),
-)
+
+
+def _gauss3(bins):
+    return model.DetectionModel(
+        [[1, 0, 0], [0.3, 0.1, 0.6], [0, 0.02, 0.98]], [0, 0, 1],
+        model.discretize_gaussian(model.GaussianObs([0.0, 1.0, 1.0], [0.25, 0.25, 0.25]), bins),
+    )
+
+
 _STATIC2 = model.DetectionModel(np.eye(2), [0.5, 0.5], model.DiscreteObs([[0.9, 0.1], [0.1, 0.9]]))
 _STATIC3 = model.DetectionModel(np.eye(3), [1 / 3, 1 / 3, 1 / 3], _BIN3)
 _SELFISH = model.SocialStopping(d=1.8, beta=2.0, rho=0.9, local_costs=[[4.57, 5.57], [2.57, 0.0]])
@@ -619,8 +624,8 @@ _SCHED3 = model.Scheduling(
 BELLMAN_CASES = {
     "predictive-x2-horizon": (_GEO2, model.QuickestPredictiveDelay(
         alpha=0.5, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3), 40, {"horizon": 30}),
-    "predictive-x3-gaussian": (_GAUSS3, model.QuickestPredictiveDelay(
-        alpha=0.0, beta=1.0, d=0.9, rho=0.9), 12, {"bins": 21}),
+    "predictive-x3-gaussian": (_gauss3(21), model.QuickestPredictiveDelay(
+        alpha=0.0, beta=1.0, d=0.9, rho=0.9), 12, {}),
     "classical-x2-tol": (_GEO2, model.QuickestClassicalDelay(
         alpha=0.0, beta=5.0, d=1.0, rho=0.95, false_alarm=[0, 1]), 60, {"tol": 1e-10}),
     "classical-x3-horizon": (_CHAIN3, model.QuickestClassicalDelay(
@@ -629,9 +634,9 @@ BELLMAN_CASES = {
         alpha=0.0, beta=5.0, d=1.0, rho=0.9, false_alarm=[0, 1]), 50, {"interpolate": True}),
     "transient-x3": (_CHAIN3, model.TransientDetection(
         alpha=0.5, beta=1.0, delays=[0, 1, 0], rho=0.9), 12, {}),
-    "transient-x3-gaussian": (_GAUSS3, model.TransientDetection(
+    "transient-x3-gaussian": (_gauss3(15), model.TransientDetection(
         alpha=0.0, beta=2.0, delays=[0, 1.5, 0], rho=1.0, false_alarm=[0, 1, 1.2]), 10,
-        {"bins": 15, "horizon": 25}),
+        {"horizon": 25}),
     "risk-x2": (_GEO2, model.RiskSensitive(risk=0.3, beta=2.0, d=1.0), 40, {}),
     "risk-x3-horizon": (_CHAIN3, model.RiskSensitive(risk=0.1, beta=2.0, d=1.0), 12, {"horizon": 15}),
     "risk-x2-interpolate": (_GEO2, model.RiskSensitive(risk=0.2, beta=1.0, d=1.0), 30,

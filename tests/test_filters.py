@@ -210,3 +210,25 @@ def test_social_interval_transport(social_context_a):
         down = filters.social_update(pi, 1, ctx).next_belief[1]
         assert ctx.interval_of(up) == 2
         assert ctx.interval_of(down) == 4
+
+
+def test_risk_update_filters_with_the_parsed_bins():
+    from phasestop import cli
+
+    m = cli.parse_model(
+        {
+            "transition": [[1, 0, 0], [0.3, 0.1, 0.6], [0, 0.02, 0.98]],
+            "initial": [0, 0, 1],
+            "observation": {"gaussian": {"means": [0, 1, 1], "variances": [0.25, 0.25, 0.25]}},
+        },
+        bins=151,
+    )
+    spec = model.RiskSensitive(risk=0.1, beta=2.0, d=1.0)
+    b = m.discrete_obs().matrix
+    assert b.shape == (3, 151)
+    pi = np.array([0.2, 0.3, 0.5])
+    out = filters.risk_update(pi, 120, m, spec)
+    _, r2 = spec.scalings(m.transition)
+    unnorm = b[:, 120] * (m.transition.T @ (r2 * pi))
+    assert out.norm == unnorm.sum()
+    assert np.array_equal(out.next_belief, unnorm / unnorm.sum())

@@ -161,3 +161,14 @@ def test_risk_scalings():
     r1, r2 = spec.scalings(np.array([[1.0, 0.0], [0.5, 0.5]]))
     assert np.allclose(r1, [1.0, np.exp(2.0)])
     assert np.allclose(r2, [np.e, np.exp(0.5)])
+
+
+def test_detection_model_takes_only_a_discrete_observation_matrix():
+    gauss = model.GaussianObs([0.0, 1.0], [0.01, 0.01])
+    with pytest.raises(TypeError, match="DiscreteObs"):
+        model.DetectionModel([[1, 0], [0.5, 0.5]], [0, 1], gauss)
+    obs = model.discretize_gaussian(gauss, 31)
+    m = model.DetectionModel([[1, 0], [0.5, 0.5]], [0, 1], obs)
+    assert m.discrete_obs() is obs
+    with pytest.raises(TypeError):
+        m.discrete_obs(101)

@@ -232,3 +232,26 @@ def test_assumptions_reproducible(three_state_model):
     second = orders.check_assumptions(three_state_model, spec)
     assert [c.slack for c in first.checks] == [c.slack for c in second.checks]
     assert first.failed_names() == second.failed_names()
+
+
+def test_check_assumptions_reads_the_parsed_observation_matrix():
+    from phasestop import cli
+
+    gauss = {"means": [0, 0.5, 1], "variances": [0.25, 0.25, 0.25]}
+    m = cli.parse_model(
+        {
+            "transition": [[1, 0, 0], [0.3, 0.6, 0.1], [0, 0.05, 0.95]],
+            "initial": [0, 0, 1],
+            "observation": {"gaussian": gauss},
+        },
+        bins=51,
+    )
+    spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0)
+    slack = orders.check_assumptions(m, spec)["A2"].slack
+
+    def min_minor(bins):
+        obs = model.discretize_gaussian(model.GaussianObs(gauss["means"], gauss["variances"]), bins)
+        return orders._min_minor(obs.matrix)
+
+    assert slack == min_minor(51)
+    assert slack != min_minor(101)

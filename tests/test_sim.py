@@ -199,7 +199,7 @@ def test_trajectory_csv_layout(geometric_model):
 
 def _reference_simulate_batch(
     model_, spec, policy, priors, rng, max_steps=None, transformed=True,
-    truncation_tol=1e-8, bins=model.DEFAULT_BINS,
+    truncation_tol=1e-8,
 ):
     """The full-width loop: a fresh ``cumsum`` per draw, every per-row array
     gathered and scattered through the active mask on every step."""
@@ -211,14 +211,14 @@ def _reference_simulate_batch(
 
     priors = np.atleast_2d(np.asarray(priors, dtype=float))
     n = priors.shape[0]
-    b = model_.discrete_obs(bins).matrix
+    b = model_.discrete_obs().matrix
     p = model_.transition
     rho = getattr(spec, "rho", 1.0)
     if max_steps is None:
         if rho >= 1.0:
             max_steps = 500
         else:
-            bound = sim._stage_cost_bound(spec, model_, bins)
+            bound = sim._stage_cost_bound(spec, model_)
             max_steps = int(np.ceil(np.log(truncation_tol / max(bound, 1e-12)) / np.log(rho)))
             max_steps = max(1, min(max_steps, sim.DETECTION_MAX_STEPS))
     decide_batch = getattr(policy, "batch_decide", None)
@@ -244,7 +244,7 @@ def _reference_simulate_batch(
         else:
             acts = np.array([decide_one(beliefs[i]) for i in idx])
         c_stop, c_cont = dp.stage_cost_vectors(
-            spec, model_, beliefs[idx], original=not transformed, bins=bins
+            spec, model_, beliefs[idx], original=not transformed
         )
         stop = acts == dp.STOP
         costs[idx[stop]] += disc * c_stop[stop]
@@ -285,7 +285,7 @@ def assert_batches_equal(a, b):
 FOUR_PHASE = model.DetectionModel(
     [[1, 0, 0, 0], [0.3, 0.5, 0.2, 0], [0, 0.03, 0.97, 0], [0, 0, 0.07, 0.93]],
     [0, 0, 0, 1],
-    model.GaussianObs([0, 1, 1, 1], [0.5, 0.5, 0.5, 0.5]),
+    model.discretize_gaussian(model.GaussianObs([0, 1, 1, 1], [0.5, 0.5, 0.5, 0.5]), 101),
 )
 
 
@@ -393,12 +393,12 @@ def test_batch_nan_prior_raises_zero_probability(geometric_model):
 
 def test_sample_trajectory_filters_with_its_bins(three_state_model):
     bins = 51
-    b = three_state_model.discrete_obs(bins).matrix
-    p = three_state_model.transition
+    obs = model.discretize_gaussian(model.GaussianObs([0.0, 1.0, 1.0], [0.01, 0.01, 0.01]), bins)
+    mdl = model.DetectionModel(three_state_model.transition, three_state_model.initial, obs)
+    b = mdl.discrete_obs().matrix
+    p = mdl.transition
     policy = lambda pi: 1 if pi[0] > 0.9 else 2
-    traj = sim.sample_trajectory(
-        three_state_model, policy, max_steps=300, rng=np.random.default_rng(13), bins=bins
-    )
+    traj = sim.sample_trajectory(mdl, policy, max_steps=300, rng=np.random.default_rng(13))
     assert traj.observations.max() < bins
     pi = traj.beliefs[0]
     for k, y in enumerate(traj.observations, start=1):
