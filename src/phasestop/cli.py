@@ -47,6 +47,37 @@ def _need(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _number(section, key: str, default, kind=int, where: str = "config", low=None):
+    """``kind(section[key])``, or ``kind(default)`` when the key is absent.
+
+    ``kind`` is ``int`` or ``float``, applied as the commands always have
+    (``"7"`` and ``7.9`` read as 7 for ``int``).  A value it rejects, such as
+    ``"abc"``, ``null`` or a list, or a result below ``low``, is a
+    :class:`ConfigError` naming the field.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected an object, got {section!r}")
+    value = section.get(key, default)
+    noun = "an integer" if kind is int else "a number"
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}.{key}: expected {noun}, got {value!r}") from None
+    if low is not None and not number >= low:
+        raise ConfigError(f"{where}.{key}: expected {noun} >= {low}, got {value!r}")
+    return number
+
+
+def _optional_number(cfg: dict, key: str, kind):
+    """:func:`_number` for a field whose absence or ``null`` means "use the default"."""
+    return None if cfg.get(key) is None else _number(cfg, key, None, kind)
+
+
+def _stopping_rule(cfg: dict) -> dict:
+    """The ``horizon`` and ``tol`` arguments of value iteration."""
+    return {key: _optional_number(cfg, key, float) for key in ("horizon", "tol")}
+
+
 def _matrix(value, where: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -145,7 +176,7 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 
 def _grid_for(cfg: dict, model: DetectionModel) -> dp.SimplexGrid:
-    m = int(cfg.get("grid", {}).get("m", 20))
+    m = _number(cfg.get("grid", {}), "m", 20, where="config.grid", low=1)
     return dp.build_grid(model.n_states, m)
 
 
@@ -193,7 +224,7 @@ def _solve_from_config(cfg: dict):
     model = _model(cfg, _need(cfg, "model", "config"))
     spec = _spec(cfg, [model])
     grid = _grid_for(cfg, model)
-    sol = dp.value_iterate(model, spec, grid, horizon=cfg.get("horizon"), tol=cfg.get("tol"))
+    sol = dp.value_iterate(model, spec, grid, **_stopping_rule(cfg))
     return model, spec, grid, sol
 
 
@@ -254,9 +285,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, name: str) -> int:
     ]
     spec = _spec(cfg, models)
     grid = _grid_for(cfg, models[0])
-    res = dp.value_monotonicity_sweep(
-        models, spec, grid, horizon=cfg.get("horizon"), tol=cfg.get("tol"), labels=labels
-    )
+    res = dp.value_monotonicity_sweep(models, spec, grid, labels=labels, **_stopping_rule(cfg))
     for label, sol in zip(labels, res.solutions):
         _write(out_dir, f"{name}_{label}_solution.csv", dp.solution_csv(sol, grid))
     if not res.comparable:
@@ -296,24 +325,19 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
             "warning: threshold-structure assumptions failed "
             f"({', '.join(report.failed_names())}); optimizing anyway"
         )
-    gains = cfg.get("gains", {})
+    defaults = vars(policy_mod.SpsaParams())
+    gains = {k: _number(cfg.get("gains", {}), k, v, float, "config.gains") for k, v in defaults.items()}
     try:
-        params = policy_mod.SpsaParams(
-            step=float(gains.get("step", 0.1)),
-            stability=float(gains.get("stability", 10.0)),
-            step_decay=float(gains.get("step_decay", 0.602)),
-            perturb=float(gains.get("perturb", 0.05)),
-            perturb_decay=float(gains.get("perturb_decay", 0.602)),
-        )
+        params = policy_mod.SpsaParams(**gains)
     except ValueError as exc:
         raise ConfigError(f"config.gains: {exc}") from None
-    seed = int(cfg.get("seed", 0))
+    seed = _number(cfg, "seed", 0, low=0)
     rng = np.random.default_rng(seed)
-    n_priors = int(cfg.get("priors", 100))
+    n_priors = _number(cfg, "priors", 100, low=1)
     priors = rng.dirichlet(np.ones(model.n_states), size=n_priors)
-    iterations = int(cfg.get("iterations", 200))
-    restarts = int(cfg.get("restarts", 5))
-    max_steps = cfg.get("max_steps")
+    iterations = _number(cfg, "iterations", 200)
+    restarts = _number(cfg, "restarts", 5)
+    max_steps = _optional_number(cfg, "max_steps", int)
     if iterations == 0:
         init = np.asarray(cfg.get("init_phi", np.zeros(model.n_states - 1)), dtype=float)
         result = policy_mod.spsa_optimize(
@@ -418,13 +442,13 @@ def _policy_from_config(cfg: dict, model: DetectionModel):
 def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
     model = _model(cfg, _need(cfg, "model", "config"))
     spec = _spec(cfg, [model], "simulate")
-    n = int(_need(cfg, "trajectories", "config"))
+    n = _number(cfg, "trajectories", _need(cfg, "trajectories", "config"))
     if n <= 0:
         raise ConfigError("config.trajectories: must be positive")
     pol = _policy_from_config(cfg, model)
-    seed = int(cfg.get("seed", 0))
-    max_steps = int(cfg.get("max_steps", 10_000))
-    record = int(cfg.get("record", 1))
+    seed = _number(cfg, "seed", 0, low=0)
+    max_steps = _number(cfg, "max_steps", 10_000)
+    record = _number(cfg, "record", 1)
     rng = np.random.default_rng(seed)
     priors = np.tile(np.asarray(model.initial, dtype=float), (n, 1))
     batch = sim.simulate_batch(model, spec, pol, priors, rng, max_steps=max_steps, transformed=False)
@@ -462,8 +486,8 @@ def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
 def cmd_phdist(cfg: dict, out_dir: Path, name: str) -> int:
     from .model import ph_pmf
 
-    model = _model(cfg, _need(cfg, "model", "config"), validate=False)
-    k_max = int(cfg.get("k_max", 200))
+    model = _model(cfg, _need(cfg, "model", "config"))
+    k_max = _number(cfg, "k_max", 200, low=0)
     dist = ph_pmf(model, k_max, tag=cfg.get("validation", "relaxed"))
     buf = io.StringIO()
     buf.write("k,pmf,cumulative\n")

@@ -109,25 +109,43 @@ class SimplexGrid:
         later coordinate is rounded up, so an exact distance tie resolves to
         the lexicographically smallest of the tied grid points.
 
+        The work is done in column layout, one length-K array per coordinate.
+        A coordinate's rank among the descending fractional parts (the later
+        coordinate first among equals) is counted from the ``X (X - 1) / 2``
+        pairwise comparisons: comparing coordinates ``i < j`` adds one to
+        the rank of whichever of the two comes second.  Coordinates ranked
+        below ``k`` are rounded up; no sort is needed.
+
         Raises ``ValueError`` for a row that is non-finite, has a coordinate
         below ``-NEGATIVE_TOL``, or lies so far off the simplex that its
         rounding has a negative part.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if not np.isfinite(pts).all():
+        x = self.n_states
+        z = pts * self.m
+        total = z.sum(axis=1)
+        # a NaN or infinite coordinate makes its row total non-finite
+        if not np.isfinite(total).all():
             raise ValueError("nearest: non-finite belief")
         if (pts < -NEGATIVE_TOL).any():
             raise ValueError("nearest: negative belief coordinate")
-        z = pts * self.m
-        z += (self.m - z.sum(axis=1, keepdims=True)) / self.n_states
+        z = np.add(z.T, (self.m - total) / x, order="C")  # (X, K), on sum(z) = m
         low = np.floor(z)
-        # rank by descending fractional part, the later coordinate first among equals
-        order = np.argsort((low - z)[:, ::-1], axis=1, kind="stable")
-        rank = np.argsort(order, axis=1)[:, ::-1]
-        c = (low + (rank < self.m - low.sum(axis=1, keepdims=True))).astype(int)
-        if (c < 0).any():
+        frac = np.subtract(z, low, out=z)
+        # rank[j] starts at j, the number of pairs (i, j) with i < j; each
+        # pair whose j comes first (frac[j] >= frac[i]) moves one to rank[i]
+        rank = np.empty(z.shape, dtype=np.int8)
+        rank[:] = np.arange(x, dtype=np.int8)[:, None]
+        for i in range(x - 1):
+            for j in range(i + 1, x):
+                first = frac[j] >= frac[i]
+                rank[i] += first
+                rank[j] -= first
+        low += rank < self.m - low.sum(axis=0)
+        if (low < 0).any():
             raise ValueError("nearest: belief too far off the simplex")
-        return self._lookup(c)
+        # offsets into the rank table, exact in float64 (integers below 2**53)
+        return self.rank.ravel()[(self._rank_strides @ low[:-1]).astype(np.intp)]
 
 
 def build_grid(n_states: int, m: int) -> SimplexGrid:

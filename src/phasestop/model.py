@@ -132,6 +132,8 @@ class DetectionModel:
             raise ValueError("transition matrix must be square")
         if pi0.shape != (p.shape[0],):
             raise ValueError("initial belief length must match transition matrix")
+        if self.obs.matrix.shape[0] != p.shape[0]:
+            raise ValueError("observation matrix row count does not match state count")
 
     @property
     def n_states(self) -> int:
@@ -185,8 +187,6 @@ def validate_model(model: DetectionModel, tag: str = "strict") -> list[str]:
         as_belief(model.initial)
     except ValueError as exc:
         problems.append(f"initial belief invalid: {exc}")
-    if model.obs.matrix.shape[0] != model.n_states:
-        problems.append("observation matrix row count does not match state count")
     if tag in ("strict", "relaxed"):
         e1 = np.zeros(model.n_states)
         e1[0] = 1.0

@@ -8,8 +8,10 @@ state.  Costs therefore start accruing at the first post-observation belief.
 
 Draw convention: a draw from a pmf is the inverse CDF of one uniform
 ``u = rng.random()``.  The batch paths (:func:`simulate_batch`,
-:func:`sample_change_times`) return the first index with ``u <= cdf``
-(``searchsorted(..., side="left")``), on CDF tables built once per call; the
+:func:`sample_change_times`) return the first index with ``u <= cdf``, on CDF
+tables built once per call: state moves count the entries of the row below
+``u`` (one comparison per state), symbol draws use
+``searchsorted(..., side="left")`` per state; both give that index.  The
 single-path :func:`_draw` returns the first index with ``u < cdf``
 (``side="right"``).  The two differ only when ``u`` equals a CDF value
 exactly.  A batch step draws one uniform per active row for the state moves,
@@ -176,12 +178,23 @@ def _draw_by_state(cdf: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.nda
 
     Returns the number of entries of the row below ``u[i]``, which is what
     ``(u[:, None] > cdf[states]).sum(axis=1)`` gives for the non-decreasing
-    rows of a cumulative sum of non-negative probabilities.
+    rows of a cumulative sum of non-negative probabilities.  One
+    ``searchsorted`` per present state, for tables with many columns.
     """
     out = np.empty(states.size, dtype=np.intp)
     for s in np.flatnonzero(np.bincount(states, minlength=cdf.shape[0])):
         sel = np.flatnonzero(states == s)
         out[sel] = np.searchsorted(cdf[s], u[sel], side="left")
+    return out
+
+
+def _count_by_state(cdf: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The draws of :func:`_draw_by_state`, counted one column at a time:
+    ``sum_j [cdf[states, j] < u]``.  For tables with few columns, such as
+    the transition CDF."""
+    out = (cdf[states, 0] < u).astype(np.intp)
+    for col in cdf.T[1:]:
+        out += col[states] < u
     return out
 
 
@@ -248,7 +261,7 @@ def simulate_batch(
     for k in range(1, max_steps + 1):
         if rows.size == 0:
             break
-        states = _draw_by_state(cdf_p, states, rng.random(rows.size))
+        states = _count_by_state(cdf_p, states, rng.random(rows.size))
         t0[(t0 < 0) & (states == 0)] = k
         ys = _draw_by_state(cdf_b, states, rng.random(rows.size))
         unnorm = (beliefs @ p) * b_t[ys]
@@ -297,7 +310,7 @@ def sample_change_times(
     for k in range(1, max_steps + 1):
         if rows.size == 0:
             break
-        states = _draw_by_state(cdf_p, states, rng.random(rows.size))
+        states = _count_by_state(cdf_p, states, rng.random(rows.size))
         hit = states == 0
         times[rows[hit]] = k
         rows, states = rows[~hit], states[~hit]

@@ -379,6 +379,7 @@ NON_ABSORBING = {**SMALL_MODEL, "transition": [[0.9, 0.1], [0.3, 0.7]]}
         ("sweep", {"cost": SMALL_COST, "grid": {"m": 10},
                    "models": [{"label": "a", "model": SMALL_MODEL},
                               {"label": "b", "model": NON_ABSORBING}]}),
+        ("phdist", {"model": NON_ABSORBING, "k_max": 10}),
     ],
 )
 def test_commands_validate_the_model(tmp_path, capsys, command, cfg):
@@ -451,3 +452,77 @@ def test_social_costs_need_one_row_per_state(tmp_path, capsys):
     ref = write_config(tmp_path, "rows", {"model": STATIC_MODEL, "cost": cost, "validation": "general"})
     assert cli.main(["solve", "--config", ref, "--out", str(tmp_path)]) == 2
     assert "expected shape (2, 2) (one row per state), got (3, 2)" in capsys.readouterr().err
+
+
+def test_orders_rejects_observation_rows_that_do_not_match_the_states(tmp_path, capsys):
+    three_rows = {**SMALL_MODEL, "observation": {"discrete": [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]]}}
+    ref = write_config(tmp_path, "rows", {"model": three_rows, "cost": SMALL_COST})
+    assert cli.main(["orders", "--config", ref, "--out", str(tmp_path)]) == 2
+    assert "model: observation matrix row count does not match state count" in capsys.readouterr().err
+    assert not list(tmp_path.glob("rows_*"))
+
+
+NUMERIC_CONFIGS = {
+    "solve": {"model": SMALL_MODEL, "cost": SMALL_COST, "grid": {"m": 10}},
+    "phdist": {"model": SMALL_MODEL, "k_max": 10},
+    "spsa": {"model": SMALL_MODEL, "cost": SMALL_COST,
+             "priors": 5, "iterations": 1, "restarts": 1, "max_steps": 20},
+    "simulate": {"model": SMALL_MODEL, "cost": SMALL_COST,
+                 "policy": {"theta": [0.3]}, "trajectories": 10},
+}
+
+
+@pytest.mark.parametrize(
+    "command, patch, message",
+    [
+        ("solve", {"grid": {"m": "abc"}}, "config.grid.m: expected an integer, got 'abc'"),
+        ("solve", {"grid": {"m": 0}}, "config.grid.m: expected an integer >= 1, got 0"),
+        ("solve", {"grid": [10]}, "config.grid: expected an object, got [10]"),
+        ("solve", {"horizon": "long"}, "config.horizon: expected a number, got 'long'"),
+        ("solve", {"tol": [1e-9]}, "config.tol: expected a number, got [1e-09]"),
+        ("phdist", {"k_max": "abc"}, "config.k_max: expected an integer, got 'abc'"),
+        ("phdist", {"k_max": -1}, "config.k_max: expected an integer >= 0, got -1"),
+        ("spsa", {"priors": "many"}, "config.priors: expected an integer, got 'many'"),
+        ("spsa", {"priors": 0}, "config.priors: expected an integer >= 1, got 0"),
+        ("spsa", {"iterations": None}, "config.iterations: expected an integer, got None"),
+        ("spsa", {"restarts": "x"}, "config.restarts: expected an integer, got 'x'"),
+        ("spsa", {"max_steps": "x"}, "config.max_steps: expected an integer, got 'x'"),
+        ("spsa", {"seed": "x"}, "config.seed: expected an integer, got 'x'"),
+        ("spsa", {"gains": {"step": "fast"}}, "config.gains.step: expected a number, got 'fast'"),
+        ("spsa", {"gains": [0.1]}, "config.gains: expected an object, got [0.1]"),
+        ("simulate", {"trajectories": "x"}, "config.trajectories: expected an integer, got 'x'"),
+        ("simulate", {"record": [1]}, "config.record: expected an integer, got [1]"),
+        ("simulate", {"max_steps": 1e400}, "config.max_steps: expected an integer, got inf"),
+        ("simulate", {"seed": -1}, "config.seed: expected an integer >= 0, got -1"),
+    ],
+)
+def test_numeric_fields_exit_2_with_their_path(tmp_path, capsys, command, patch, message):
+    ref = write_config(tmp_path, "num", {**NUMERIC_CONFIGS[command], **patch})
+    assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("num_*"))
+
+
+@pytest.mark.parametrize(
+    "command, text, numbers",
+    [
+        ("solve", {"grid": {"m": "12"}, "horizon": "30", "tol": "1e-9"},
+         {"grid": {"m": 12}, "horizon": 30, "tol": 1e-9}),
+        ("phdist", {"k_max": 12.0}, {"k_max": 12}),
+        ("spsa", {"priors": "6", "iterations": 2.0, "restarts": "2", "max_steps": "30",
+                  "seed": "3", "gains": {"step": "0.2", "perturb": 1}},
+         {"priors": 6, "iterations": 2, "restarts": 2, "max_steps": 30,
+          "seed": 3, "gains": {"step": 0.2, "perturb": 1.0}}),
+        ("simulate", {"trajectories": "12", "max_steps": 50.0, "record": "2", "seed": "4"},
+         {"trajectories": 12, "max_steps": 50, "record": 2, "seed": 4}),
+    ],
+)
+def test_numeric_fields_keep_the_values_they_accepted(tmp_path, command, text, numbers):
+    # int() and float() read a numeric string or a whole float as before
+    outs = []
+    for label, values in (("text", text), ("numbers", numbers), ("unpatched", {})):
+        ref = write_config(tmp_path, "run", {**NUMERIC_CONFIGS[command], **values})
+        out = tmp_path / label
+        assert cli.main([command, "--config", ref, "--out", str(out)]) == 0
+        outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outs[0] == outs[1] != outs[2]

@@ -69,6 +69,53 @@ def test_nearest_matches_exact_brute_force(x, m):
     assert np.array_equal(g.nearest(pts), brute_nearest(g, pts))
 
 
+def argsort_nearest(grid, pts):
+    """The sorting kernel that the pairwise ranks in ``nearest`` replaced:
+    two stable argsorts per row rank the fractional parts."""
+    z = np.atleast_2d(pts) * grid.m
+    z += (grid.m - z.sum(axis=1, keepdims=True)) / grid.n_states
+    low = np.floor(z)
+    order = np.argsort((low - z)[:, ::-1], axis=1, kind="stable")
+    rank = np.argsort(order, axis=1)[:, ::-1]
+    return grid.index_of((low + (rank < grid.m - low.sum(axis=1, keepdims=True))).astype(int))
+
+
+def tie_points(x, m, rng, size=60):
+    """Beliefs with m * pi on the half- and quarter-integer lattice, where
+    several grid points are exactly equally far."""
+    return np.vstack([rng.multinomial(q * m, np.ones(x) / x, size=size) / (q * m) for q in (2, 4)])
+
+
+@pytest.mark.parametrize("x,m", [(2, 9), (3, 20), (4, 12), (5, 8), (6, 6)])
+def test_nearest_matches_the_argsort_kernel(x, m):
+    g = dp.build_grid(x, m)
+    rng = np.random.default_rng(1000 + 10 * x + m)
+    assert np.array_equal(g.nearest(g.points), argsort_nearest(g, g.points))
+    for alpha in (1.0, 0.2, 5.0):
+        pts = rng.dirichlet(alpha * np.ones(x), size=400)
+        assert np.array_equal(g.nearest(pts), argsort_nearest(g, pts))
+    ties = tie_points(x, m, rng)
+    assert np.array_equal(g.nearest(ties), argsort_nearest(g, ties))
+    # one ulp either side of a tie, on one coordinate per row
+    for direction in (-np.inf, np.inf):
+        near = ties.copy()
+        cols = rng.integers(0, x, size=len(near))
+        rows = np.arange(len(near))
+        near[rows, cols] = np.nextafter(near[rows, cols], direction)
+        near = np.maximum(near, 0.0)
+        assert np.array_equal(g.nearest(near), argsort_nearest(g, near))
+
+
+def test_nearest_matches_the_argsort_kernel_on_fig5_successors(staged_model):
+    # the successor beliefs of the fig5 solve: about 1 100 pairs of equal
+    # fractional parts and 300 pairs an ulp or a few apart
+    mdl = staged_model(0.2)
+    g = dp.build_grid(3, 20)
+    unnorm = (g.points @ mdl.transition)[:, None, :] * mdl.obs.matrix.T[None, :, :]
+    succ = (unnorm / unnorm.sum(axis=2, keepdims=True)).reshape(-1, 3)
+    assert np.array_equal(g.nearest(succ), argsort_nearest(g, succ))
+
+
 @pytest.mark.parametrize("x,m", [(3, 8), (3, 20), (4, 10), (4, 16)])
 def test_nearest_exact_ties(x, m):
     # m * pi on a half- or quarter-integer lattice: several grid points at

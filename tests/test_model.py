@@ -172,3 +172,9 @@ def test_detection_model_takes_only_a_discrete_observation_matrix():
     assert m.discrete_obs() is obs
     with pytest.raises(TypeError):
         m.discrete_obs(101)
+
+
+def test_detection_model_needs_one_observation_row_per_state():
+    three_rows = model.DiscreteObs([[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="observation matrix row count"):
+        model.DetectionModel([[1, 0], [0.5, 0.5]], [0, 1], three_rows)

@@ -365,17 +365,27 @@ def test_change_times_bit_identical(staged_model):
 
 
 def test_draw_by_state_matches_counting():
-    # exact CDF values as uniforms: the tie u == cdf counts as "not above"
-    rng = np.random.default_rng(12)
-    pmf = rng.dirichlet(np.ones(7), size=4)
-    pmf[1, 2:4] = 0.0
-    pmf[1] /= pmf[1].sum()
-    cdf = np.cumsum(pmf, axis=1)
-    states = rng.integers(0, 4, size=500)
-    u = rng.random(500)
-    u[:28] = cdf[states[:28], np.arange(28) % 7]
-    want = (u[:, None] > cdf[states]).sum(axis=1)
-    assert np.array_equal(sim._draw_by_state(cdf, states, u), want)
+    for cols in (3, 7):
+        rng = np.random.default_rng(12 + cols)
+        pmf = rng.dirichlet(np.ones(cols), size=5)
+        pmf[0] = np.eye(cols)[0]  # an absorbing row: CDF entries all 1
+        pmf[1, 1] = 0.0  # a zero-probability column inside the row
+        pmf[2, 0] = 0.0  # and one at its start: the CDF starts at 0
+        pmf[3, -1] = 0.0  # and one at its end
+        pmf /= pmf.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(pmf, axis=1)
+        # every entry of every row as a uniform, then random ones: the tie
+        # u == cdf counts as "not above", so on a run of equal entries (a
+        # zero-probability column) the draw is the first of them
+        states = np.concatenate([np.repeat(np.arange(5), cols), rng.integers(0, 5, size=500)])
+        u = np.concatenate([cdf.ravel(), rng.random(500)])
+        want = (u[:, None] > cdf[states]).sum(axis=1)
+        first = np.array([np.searchsorted(cdf[s], v, side="left") for s, v in zip(states, u)])
+        assert np.array_equal(want, first)
+        assert want[0] == 0 and want[2 * cols] == 0  # u = 1 on the absorbing row, u = 0 on row 2
+        for draw in (sim._draw_by_state, sim._count_by_state):
+            got = draw(cdf, states, u)
+            assert got.dtype == np.intp and np.array_equal(got, want), (draw.__name__, cols)
 
 
 def test_batch_nan_prior_raises_zero_probability(geometric_model):
