@@ -1,5 +1,12 @@
 """Run every bundled config, plus ``orders`` on the solve configs, into one directory.
 
+It also writes two small fig3a-derived configs into the directory and runs
+them: ``spsa`` (100 priors, 10 iterations, 3 restarts, 500-step cap) and
+``simulate`` (2 000 trajectories under a fixed threshold policy), so that the
+simulation paths are compared too.  Their observation variance is 0.3, not
+fig3a's 0.01, so that the cost moves with the threshold and SPSA's two
+perturbed policies stop different trajectories.
+
 Usage: ``PYTHONPATH=src python scripts/bundled_outputs.py OUT_DIR``
 
 Each command writes its output files into ``OUT_DIR`` and its console output
@@ -13,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -25,6 +33,15 @@ RUNS = [
     ("ph_example", "phdist"),
 ]
 
+# name -> (command, fields added to fig3a's cost, bins and noisier model)
+DERIVED = {
+    "fig3a_spsa": ("spsa", {
+        "priors": 100, "iterations": 10, "restarts": 3, "max_steps": 500,
+        "gains": {"step": 0.15, "stability": 10.0, "perturb": 0.1},
+    }),
+    "fig3a_simulate": ("simulate", {"policy": {"theta": [1.2, 0.3]}, "trajectories": 2000}),
+}
+
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
@@ -33,11 +50,20 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     runs = RUNS + [(name, "orders") for name, command in RUNS if command == "solve"]
+    fig3a = cli.load_config("fig3a")
+    for name, (command, fields) in DERIVED.items():
+        model = json.loads(json.dumps(fig3a["model"]))
+        gaussian = model["observation"]["gaussian"]
+        gaussian["variances"] = [0.3] * len(gaussian["variances"])
+        cfg = {"model": model, "cost": fig3a["cost"], "bins": fig3a["bins"], **fields}
+        (out / f"{name}.json").write_text(json.dumps(cfg, indent=1) + "\n")
+        runs.append((name, command))
     failed = 0
     for name, command in runs:
+        config = str(out / f"{name}.json") if name in DERIVED else name
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = cli.main([command, "--config", name, "--out", str(out)])
+            code = cli.main([command, "--config", config, "--out", str(out)])
         (out / f"{name}-{command}.stdout").write_text(buf.getvalue())
         if code != 0:
             print(f"{command} {name}: exit {code}", file=sys.stderr)

@@ -68,9 +68,9 @@ def _number(section, key: str, default, kind=int, where: str = "config", low=Non
     return number
 
 
-def _optional_number(cfg: dict, key: str, kind):
+def _optional_number(cfg: dict, key: str, kind, low=None):
     """:func:`_number` for a field whose absence or ``null`` means "use the default"."""
-    return None if cfg.get(key) is None else _number(cfg, key, None, kind)
+    return None if cfg.get(key) is None else _number(cfg, key, None, kind, low=low)
 
 
 def _stopping_rule(cfg: dict) -> dict:
@@ -335,9 +335,9 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
     rng = np.random.default_rng(seed)
     n_priors = _number(cfg, "priors", 100, low=1)
     priors = rng.dirichlet(np.ones(model.n_states), size=n_priors)
-    iterations = _number(cfg, "iterations", 200)
-    restarts = _number(cfg, "restarts", 5)
-    max_steps = _optional_number(cfg, "max_steps", int)
+    iterations = _number(cfg, "iterations", 200, low=0)
+    restarts = _number(cfg, "restarts", 5, low=1)
+    max_steps = _optional_number(cfg, "max_steps", int, low=1)
     if iterations == 0:
         init = np.asarray(cfg.get("init_phi", np.zeros(model.n_states - 1)), dtype=float)
         result = policy_mod.spsa_optimize(
@@ -447,14 +447,18 @@ def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
         raise ConfigError("config.trajectories: must be positive")
     pol = _policy_from_config(cfg, model)
     seed = _number(cfg, "seed", 0, low=0)
-    max_steps = _number(cfg, "max_steps", 10_000)
-    record = _number(cfg, "record", 1)
+    max_steps = _number(cfg, "max_steps", 10_000, low=1)
+    record = _number(cfg, "record", 1, low=0)
     rng = np.random.default_rng(seed)
     priors = np.tile(np.asarray(model.initial, dtype=float), (n, 1))
     batch = sim.simulate_batch(model, spec, pol, priors, rng, max_steps=max_steps, transformed=False)
-    d = getattr(spec, "d", 1.0)
-    beta = getattr(spec, "beta", 1.0)
-    summary = sim.decompose_from_times(batch.tau, batch.tau0, d, beta, batch.censored)
+    # a family without a scalar d (transient) has no delay/false-alarm criterion
+    d = getattr(spec, "d", None)
+    summary = sim.decompose_from_times(
+        batch.tau, batch.tau0, 0.0 if d is None else d, spec.beta, batch.censored
+    )
+    criterion, stderr = (None, None) if d is None else (summary.criterion, summary.stderr)
+    mean_cost = float(batch.costs.mean())
     _write(
         out_dir,
         f"{name}_summary.json",
@@ -463,10 +467,10 @@ def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
                 "trajectories": summary.n,
                 "mean_delay": summary.mean_delay,
                 "false_alarm_rate": summary.false_alarm_rate,
-                "criterion": summary.criterion,
-                "stderr": summary.stderr,
+                "criterion": criterion,
+                "stderr": stderr,
                 "censored": summary.n_censored,
-                "mean_cost": float(batch.costs.mean()),
+                "mean_cost": mean_cost,
             },
             indent=2,
         )
@@ -476,8 +480,13 @@ def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
     for k in range(min(record, n)):
         traj = sim.sample_trajectory(model, pol, max_steps=max_steps, rng=rec_rng)
         _write(out_dir, f"{name}_trajectory{k}.csv", sim.trajectory_csv(traj))
+    head = (
+        f"mean_cost={mean_cost:.6g}"
+        if d is None
+        else f"criterion={criterion:.6g} (se {stderr:.2g})"
+    )
     print(
-        f"{name}: criterion={summary.criterion:.6g} (se {summary.stderr:.2g}) "
+        f"{name}: {head} "
         f"delay={summary.mean_delay:.6g} false_alarm={summary.false_alarm_rate:.6g}"
     )
     return 0

@@ -151,12 +151,19 @@ def sample_cost(
     rng: np.random.Generator,
     transformed: bool = True,
     max_steps: int | None = None,
-) -> float:
+) -> float | list[float]:
     """Average discounted sample-path cost of a policy over the given priors,
-    one simulated trajectory per prior."""
+    one simulated trajectory per prior.
+
+    A list of policies is simulated in one :func:`~phasestop.sim.simulate_batch`
+    call and gives a list of costs, each equal to a solo call's on its own
+    copy of ``rng``.
+    """
     res = simulate_batch(
         model, spec, policy, priors, rng, max_steps=max_steps, transformed=transformed
     )
+    if res.costs.ndim == 2:  # a list of policies, one row each
+        return [float(c.mean()) for c in res.costs]
     return float(res.costs.mean())
 
 
@@ -212,17 +219,31 @@ def spsa_optimize(
 
     Each iteration evaluates the batch cost at ``phi +/- delta_n d_n`` with
     common random numbers, forms the random-direction gradient estimate, and
-    takes a decaying step.  ``cost_fn(phi, rng)`` may replace the simulated
-    policy cost (used for synthetic objectives and tests).
+    takes a decaying step.  The simulated policy cost runs both sides in one
+    stacked :func:`~phasestop.sim.simulate_batch` call, which gives the costs
+    of two calls on generators from the same seed.  ``cost_fn(phi, rng)`` may
+    replace it (used for synthetic objectives and tests); it is then called
+    once per side, each on a fresh generator from that seed.
     """
     phi = np.asarray(init_phi, dtype=float).copy()
     if cost_fn is None:
         if priors is None:
             raise ValueError("priors required when optimizing the simulated cost")
 
-        def cost_fn(p, r):
-            pol = LinearThresholdPolicy(phi_to_theta(p))
-            return sample_cost(pol, model, spec, priors, r, max_steps=max_steps)
+        def pair_cost(phi_plus, phi_minus, seed):
+            # one stacked batch: J+ and J- share its steps until they stop different rows
+            pols = [LinearThresholdPolicy(phi_to_theta(q)) for q in (phi_plus, phi_minus)]
+            return sample_cost(
+                pols, model, spec, priors, np.random.default_rng(seed), max_steps=max_steps
+            )
+
+    else:
+
+        def pair_cost(phi_plus, phi_minus, seed):
+            return (
+                cost_fn(phi_plus, np.random.default_rng(seed)),
+                cost_fn(phi_minus, np.random.default_rng(seed)),
+            )
 
     dim = phi.size
     phi_trace = [phi.copy()]
@@ -231,8 +252,7 @@ def spsa_optimize(
         delta_n = params.perturb / (n + 1.0) ** params.perturb_decay
         direction = rng.integers(0, 2, size=dim) * 2 - 1
         seed = int(rng.integers(0, 2**63 - 1))
-        j_plus = cost_fn(phi + delta_n * direction, np.random.default_rng(seed))
-        j_minus = cost_fn(phi - delta_n * direction, np.random.default_rng(seed))
+        j_plus, j_minus = pair_cost(phi + delta_n * direction, phi - delta_n * direction, seed)
         if not (np.isfinite(j_plus) and np.isfinite(j_minus)):
             raise RuntimeError(
                 f"non-finite batch cost at iteration {n}: phi={phi}, "
@@ -272,21 +292,23 @@ def optimize_with_restarts(
     dim = model.n_states - 1
     eval_priors = priors if eval_priors is None else eval_priors
     eval_seed = int(rng.integers(0, 2**63 - 1)) if eval_seed is None else eval_seed
-    best: tuple[SpsaResult, float] | None = None
+    results = []
     for _ in range(max(1, restarts)):
         init = rng.normal(0.0, init_scale, size=dim)
-        res = spsa_optimize(
-            model, spec, init, iterations, params, priors, rng, max_steps=max_steps
+        results.append(
+            spsa_optimize(model, spec, init, iterations, params, priors, rng, max_steps=max_steps)
         )
-        score = sample_cost(
-            res.policy,
-            model,
-            spec,
-            eval_priors,
-            np.random.default_rng(eval_seed),
-            max_steps=max_steps,
-        )
-        if best is None or score < best[1]:
-            best = (res, score)
-    assert best is not None
-    return best
+    # every final policy scored on the same evaluation paths, in one stacked batch
+    scores = sample_cost(
+        [res.policy for res in results],
+        model,
+        spec,
+        eval_priors,
+        np.random.default_rng(eval_seed),
+        max_steps=max_steps,
+    )
+    best = 0
+    for r, score in enumerate(scores):
+        if score < scores[best]:
+            best = r
+    return results[best], scores[best]

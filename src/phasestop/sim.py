@@ -20,6 +20,7 @@ then one per active row for the symbols, in ascending row order.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,11 +166,12 @@ class BatchResult:
     censored: np.ndarray  # boolean
 
 
-def _draw_rows(rng: np.random.Generator, pmf_rows: np.ndarray) -> np.ndarray:
-    """One inverse-CDF draw from each row of ``pmf_rows`` (the per-row priors)."""
-    cum = np.cumsum(pmf_rows, axis=1)
-    u = rng.random(pmf_rows.shape[0])
-    return (u[:, None] > cum).sum(axis=1)
+def _batch_decider(policy):
+    """``policy``'s actions for a stack of beliefs, one per row."""
+    if hasattr(policy, "batch_decide"):
+        return lambda pts: np.asarray(policy.batch_decide(pts))
+    decide = _policy_fn(policy)
+    return lambda pts: np.array([decide(pi) for pi in pts])
 
 
 def _draw_by_state(cdf: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -223,12 +225,27 @@ def simulate_batch(
     order.  Raises :class:`~phasestop.filters.ZeroProbabilityError` when a
     row's filter normalisation is zero or not finite (a NaN prior, or a
     belief that underflowed away from the true state).
+
+    ``policy`` may also be a list of T policies.  The result's arrays then
+    have shape (T, n), and row t is bit-identical to a solo run of policy t
+    on its own copy of ``rng``; ``rng`` itself ends where policy 0's solo
+    run leaves it.  The policies share one step loop (draws, filter and
+    stage costs) while they stop the same rows.  At the first step where
+    their stop rows differ, each group of agreeing policies settles its own
+    stops and continues on its own row arrays and on a copy of the generator
+    taken after that step's draws.  Groups run one after another, so every
+    array operation sees the rows of the solo run, no more: a matrix product
+    over more rows may round differently.
     """
     if spec.family not in BATCH_FAMILIES:
         raise ValueError(
             "batch cost simulation supports the additive-cost families driven "
             "by the plain Bayesian filter"
         )
+    stacked = isinstance(policy, (list, tuple))
+    policies = list(policy) if stacked else [policy]
+    if not policies:
+        raise ValueError("simulate_batch needs at least one policy")
     priors = np.atleast_2d(np.asarray(priors, dtype=float))
     n = priors.shape[0]
     b = model.discrete_obs().matrix
@@ -241,55 +258,78 @@ def simulate_batch(
             bound = _stage_cost_bound(spec, model)
             max_steps = int(np.ceil(np.log(truncation_tol / max(bound, 1e-12)) / np.log(rho)))
             max_steps = max(1, min(max_steps, DETECTION_MAX_STEPS))
-    decide_batch = policy.batch_decide if hasattr(policy, "batch_decide") else None
-    decide_one = _policy_fn(policy)
+    deciders = [_batch_decider(pol) for pol in policies]
     cdf_p = np.cumsum(p, axis=1)
     cdf_b = np.cumsum(b, axis=1)
     b_t = np.ascontiguousarray(b.T)  # row y: likelihood of symbol y per state
 
-    costs = np.zeros(n)
-    tau = np.full(n, max_steps, dtype=int)
-    tau0 = np.full(n, -1)
-    censored = np.zeros(n, dtype=bool)
-    # the active rows, ascending, with their state, belief, running cost and tau0
-    rows = np.arange(n)
-    states = _draw_rows(rng, priors)
-    beliefs = priors.copy()
-    acc = np.zeros(n)
-    t0 = np.where(states == 0, 0, -1)
-    disc = 1.0
-    for k in range(1, max_steps + 1):
-        if rows.size == 0:
-            break
-        states = _count_by_state(cdf_p, states, rng.random(rows.size))
-        t0[(t0 < 0) & (states == 0)] = k
-        ys = _draw_by_state(cdf_b, states, rng.random(rows.size))
-        unnorm = (beliefs @ p) * b_t[ys]
-        sigma = unnorm.sum(axis=1)
-        bad = ~((sigma > 0.0) & (sigma < np.inf))
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise ZeroProbabilityError(
-                f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
-                f"{sigma[j]} after observation {int(ys[j])}"
-            )
-        beliefs = unnorm / sigma[:, None]
-        if decide_batch is not None:
-            acts = np.asarray(decide_batch(beliefs))
-        else:
-            acts = np.array([decide_one(pi) for pi in beliefs])
-        c_stop, c_cont = stage_cost_vectors(spec, model, beliefs, original=not transformed)
-        stop = acts == STOP
-        acc += disc * np.where(stop, c_stop, c_cont)
-        if stop.any():
-            done = rows[stop]
-            costs[done], tau[done], tau0[done] = acc[stop], k, t0[stop]
-            keep = ~stop
-            rows, states, beliefs, acc, t0 = (
-                rows[keep], states[keep], beliefs[keep], acc[keep], t0[keep]
-            )
-        disc *= rho
-    costs[rows], tau0[rows], censored[rows] = acc, t0, True
+    shape = (len(policies), n)
+    costs = np.zeros(shape)
+    tau = np.full(shape, max_steps, dtype=int)
+    tau0 = np.full(shape, -1)
+    censored = np.zeros(shape, dtype=bool)
+
+    def settle(members, stop, k, rows, states, beliefs, acc, t0):
+        """Record the rows ``stop`` ends for every member; returns the rest."""
+        if not stop.any():
+            return rows, states, beliefs, acc, t0
+        done = rows[stop]
+        for m in members:
+            costs[m, done], tau[m, done], tau0[m, done] = acc[stop], k, t0[stop]
+        keep = ~stop
+        return rows[keep], states[keep], beliefs[keep], acc[keep], t0[keep]
+
+    states = _count_by_state(np.cumsum(priors, axis=1), np.arange(n), rng.random(n))
+    # groups still to run: their policies, generator, next step, discount, and
+    # active rows, ascending, with their state, belief, running cost and tau0
+    todo = [
+        (list(range(len(policies))), rng, 1, 1.0,
+         (np.arange(n), states, priors.copy(), np.zeros(n), np.where(states == 0, 0, -1)))
+    ]
+    while todo:
+        members, g_rng, k0, disc, (rows, states, beliefs, acc, t0) = todo.pop()
+        for k in range(k0, max_steps + 1):
+            if rows.size == 0:
+                break
+            states = _count_by_state(cdf_p, states, g_rng.random(rows.size))
+            t0[(t0 < 0) & (states == 0)] = k
+            ys = _draw_by_state(cdf_b, states, g_rng.random(rows.size))
+            unnorm = (beliefs @ p) * b_t[ys]
+            sigma = unnorm.sum(axis=1)
+            bad = ~((sigma > 0.0) & (sigma < np.inf))
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise ZeroProbabilityError(
+                    f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
+                    f"{sigma[j]} after observation {int(ys[j])}"
+                )
+            beliefs = unnorm / sigma[:, None]
+            c_stop, c_cont = stage_cost_vectors(spec, model, beliefs, original=not transformed)
+            stop = deciders[members[0]](beliefs) == STOP
+            if len(members) > 1:
+                groups = {stop.tobytes(): (stop, [members[0]])}
+                for m in members[1:]:
+                    s = deciders[m](beliefs) == STOP
+                    groups.setdefault(s.tobytes(), (s, []))[1].append(m)
+                if len(groups) > 1:
+                    # fork.  The first group keeps rng, so it ends as policy 0's
+                    # solo run.  The stop masks differ, so at most one group stops
+                    # no row and keeps these arrays; settle copies them for the rest.
+                    for i, (s, group) in enumerate(groups.values()):
+                        ac = acc + disc * np.where(s, c_stop, c_cont)
+                        rest = settle(group, s, k, rows, states, beliefs, ac, t0)
+                        todo.append(
+                            (group, g_rng if i == 0 else copy.deepcopy(g_rng), k + 1, disc * rho, rest)
+                        )
+                    members = []  # its rows now belong to the groups just queued
+                    break
+            acc += disc * np.where(stop, c_stop, c_cont)
+            rows, states, beliefs, acc, t0 = settle(members, stop, k, rows, states, beliefs, acc, t0)
+            disc *= rho
+        for m in members:
+            costs[m, rows], tau0[m, rows], censored[m, rows] = acc, t0, True
+    if not stacked:
+        return BatchResult(costs=costs[0], tau=tau[0], tau0=tau0[0], censored=censored[0])
     return BatchResult(costs=costs, tau=tau, tau0=tau0, censored=censored)
 
 

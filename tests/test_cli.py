@@ -146,6 +146,19 @@ def test_simulate_requires_positive_count(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+def test_simulate_transient_reports_mean_cost_without_a_criterion(tmp_path, capsys):
+    # the transient family has per-state delays, no scalar d to weigh the delay by
+    cost = {"family": "transient", "alpha": 0.0, "beta": 2.0, "delays": [1.0, 0.0], "rho": 0.9}
+    cfg = {"model": SMALL_MODEL, "cost": cost, "policy": {"theta": [0.3]}, "trajectories": 50}
+    ref = write_config(tmp_path, "transient", cfg)
+    assert cli.main(["simulate", "--config", ref, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "transient_summary.json").read_text())
+    assert summary["criterion"] is None and summary["stderr"] is None
+    assert summary["trajectories"] == 50 and np.isfinite(summary["mean_cost"])
+    out = capsys.readouterr().out
+    assert f"mean_cost={summary['mean_cost']:.6g}" in out and "criterion" not in out
+
+
 def test_simulate_from_solution_csv(tmp_path):
     solve_cfg = {
         "model": SMALL_MODEL,
@@ -494,6 +507,11 @@ NUMERIC_CONFIGS = {
         ("simulate", {"record": [1]}, "config.record: expected an integer, got [1]"),
         ("simulate", {"max_steps": 1e400}, "config.max_steps: expected an integer, got inf"),
         ("simulate", {"seed": -1}, "config.seed: expected an integer >= 0, got -1"),
+        ("spsa", {"iterations": -1}, "config.iterations: expected an integer >= 0, got -1"),
+        ("spsa", {"restarts": 0}, "config.restarts: expected an integer >= 1, got 0"),
+        ("spsa", {"max_steps": 0}, "config.max_steps: expected an integer >= 1, got 0"),
+        ("simulate", {"max_steps": 0}, "config.max_steps: expected an integer >= 1, got 0"),
+        ("simulate", {"record": -1}, "config.record: expected an integer >= 0, got -1"),
     ],
 )
 def test_numeric_fields_exit_2_with_their_path(tmp_path, capsys, command, patch, message):

@@ -174,3 +174,63 @@ def test_spsa_nonfinite_cost_reported():
             None, None, [0.1], 5, pol.SpsaParams(), None,
             np.random.default_rng(0), cost_fn=bad,
         )
+
+
+def _noisy_spsa_case(staged_model):
+    """A model whose batch cost moves with theta, so J+ and J- differ."""
+    m = staged_model(0.2)
+    spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=0.05)
+    priors = np.random.default_rng(21).dirichlet(np.ones(3), size=30)
+    return m, spec, priors, pol.SpsaParams(step=0.15, stability=10.0, perturb=0.1)
+
+
+def test_spsa_pair_in_one_batch_matches_two_sequential_calls(staged_model):
+    m, spec, priors, params = _noisy_spsa_case(staged_model)
+
+    def sequential(phi, rng):
+        policy = pol.LinearThresholdPolicy(pol.phi_to_theta(phi))
+        return pol.sample_cost(policy, m, spec, priors, rng, max_steps=200)
+
+    args = (m, spec, [0.3, 0.8], 15, params, priors)
+    got = pol.spsa_optimize(*args, np.random.default_rng(8), max_steps=200)
+    want = pol.spsa_optimize(*args, np.random.default_rng(8), cost_fn=sequential)
+    assert np.array_equal(got.phi_trace, want.phi_trace)
+    assert np.array_equal(got.costs, want.costs)
+    assert not np.all(got.phi_trace[1:] == got.phi_trace[:-1])  # some J+ != J-
+
+
+def test_restarts_scored_in_one_batch_match_a_per_restart_loop(staged_model):
+    m, spec, priors, params = _noisy_spsa_case(staged_model)
+
+    def reference(rng, restarts=4, iterations=5, max_steps=200):
+        eval_seed = int(rng.integers(0, 2**63 - 1))
+        results, scores = [], []
+        for _ in range(restarts):
+            init = rng.normal(0.0, 1.0, size=2)
+            res = pol.spsa_optimize(m, spec, init, iterations, params, priors, rng, max_steps=max_steps)
+            results.append(res)
+            scores.append(pol.sample_cost(
+                res.policy, m, spec, priors, np.random.default_rng(eval_seed), max_steps=max_steps
+            ))
+        best = next(r for r, s in enumerate(scores) if s == min(scores))
+        return results[best], scores[best], scores
+
+    want, want_score, scores = reference(np.random.default_rng(5))
+    assert len(set(scores)) > 1
+    got, got_score = pol.optimize_with_restarts(
+        m, spec, 5, params, priors, np.random.default_rng(5), restarts=4, max_steps=200
+    )
+    assert got_score == want_score
+    assert np.array_equal(got.phi_trace, want.phi_trace)
+    assert np.array_equal(got.costs, want.costs)
+
+
+def test_sample_cost_of_a_list_matches_solo_calls(staged_model):
+    m, spec, priors, _ = _noisy_spsa_case(staged_model)
+    policies = [pol.LinearThresholdPolicy(np.array(th)) for th in ([1.2, 0.3], [1.5, 0.6])]
+    got = pol.sample_cost(policies, m, spec, priors, np.random.default_rng(3), max_steps=200)
+    want = [
+        pol.sample_cost(p, m, spec, priors, np.random.default_rng(3), max_steps=200)
+        for p in policies
+    ]
+    assert got == want and got[0] != got[1]

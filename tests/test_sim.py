@@ -415,3 +415,93 @@ def test_sample_trajectory_filters_with_its_bins(three_state_model):
         unnorm = b[:, y] * (p.T @ pi)
         pi = unnorm / unnorm.sum()
         assert np.array_equal(traj.beliefs[k], pi)
+
+
+# ---------------------------------------------------------------------------
+# A list of policies in one batch: each row equals the policy's solo run
+
+
+def assert_stack_matches_solo(model_, spec, policies, priors, seed, **kw):
+    """Row t of the stacked batch equals policy t's solo run on a fresh
+    generator from ``seed``, and the caller's generator ends as policy 0's."""
+    rng = np.random.default_rng(seed)
+    stacked = sim.simulate_batch(model_, spec, policies, priors, rng, **kw)
+    assert stacked.costs.shape == (len(policies), len(priors))
+    for t, policy in enumerate(policies):
+        solo_rng = np.random.default_rng(seed)
+        solo = sim.simulate_batch(model_, spec, policy, priors, solo_rng, **kw)
+        row = sim.BatchResult(
+            stacked.costs[t], stacked.tau[t], stacked.tau0[t], stacked.censored[t]
+        )
+        assert_batches_equal(row, solo)
+        if t == 0:
+            assert rng.bit_generator.state == solo_rng.bit_generator.state
+    return stacked
+
+
+def fork_step(batch, s, t):
+    """The first step at which policies ``s`` and ``t`` stop different rows,
+    None when they never do."""
+    differ = batch.tau[s] != batch.tau[t]
+    return int(np.minimum(batch.tau[s], batch.tau[t])[differ].min()) if differ.any() else None
+
+
+def test_stacked_policies_fork_at_step_one(geometric_model):
+    spec = model.QuickestClassicalDelay(
+        alpha=0.0, beta=3.0, d=1.0, rho=1.0, false_alarm=[0, 1]
+    )
+    priors = np.tile([0.0, 1.0], (300, 1))
+    mixed = lambda pi: 1 if pi[0] > 0.95 else 2
+    batch = assert_stack_matches_solo(
+        geometric_model, spec, (always_stop, never_stop, mixed, always_stop), priors, 3,
+        max_steps=20,
+    )
+    assert fork_step(batch, 0, 1) == 1 and batch.censored[1].all()
+    assert fork_step(batch, 0, 2) == 1 and fork_step(batch, 0, 3) is None
+
+
+def test_stacked_linear_policies_fork_mid_run(staged_model):
+    m = staged_model(0.2)
+    spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
+    priors = np.tile(m.initial, (200, 1))
+    thetas = ([1.2, 0.3], [1.2, 0.31], [1.5, 0.6], [1.2, 0.3])  # the last repeats the first
+    policies = [pol.LinearThresholdPolicy(np.array(th)) for th in thetas]
+    batch = assert_stack_matches_solo(m, spec, policies, priors, 1, max_steps=300)
+    assert fork_step(batch, 0, 1) > 2
+    assert fork_step(batch, 1, 2) is not None and fork_step(batch, 0, 3) is None
+
+
+@pytest.fixture(scope="module")
+def noisy_grid_policy(staged_model):
+    """A grid policy with both regions on a noisy chain, and its discounted spec."""
+    m = staged_model(0.2)
+    spec = model.QuickestClassicalDelay(
+        alpha=0.0, beta=5.0, d=1.0, rho=0.95, false_alarm=[0, 1, 1]
+    )
+    g = dp.build_grid(3, 12)
+    return m, spec, dp.GridPolicy(g, dp.value_iterate(m, spec, g, tol=1e-9).policy)
+
+
+@pytest.mark.parametrize("transformed", [True, False])
+def test_stacked_grid_linear_and_callable_policies(noisy_grid_policy, transformed):
+    # rho < 1: the step cap is derived from the spec
+    m, spec, grid_policy = noisy_grid_policy
+    priors = np.tile(m.initial, (500, 1))
+    linear = pol.LinearThresholdPolicy(np.array([1.2, 0.4]))
+    callable_ = lambda pi: 1 if pi[0] > 0.6 else 2
+    policies = [grid_policy, linear, callable_, grid_policy, linear]
+    batch = assert_stack_matches_solo(m, spec, policies, priors, 5, transformed=transformed)
+    assert fork_step(batch, 0, 1) > 1 and fork_step(batch, 0, 2) > 1
+    assert fork_step(batch, 0, 3) is None and fork_step(batch, 1, 4) is None
+
+
+def test_single_policy_keeps_its_shapes(three_state_model):
+    spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
+    priors = np.random.default_rng(2).dirichlet(np.ones(3), size=50)
+    linear = pol.LinearThresholdPolicy(np.array([1.2, 0.4]))
+    solo = sim.simulate_batch(three_state_model, spec, linear, priors, np.random.default_rng(4))
+    for field in ("costs", "tau", "tau0", "censored"):
+        assert getattr(solo, field).shape == (50,), field
+    assert_stack_matches_solo(three_state_model, spec, [linear], priors, 4)
+    with pytest.raises(ValueError, match="at least one policy"):
+        sim.simulate_batch(three_state_model, spec, [], priors, np.random.default_rng(4))
