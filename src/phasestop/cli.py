@@ -42,9 +42,22 @@ class ConfigError(ValueError):
 
 
 def _need(cfg: dict, key: str, where: str):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where}: expected an object, got {cfg!r}")
     if key not in cfg:
         raise ConfigError(f"{where}: missing required field {key!r}")
     return cfg[key]
+
+
+def _choice(cfg: dict, key: str, where: str, options: tuple[str, ...]):
+    """The object ``cfg[key]`` and the first of the fields ``options`` it holds."""
+    section = _need(cfg, key, where)
+    for option in options:
+        if isinstance(section, dict) and option in section:
+            return section, option
+    raise ConfigError(
+        f"{where}.{key}: expected an object with {' or '.join(map(repr, options))}, got {section!r}"
+    )
 
 
 def _number(section, key: str, default, kind=int, where: str = "config", low=None):
@@ -93,19 +106,17 @@ def parse_model(cfg: dict, where: str = "model", bins=DEFAULT_BINS) -> Detection
         raise ConfigError(f"config.bins: expected an integer >= 3, got {bins!r}")
     transition = _matrix(_need(cfg, "transition", where), f"{where}.transition")
     initial = _matrix(_need(cfg, "initial", where), f"{where}.initial")
-    obs_cfg = _need(cfg, "observation", where)
-    if "discrete" in obs_cfg:
+    obs_cfg, kind = _choice(cfg, "observation", where, ("discrete", "gaussian"))
+    if kind == "discrete":
         obs = DiscreteObs(_matrix(obs_cfg["discrete"], f"{where}.observation.discrete"))
-    elif "gaussian" in obs_cfg:
+    else:
         g, gw = obs_cfg["gaussian"], f"{where}.observation.gaussian"
-        means = _matrix(_need(g, "means", gw), "means")
-        variances = _matrix(_need(g, "variances", gw), "variances")
+        means = _matrix(_need(g, "means", gw), f"{gw}.means")
+        variances = _matrix(_need(g, "variances", gw), f"{gw}.variances")
         try:
             obs = discretize_gaussian(GaussianObs(means, variances), bins)
         except ValueError as exc:
             raise ConfigError(f"{gw}: {exc}") from None
-    else:
-        raise ConfigError(f"{where}.observation: expected 'discrete' or 'gaussian'")
     try:
         return DetectionModel(transition, initial, obs)
     except ValueError as exc:
@@ -127,7 +138,7 @@ _ARRAY_FIELDS = {"false_alarm", "delays", "local_costs", "c1", "c2", "g", "confu
 
 def parse_cost(cfg: dict, where: str = "cost") -> object:
     family = _need(cfg, "family", where)
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(f"{where}.family: unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
     cls, fields = _FAMILIES[family]
     kwargs = {}
@@ -278,9 +289,9 @@ def cmd_sweep(cfg: dict, out_dir: Path, name: str) -> int:
     entries = _need(cfg, "models", "config")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("config.models: expected a non-empty list of {label, model} objects")
-    labels = [str(_need(e, "label", "config.models[]")) for e in entries]
+    labels = [str(_need(e, "label", f"config.models[{k}]")) for k, e in enumerate(entries)]
     models = [
-        _model(cfg, _need(e, "model", "config.models[]"), f"models[{k}].model")
+        _model(cfg, _need(e, "model", f"config.models[{k}]"), f"models[{k}].model")
         for k, e in enumerate(entries)
     ]
     spec = _spec(cfg, models)
@@ -338,8 +349,11 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
     iterations = _number(cfg, "iterations", 200, low=0)
     restarts = _number(cfg, "restarts", 5, low=1)
     max_steps = _optional_number(cfg, "max_steps", int, low=1)
+    dim = model.n_states - 1
     if iterations == 0:
-        init = np.asarray(cfg.get("init_phi", np.zeros(model.n_states - 1)), dtype=float)
+        init = _matrix(cfg.get("init_phi", np.zeros(dim)), "config.init_phi")
+        if init.shape != (dim,):
+            raise ConfigError(f"config.init_phi: expected {dim} numbers, got {cfg['init_phi']!r}")
         result = policy_mod.spsa_optimize(
             model, spec, init, 0, params, priors, rng, max_steps=max_steps
         )
@@ -356,7 +370,6 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
             max_steps=max_steps,
         )
     buf = io.StringIO()
-    dim = model.n_states - 1
     head = (
         ["iteration"]
         + [f"phi{k}" for k in range(dim)]
@@ -386,57 +399,57 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
 
 
 def _policy_from_config(cfg: dict, model: DetectionModel):
-    src = _need(cfg, "policy", "config")
-    if "theta" in src:
+    src, kind = _choice(cfg, "policy", "config", ("theta", "solution"))
+    if kind == "theta":
         theta = _matrix(src["theta"], "config.policy.theta")
         if theta.size != model.n_states - 1:
             raise ConfigError(
                 f"config.policy.theta: expected {model.n_states - 1} coefficients, got {theta.size}"
             )
         return policy_mod.LinearThresholdPolicy(theta)
-    if "solution" in src:
-        path = Path(src["solution"])
-        if not path.exists():
-            raise ConfigError(f"config.policy.solution: no such file {path}")
-        with path.open() as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows:
-            raise ConfigError("config.policy.solution: empty solution file")
-        coord_keys = sorted(
-            (k for k in rows[0] if k.startswith("c") and k[1:].isdigit()),
-            key=lambda k: int(k[1:]),
+    if not isinstance(src["solution"], str):
+        raise ConfigError(f"config.policy.solution: expected a file path, got {src['solution']!r}")
+    path = Path(src["solution"])
+    if not path.exists():
+        raise ConfigError(f"config.policy.solution: no such file {path}")
+    with path.open() as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        raise ConfigError("config.policy.solution: empty solution file")
+    coord_keys = sorted(
+        (k for k in rows[0] if k.startswith("c") and k[1:].isdigit()),
+        key=lambda k: int(k[1:]),
+    )
+    if len(coord_keys) != model.n_states:
+        raise ConfigError(
+            "config.policy.solution: grid dimension does not match the model"
         )
-        if len(coord_keys) != model.n_states:
-            raise ConfigError(
-                "config.policy.solution: grid dimension does not match the model"
-            )
-        if "policy" not in rows[0]:
-            raise ConfigError("config.policy.solution: missing 'policy' column")
-        try:
-            coords = np.array([[int(r[k]) for k in coord_keys] for r in rows])
-            actions = np.array([int(r["policy"]) for r in rows])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.policy.solution: {exc}") from None
-        x, m = model.n_states, int(coords[0].sum())
-        n_points = math.comb(m + x - 1, x - 1) if m >= 1 else 0
-        if len(rows) != n_points:
-            raise ConfigError(
-                f"config.policy.solution: {len(rows)} rows, but the grid of the first "
-                f"row (m={m}) has {n_points} points"
-            )
-        grid = dp.build_grid(x, m)
-        try:
-            idx = grid.index_of(coords)
-        except ValueError as exc:
-            raise ConfigError(f"config.policy.solution: {exc}") from None
-        seen = np.bincount(idx, minlength=grid.n_points)
-        if (seen > 1).any():
-            twice = tuple(int(v) for v in grid.coords[np.argmax(seen)])
-            raise ConfigError(f"config.policy.solution: grid point {twice} appears more than once")
-        ordered = np.empty(grid.n_points, dtype=int)
-        ordered[idx] = actions
-        return dp.GridPolicy(grid, ordered)
-    raise ConfigError("config.policy: expected 'theta' or 'solution'")
+    if "policy" not in rows[0]:
+        raise ConfigError("config.policy.solution: missing 'policy' column")
+    try:
+        coords = np.array([[int(r[k]) for k in coord_keys] for r in rows])
+        actions = np.array([int(r["policy"]) for r in rows])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.policy.solution: {exc}") from None
+    x, m = model.n_states, int(coords[0].sum())
+    n_points = math.comb(m + x - 1, x - 1) if m >= 1 else 0
+    if len(rows) != n_points:
+        raise ConfigError(
+            f"config.policy.solution: {len(rows)} rows, but the grid of the first "
+            f"row (m={m}) has {n_points} points"
+        )
+    grid = dp.build_grid(x, m)
+    try:
+        idx = grid.index_of(coords)
+    except ValueError as exc:
+        raise ConfigError(f"config.policy.solution: {exc}") from None
+    seen = np.bincount(idx, minlength=grid.n_points)
+    if (seen > 1).any():
+        twice = tuple(int(v) for v in grid.coords[np.argmax(seen)])
+        raise ConfigError(f"config.policy.solution: grid point {twice} appears more than once")
+    ordered = np.empty(grid.n_points, dtype=int)
+    ordered[idx] = actions
+    return dp.GridPolicy(grid, ordered)
 
 
 def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:

@@ -156,8 +156,7 @@ def sample_cost(
     one simulated trajectory per prior.
 
     A list of policies is simulated in one :func:`~phasestop.sim.simulate_batch`
-    call and gives a list of costs, each equal to a solo call's on its own
-    copy of ``rng``.
+    call, on shared sample paths, and gives a list of costs.
     """
     res = simulate_batch(
         model, spec, policy, priors, rng, max_steps=max_steps, transformed=transformed
@@ -220,10 +219,10 @@ def spsa_optimize(
     Each iteration evaluates the batch cost at ``phi +/- delta_n d_n`` with
     common random numbers, forms the random-direction gradient estimate, and
     takes a decaying step.  The simulated policy cost runs both sides in one
-    stacked :func:`~phasestop.sim.simulate_batch` call, which gives the costs
-    of two calls on generators from the same seed.  ``cost_fn(phi, rng)`` may
-    replace it (used for synthetic objectives and tests); it is then called
-    once per side, each on a fresh generator from that seed.
+    stacked :func:`~phasestop.sim.simulate_batch` call, on the same sample
+    paths.  ``cost_fn(phi, rng)`` may replace it (used for synthetic
+    objectives and tests); it is then called once per side, each on a fresh
+    generator from that seed.
     """
     phi = np.asarray(init_phi, dtype=float).copy()
     if cost_fn is None:
@@ -231,7 +230,7 @@ def spsa_optimize(
             raise ValueError("priors required when optimizing the simulated cost")
 
         def pair_cost(phi_plus, phi_minus, seed):
-            # one stacked batch: J+ and J- share its steps until they stop different rows
+            # one stacked batch: J+ and J- on the same sample paths
             pols = [LinearThresholdPolicy(phi_to_theta(q)) for q in (phi_plus, phi_minus)]
             return sample_cost(
                 pols, model, spec, priors, np.random.default_rng(seed), max_steps=max_steps

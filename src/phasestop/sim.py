@@ -7,20 +7,19 @@ first step whose decision is stop, ``tau0`` the first step in the absorbing
 state.  Costs therefore start accruing at the first post-observation belief.
 
 Draw convention: a draw from a pmf is the inverse CDF of one uniform
-``u = rng.random()``.  The batch paths (:func:`simulate_batch`,
-:func:`sample_change_times`) return the first index with ``u <= cdf``, on CDF
-tables built once per call: state moves count the entries of the row below
-``u`` (one comparison per state), symbol draws use
-``searchsorted(..., side="left")`` per state; both give that index.  The
-single-path :func:`_draw` returns the first index with ``u < cdf``
-(``side="right"``).  The two differ only when ``u`` equals a CDF value
-exactly.  A batch step draws one uniform per active row for the state moves,
-then one per active row for the symbols, in ascending row order.
+``u = rng.random()``: the first index whose CDF entry exceeds ``u``, that
+is the number of entries at or below ``u``.  Every path draws this way, on
+tables built by :func:`_cdf`, which pins the entries at a row's total to
+1.0, so no draw picks a zero-probability column or one past the end.  The
+batch paths (:func:`simulate_batch`, :func:`sample_change_times`) build
+their tables once per call; state moves count the entries one column at a
+time, symbol draws run one ``searchsorted(..., side="right")`` per state.
+A batch step draws one uniform per active row for the state moves, then one
+per active row for the symbols, in ascending row order.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +59,17 @@ def _policy_fn(policy):
     return policy.decide if hasattr(policy, "decide") else policy
 
 
-def _draw(rng: np.random.Generator, pmf: np.ndarray) -> int:
-    return int(np.searchsorted(np.cumsum(pmf), rng.random(), side="right"))
+def _cdf(pmf) -> np.ndarray:
+    """Cumulative sums along the last axis, with the entries at each row's
+    total pinned to 1.0: a total rounded below 1 must not let a uniform draw
+    past the last column with positive probability."""
+    cdf = np.cumsum(pmf, axis=-1)
+    cdf[cdf >= cdf[..., -1:]] = 1.0
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
 def sample_trajectory(
@@ -73,10 +81,10 @@ def sample_trajectory(
     """Simulate one chain/observation/belief/decision path until stop."""
     rng = rng if rng is not None else np.random.default_rng()
     decide = _policy_fn(policy)
-    b = model.discrete_obs().matrix
-    p = model.transition
+    cdf_p = _cdf(model.transition)
+    cdf_b = _cdf(model.discrete_obs().matrix)
     pi = as_belief(model.initial)
-    x = _draw(rng, pi)
+    x = _draw(rng, _cdf(pi))
     states = [x + 1]
     beliefs = [pi]
     observations: list[int] = []
@@ -84,10 +92,10 @@ def sample_trajectory(
     tau = None
     tau0 = 0 if x == 0 else None
     for k in range(1, max_steps + 1):
-        x = _draw(rng, p[x])
+        x = _draw(rng, cdf_p[x])
         if tau0 is None and x == 0:
             tau0 = k
-        y = _draw(rng, b[x])
+        y = _draw(rng, cdf_b[x])
         pi = hmm_update(pi, y, model).next_belief
         u = int(decide(pi))
         states.append(x + 1)
@@ -123,7 +131,7 @@ def social_trajectory(
     """
     rng = rng if rng is not None else np.random.default_rng()
     decide = _policy_fn(policy)
-    b = ctx.obs.matrix
+    cdf_y = _cdf(ctx.obs.matrix[true_state - 1])
     pi = as_belief(model.initial)
     beliefs = [pi]
     observations: list[int] = []
@@ -136,7 +144,7 @@ def social_trajectory(
         if u == STOP:
             tau = k
             break
-        y = _draw(rng, b[true_state - 1])
+        y = _draw(rng, cdf_y)
         a = social_local_action(pi, y, ctx)
         pi = social_update(pi, a, ctx).next_belief
         observations.append(y)
@@ -176,27 +184,26 @@ def _batch_decider(policy):
 
 def _draw_by_state(cdf: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws: entry ``i`` draws from row ``states[i]`` of the
-    CDF table ``cdf`` with the uniform ``u[i]``.
+    :func:`_cdf` table ``cdf`` with the uniform ``u[i]``.
 
-    Returns the number of entries of the row below ``u[i]``, which is what
-    ``(u[:, None] > cdf[states]).sum(axis=1)`` gives for the non-decreasing
-    rows of a cumulative sum of non-negative probabilities.  One
-    ``searchsorted`` per present state, for tables with many columns.
+    Returns the number of entries of the row at or below ``u[i]``: the first
+    index whose entry exceeds ``u[i]``.  One ``searchsorted`` per present
+    state, for tables with many columns.
     """
     out = np.empty(states.size, dtype=np.intp)
     for s in np.flatnonzero(np.bincount(states, minlength=cdf.shape[0])):
         sel = np.flatnonzero(states == s)
-        out[sel] = np.searchsorted(cdf[s], u[sel], side="left")
+        out[sel] = np.searchsorted(cdf[s], u[sel], side="right")
     return out
 
 
 def _count_by_state(cdf: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The draws of :func:`_draw_by_state`, counted one column at a time:
-    ``sum_j [cdf[states, j] < u]``.  For tables with few columns, such as
+    ``sum_j [cdf[states, j] <= u]``.  For tables with few columns, such as
     the transition CDF."""
-    out = (cdf[states, 0] < u).astype(np.intp)
+    out = (cdf[states, 0] <= u).astype(np.intp)
     for col in cdf.T[1:]:
-        out += col[states] < u
+        out += col[states] <= u
     return out
 
 
@@ -226,16 +233,13 @@ def simulate_batch(
     row's filter normalisation is zero or not finite (a NaN prior, or a
     belief that underflowed away from the true state).
 
-    ``policy`` may also be a list of T policies.  The result's arrays then
-    have shape (T, n), and row t is bit-identical to a solo run of policy t
-    on its own copy of ``rng``; ``rng`` itself ends where policy 0's solo
-    run leaves it.  The policies share one step loop (draws, filter and
-    stage costs) while they stop the same rows.  At the first step where
-    their stop rows differ, each group of agreeing policies settles its own
-    stops and continues on its own row arrays and on a copy of the generator
-    taken after that step's draws.  Groups run one after another, so every
-    array operation sees the rows of the solo run, no more: a matrix product
-    over more rows may round differently.
+    ``policy`` may also be a list of T policies, giving (T, n) arrays.  The
+    policies share one sample path per row (chain, symbols, beliefs), as only
+    their stop steps differ: each step draws, filters and prices once the
+    rows some policy still runs, and every policy decides on all of them.  A
+    policy whose stop region lies inside every other's thus matches its solo
+    run bit for bit, generator end state included, and nested stop regions
+    give stop steps ordered row by row.
     """
     if spec.family not in BATCH_FAMILIES:
         raise ValueError(
@@ -259,8 +263,7 @@ def simulate_batch(
             max_steps = int(np.ceil(np.log(truncation_tol / max(bound, 1e-12)) / np.log(rho)))
             max_steps = max(1, min(max_steps, DETECTION_MAX_STEPS))
     deciders = [_batch_decider(pol) for pol in policies]
-    cdf_p = np.cumsum(p, axis=1)
-    cdf_b = np.cumsum(b, axis=1)
+    cdf_p, cdf_b = _cdf(p), _cdf(b)
     b_t = np.ascontiguousarray(b.T)  # row y: likelihood of symbol y per state
 
     shape = (len(policies), n)
@@ -269,65 +272,47 @@ def simulate_batch(
     tau0 = np.full(shape, -1)
     censored = np.zeros(shape, dtype=bool)
 
-    def settle(members, stop, k, rows, states, beliefs, acc, t0):
-        """Record the rows ``stop`` ends for every member; returns the rest."""
-        if not stop.any():
-            return rows, states, beliefs, acc, t0
-        done = rows[stop]
-        for m in members:
-            costs[m, done], tau[m, done], tau0[m, done] = acc[stop], k, t0[stop]
-        keep = ~stop
-        return rows[keep], states[keep], beliefs[keep], acc[keep], t0[keep]
-
-    states = _count_by_state(np.cumsum(priors, axis=1), np.arange(n), rng.random(n))
-    # groups still to run: their policies, generator, next step, discount, and
-    # active rows, ascending, with their state, belief, running cost and tau0
-    todo = [
-        (list(range(len(policies))), rng, 1, 1.0,
-         (np.arange(n), states, priors.copy(), np.zeros(n), np.where(states == 0, 0, -1)))
-    ]
-    while todo:
-        members, g_rng, k0, disc, (rows, states, beliefs, acc, t0) = todo.pop()
-        for k in range(k0, max_steps + 1):
-            if rows.size == 0:
-                break
-            states = _count_by_state(cdf_p, states, g_rng.random(rows.size))
-            t0[(t0 < 0) & (states == 0)] = k
-            ys = _draw_by_state(cdf_b, states, g_rng.random(rows.size))
-            unnorm = (beliefs @ p) * b_t[ys]
-            sigma = unnorm.sum(axis=1)
-            bad = ~((sigma > 0.0) & (sigma < np.inf))
-            if bad.any():
-                j = int(np.argmax(bad))
-                raise ZeroProbabilityError(
-                    f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
-                    f"{sigma[j]} after observation {int(ys[j])}"
-                )
-            beliefs = unnorm / sigma[:, None]
-            c_stop, c_cont = stage_cost_vectors(spec, model, beliefs, original=not transformed)
-            stop = deciders[members[0]](beliefs) == STOP
-            if len(members) > 1:
-                groups = {stop.tobytes(): (stop, [members[0]])}
-                for m in members[1:]:
-                    s = deciders[m](beliefs) == STOP
-                    groups.setdefault(s.tobytes(), (s, []))[1].append(m)
-                if len(groups) > 1:
-                    # fork.  The first group keeps rng, so it ends as policy 0's
-                    # solo run.  The stop masks differ, so at most one group stops
-                    # no row and keeps these arrays; settle copies them for the rest.
-                    for i, (s, group) in enumerate(groups.values()):
-                        ac = acc + disc * np.where(s, c_stop, c_cont)
-                        rest = settle(group, s, k, rows, states, beliefs, ac, t0)
-                        todo.append(
-                            (group, g_rng if i == 0 else copy.deepcopy(g_rng), k + 1, disc * rho, rest)
-                        )
-                    members = []  # its rows now belong to the groups just queued
-                    break
-            acc += disc * np.where(stop, c_stop, c_cont)
-            rows, states, beliefs, acc, t0 = settle(members, stop, k, rows, states, beliefs, acc, t0)
-            disc *= rho
-        for m in members:
-            costs[m, rows], tau0[m, rows], censored[m, rows] = acc, t0, True
+    # the rows some policy still runs, ascending, with their state, belief,
+    # tau0, running cost (the same for every policy still running the row)
+    # and which policies still run them
+    rows = np.arange(n)
+    states = _count_by_state(_cdf(priors), rows, rng.random(n))
+    beliefs, t0, acc = priors.copy(), np.where(states == 0, 0, -1), np.zeros(n)
+    alive = np.ones(shape, dtype=bool)
+    disc = 1.0
+    for k in range(1, max_steps + 1):
+        if rows.size == 0:
+            break
+        states = _count_by_state(cdf_p, states, rng.random(rows.size))
+        t0[(t0 < 0) & (states == 0)] = k
+        ys = _draw_by_state(cdf_b, states, rng.random(rows.size))
+        unnorm = (beliefs @ p) * b_t[ys]
+        sigma = unnorm.sum(axis=1)
+        bad = ~((sigma > 0.0) & (sigma < np.inf))
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ZeroProbabilityError(
+                f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
+                f"{sigma[j]} after observation {int(ys[j])}"
+            )
+        beliefs = unnorm / sigma[:, None]
+        c_stop, c_cont = stage_cost_vectors(spec, model, beliefs, original=not transformed)
+        stop = alive & (np.array([decide(beliefs) for decide in deciders]) == STOP)
+        if stop.any():
+            t, j = np.nonzero(stop)
+            done = rows[j]
+            costs[t, done] = acc[j] + disc * c_stop[j]
+            tau[t, done], tau0[t, done] = k, t0[j]
+            alive ^= stop  # stop lies inside alive
+            keep = alive.any(axis=0)
+            rows, states, beliefs, t0, acc, c_cont = (
+                rows[keep], states[keep], beliefs[keep], t0[keep], acc[keep], c_cont[keep]
+            )
+            alive = alive[:, keep]
+        acc += disc * c_cont
+        disc *= rho
+    t, j = np.nonzero(alive)
+    costs[t, rows[j]], tau0[t, rows[j]], censored[t, rows[j]] = acc[j], t0[j], True
     if not stacked:
         return BatchResult(costs=costs[0], tau=tau[0], tau0=tau0[0], censored=censored[0])
     return BatchResult(costs=costs, tau=tau, tau0=tau0, censored=censored)
@@ -341,9 +326,8 @@ def sample_change_times(
 ) -> np.ndarray:
     """First-hit times of the absorbing state for ``n`` independent chains
     (-1 when not absorbed within ``max_steps``)."""
-    pi0 = as_belief(model.initial)
-    cdf_p = np.cumsum(model.transition, axis=1)
-    states = np.searchsorted(np.cumsum(pi0), rng.random(n), side="left")
+    cdf_p = _cdf(model.transition)
+    states = np.searchsorted(_cdf(as_belief(model.initial)), rng.random(n), side="right")
     times = np.where(states == 0, 0, -1)
     rows = np.flatnonzero(states != 0)
     states = states[rows]

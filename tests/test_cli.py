@@ -482,6 +482,8 @@ NUMERIC_CONFIGS = {
              "priors": 5, "iterations": 1, "restarts": 1, "max_steps": 20},
     "simulate": {"model": SMALL_MODEL, "cost": SMALL_COST,
                  "policy": {"theta": [0.3]}, "trajectories": 10},
+    "sweep": {"cost": SMALL_COST, "grid": {"m": 10},
+              "models": [{"label": "a", "model": SMALL_MODEL}]},
 }
 
 
@@ -512,6 +514,23 @@ NUMERIC_CONFIGS = {
         ("spsa", {"max_steps": 0}, "config.max_steps: expected an integer >= 1, got 0"),
         ("simulate", {"max_steps": 0}, "config.max_steps: expected an integer >= 1, got 0"),
         ("simulate", {"record": -1}, "config.record: expected an integer >= 0, got -1"),
+        ("spsa", {"iterations": 0, "init_phi": [0.1, 0.2, 0.3]},
+         "config.init_phi: expected 1 numbers, got [0.1, 0.2, 0.3]"),
+        ("spsa", {"iterations": 0, "init_phi": "abc"}, "config.init_phi: not a numeric array"),
+        ("simulate", {"policy": "theta"},
+         "config.policy: expected an object with 'theta' or 'solution', got 'theta'"),
+        ("simulate", {"policy": 5},
+         "config.policy: expected an object with 'theta' or 'solution', got 5"),
+        ("simulate", {"policy": {"solution": 5}},
+         "config.policy.solution: expected a file path, got 5"),
+        ("sweep", {"models": [3]}, "config.models[0]: expected an object, got 3"),
+        ("sweep", {"cost": "quickest"}, "cost: expected an object, got 'quickest'"),
+        ("solve", {"cost": {**SMALL_COST, "family": ["quickest_classical"]}},
+         "cost.family: unknown family ['quickest_classical']"),
+        ("solve", {"model": {**SMALL_MODEL, "observation": "gaussian"}},
+         "model.observation: expected an object with 'discrete' or 'gaussian', got 'gaussian'"),
+        ("solve", {"model": {**SMALL_MODEL, "observation": {"gaussian": {"means": "a"}}}},
+         "model.observation.gaussian.means: not a numeric array"),
     ],
 )
 def test_numeric_fields_exit_2_with_their_path(tmp_path, capsys, command, patch, message):

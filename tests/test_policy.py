@@ -184,18 +184,29 @@ def _noisy_spsa_case(staged_model):
     return m, spec, priors, pol.SpsaParams(step=0.15, stability=10.0, perturb=0.1)
 
 
-def test_spsa_pair_in_one_batch_matches_two_sequential_calls(staged_model):
+def test_spsa_pair_shares_one_sample_path(staged_model):
     m, spec, priors, params = _noisy_spsa_case(staged_model)
-
-    def sequential(phi, rng):
-        policy = pol.LinearThresholdPolicy(pol.phi_to_theta(phi))
-        return pol.sample_cost(policy, m, spec, priors, rng, max_steps=200)
-
-    args = (m, spec, [0.3, 0.8], 15, params, priors)
-    got = pol.spsa_optimize(*args, np.random.default_rng(8), max_steps=200)
-    want = pol.spsa_optimize(*args, np.random.default_rng(8), cost_fn=sequential)
-    assert np.array_equal(got.phi_trace, want.phi_trace)
-    assert np.array_equal(got.costs, want.costs)
+    got = pol.spsa_optimize(
+        m, spec, [0.3, 0.8], 15, params, priors, np.random.default_rng(8), max_steps=200
+    )
+    # the same iterations, each pair priced by one stacked batch on its seed
+    rng, phi = np.random.default_rng(8), np.array([0.3, 0.8])
+    for n in range(15):
+        delta_n = params.perturb / (n + 1.0) ** params.perturb_decay
+        direction = rng.integers(0, 2, size=2) * 2 - 1
+        seed = int(rng.integers(0, 2**63 - 1))
+        pair = [pol.LinearThresholdPolicy(pol.phi_to_theta(phi + s * delta_n * direction))
+                for s in (1, -1)]
+        j_plus, j_minus = pol.sample_cost(
+            pair, m, spec, priors, np.random.default_rng(seed), max_steps=200
+        )
+        assert pol.sample_cost(
+            pair[::-1], m, spec, priors, np.random.default_rng(seed), max_steps=200
+        ) == [j_minus, j_plus]
+        assert got.costs[n] == 0.5 * (j_plus + j_minus)
+        step_n = params.step / (n + 2.0 + params.stability) ** params.step_decay
+        phi = phi - step_n * ((j_plus - j_minus) / (2.0 * delta_n) * direction)
+        assert np.array_equal(got.phi_trace[n + 1], phi)
     assert not np.all(got.phi_trace[1:] == got.phi_trace[:-1])  # some J+ != J-
 
 
@@ -204,14 +215,16 @@ def test_restarts_scored_in_one_batch_match_a_per_restart_loop(staged_model):
 
     def reference(rng, restarts=4, iterations=5, max_steps=200):
         eval_seed = int(rng.integers(0, 2**63 - 1))
-        results, scores = [], []
+        results = []
         for _ in range(restarts):
             init = rng.normal(0.0, 1.0, size=2)
-            res = pol.spsa_optimize(m, spec, init, iterations, params, priors, rng, max_steps=max_steps)
-            results.append(res)
-            scores.append(pol.sample_cost(
-                res.policy, m, spec, priors, np.random.default_rng(eval_seed), max_steps=max_steps
+            results.append(pol.spsa_optimize(
+                m, spec, init, iterations, params, priors, rng, max_steps=max_steps
             ))
+        scores = pol.sample_cost(
+            [res.policy for res in results], m, spec, priors,
+            np.random.default_rng(eval_seed), max_steps=max_steps,
+        )
         best = next(r for r, s in enumerate(scores) if s == min(scores))
         return results[best], scores[best], scores
 
@@ -225,12 +238,16 @@ def test_restarts_scored_in_one_batch_match_a_per_restart_loop(staged_model):
     assert np.array_equal(got.costs, want.costs)
 
 
-def test_sample_cost_of_a_list_matches_solo_calls(staged_model):
+def test_sample_cost_of_a_list_shares_one_sample_path(staged_model):
     m, spec, priors, _ = _noisy_spsa_case(staged_model)
+    # the first policy's stop region lies inside the second's
     policies = [pol.LinearThresholdPolicy(np.array(th)) for th in ([1.2, 0.3], [1.5, 0.6])]
-    got = pol.sample_cost(policies, m, spec, priors, np.random.default_rng(3), max_steps=200)
-    want = [
-        pol.sample_cost(p, m, spec, priors, np.random.default_rng(3), max_steps=200)
-        for p in policies
-    ]
-    assert got == want and got[0] != got[1]
+    got = pol.sample_cost(
+        policies + policies[:1], m, spec, priors, np.random.default_rng(3), max_steps=200
+    )
+    solo = pol.sample_cost(policies[0], m, spec, priors, np.random.default_rng(3), max_steps=200)
+    assert got[0] == got[2] == solo and got[0] != got[1]
+    flipped = pol.sample_cost(
+        policies[::-1], m, spec, priors, np.random.default_rng(3), max_steps=200
+    )
+    assert flipped == got[1::-1]

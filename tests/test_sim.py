@@ -373,19 +373,56 @@ def test_draw_by_state_matches_counting():
         pmf[2, 0] = 0.0  # and one at its start: the CDF starts at 0
         pmf[3, -1] = 0.0  # and one at its end
         pmf /= pmf.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(pmf, axis=1)
-        # every entry of every row as a uniform, then random ones: the tie
-        # u == cdf counts as "not above", so on a run of equal entries (a
-        # zero-probability column) the draw is the first of them
+        cdf = sim._cdf(pmf)
+        # every entry below 1 of every row as a uniform, then random ones: the
+        # tie u == cdf counts as "at or below", so on a run of equal entries (a
+        # zero-probability column) the draw is the column after the run
         states = np.concatenate([np.repeat(np.arange(5), cols), rng.integers(0, 5, size=500)])
         u = np.concatenate([cdf.ravel(), rng.random(500)])
-        want = (u[:, None] > cdf[states]).sum(axis=1)
-        first = np.array([np.searchsorted(cdf[s], v, side="left") for s, v in zip(states, u)])
+        states, u = states[u < 1.0], u[u < 1.0]
+        want = (u[:, None] >= cdf[states]).sum(axis=1)
+        first = np.array([np.searchsorted(cdf[s], v, side="right") for s, v in zip(states, u)])
         assert np.array_equal(want, first)
-        assert want[0] == 0 and want[2 * cols] == 0  # u = 1 on the absorbing row, u = 0 on row 2
+        assert pmf[states, want].min() > 0.0  # never a zero-probability column
         for draw in (sim._draw_by_state, sim._count_by_state):
             got = draw(cdf, states, u)
             assert got.dtype == np.intp and np.array_equal(got, want), (draw.__name__, cols)
+
+
+class Uniforms:
+    """A generator stand-in that returns the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self, size=None):
+        if size is None:
+            return next(self.values)
+        return np.array([next(self.values) for _ in range(size)])
+
+
+def test_draws_at_the_ends_of_the_unit_interval(three_state_model):
+    # fig3a's chain: its initial belief and its state-3 transition row start
+    # with a zero-probability column, and the cumulative sum of its state-1
+    # observation row ends at 1 - 2**-53, the largest value rng.random() returns
+    m = three_state_model
+    b = m.discrete_obs().matrix
+    top = 1.0 - 2.0**-53
+    assert np.cumsum(b[0])[-1] == top
+    for draw in (sim._draw_by_state, sim._count_by_state):
+        assert draw(sim._cdf([[0.0, 0.5, 0.5]]), np.array([0]), np.array([0.0]))[0] == 1
+    # x_0 = 3, then u = 0 moves 3 -> 2 -> 1, and state 1 draws a symbol at u = top
+    uniforms = [0.0, 0.0, 0.5, 0.0, top]
+    traj = sim.sample_trajectory(m, never_stop, max_steps=2, rng=Uniforms(uniforms))
+    assert list(traj.states) == [3, 2, 1] and traj.tau0 == 2
+    y = int(traj.observations[-1])
+    assert y < b.shape[1] and b[0, y] > 0.0
+    spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
+    batch = sim.simulate_batch(
+        m, spec, never_stop, np.array([m.initial]), Uniforms(uniforms), max_steps=2
+    )
+    assert batch.tau0[0] == 2 and batch.censored[0]
+    assert sim.sample_change_times(m, 1, Uniforms([0.0] * 3), max_steps=2)[0] == 2
 
 
 def test_batch_nan_prior_raises_zero_probability(geometric_model):
@@ -418,25 +455,36 @@ def test_sample_trajectory_filters_with_its_bins(three_state_model):
 
 
 # ---------------------------------------------------------------------------
-# A list of policies in one batch: each row equals the policy's solo run
+# A list of policies in one batch: every policy runs on the same sample paths
 
 
-def assert_stack_matches_solo(model_, spec, policies, priors, seed, **kw):
-    """Row t of the stacked batch equals policy t's solo run on a fresh
-    generator from ``seed``, and the caller's generator ends as policy 0's."""
+def batch_row(batch, t):
+    return sim.BatchResult(batch.costs[t], batch.tau[t], batch.tau0[t], batch.censored[t])
+
+
+def assert_shared_paths(model_, spec, policies, inner, priors, seed, **kw):
+    """Check a stacked batch of ``policies`` whose stop regions all contain
+    the region of ``policies[inner]``, and return it.
+
+    (a) The inner policy's row equals its solo run on a fresh generator from
+    ``seed``, and the caller's generator ends where that run leaves it.
+    (b) Every policy stops each row no later than the inner one.
+    (c) Reversing the list reverses the rows.
+    """
     rng = np.random.default_rng(seed)
-    stacked = sim.simulate_batch(model_, spec, policies, priors, rng, **kw)
-    assert stacked.costs.shape == (len(policies), len(priors))
-    for t, policy in enumerate(policies):
-        solo_rng = np.random.default_rng(seed)
-        solo = sim.simulate_batch(model_, spec, policy, priors, solo_rng, **kw)
-        row = sim.BatchResult(
-            stacked.costs[t], stacked.tau[t], stacked.tau0[t], stacked.censored[t]
-        )
-        assert_batches_equal(row, solo)
-        if t == 0:
-            assert rng.bit_generator.state == solo_rng.bit_generator.state
-    return stacked
+    batch = sim.simulate_batch(model_, spec, policies, priors, rng, **kw)
+    assert batch.costs.shape == (len(policies), len(priors))
+    solo_rng = np.random.default_rng(seed)
+    solo = sim.simulate_batch(model_, spec, policies[inner], priors, solo_rng, **kw)
+    assert_batches_equal(batch_row(batch, inner), solo)
+    assert rng.bit_generator.state == solo_rng.bit_generator.state
+    assert np.all(batch.tau <= batch.tau[inner])
+    flipped = sim.simulate_batch(
+        model_, spec, policies[::-1], priors, np.random.default_rng(seed), **kw
+    )
+    for t in range(len(policies)):
+        assert_batches_equal(batch_row(flipped, len(policies) - 1 - t), batch_row(batch, t))
+    return batch
 
 
 def fork_step(batch, s, t):
@@ -452,23 +500,54 @@ def test_stacked_policies_fork_at_step_one(geometric_model):
     )
     priors = np.tile([0.0, 1.0], (300, 1))
     mixed = lambda pi: 1 if pi[0] > 0.95 else 2
-    batch = assert_stack_matches_solo(
-        geometric_model, spec, (always_stop, never_stop, mixed, always_stop), priors, 3,
+    # stop regions: never_stop's (empty) inside mixed's inside always_stop's
+    batch = assert_shared_paths(
+        geometric_model, spec, (always_stop, never_stop, mixed, always_stop), 1, priors, 3,
         max_steps=20,
     )
     assert fork_step(batch, 0, 1) == 1 and batch.censored[1].all()
     assert fork_step(batch, 0, 2) == 1 and fork_step(batch, 0, 3) is None
+    assert_batches_equal(batch_row(batch, 0), batch_row(batch, 3))
 
 
 def test_stacked_linear_policies_fork_mid_run(staged_model):
     m = staged_model(0.2)
     spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
     priors = np.tile(m.initial, (200, 1))
-    thetas = ([1.2, 0.3], [1.2, 0.31], [1.5, 0.6], [1.2, 0.3])  # the last repeats the first
+    # nested stop regions, innermost first; the last repeats the first
+    thetas = ([1.2, 0.3], [1.2, 0.31], [1.5, 0.6], [1.2, 0.3])
     policies = [pol.LinearThresholdPolicy(np.array(th)) for th in thetas]
-    batch = assert_stack_matches_solo(m, spec, policies, priors, 1, max_steps=300)
-    assert fork_step(batch, 0, 1) > 2
-    assert fork_step(batch, 1, 2) is not None and fork_step(batch, 0, 3) is None
+    batch = assert_shared_paths(m, spec, policies, 0, priors, 1, max_steps=300)
+    assert fork_step(batch, 0, 1) > 2 and fork_step(batch, 1, 2) is not None
+    assert np.all(batch.tau[2] <= batch.tau[1])
+    assert_batches_equal(batch_row(batch, 0), batch_row(batch, 3))
+
+
+def test_nested_policies_stop_in_order_on_shared_paths():
+    # fig3a's chain with observation variance 0.3: the larger stop region
+    # never stops a row later
+    m = model.DetectionModel(
+        [[1, 0, 0], [0.3, 0.1, 0.6], [0, 0.02, 0.98]],
+        [0, 0, 1],
+        model.discretize_gaussian(model.GaussianObs([0.0, 1.0, 1.0], [0.3, 0.3, 0.3]), 101),
+    )
+    spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
+    policies = [pol.LinearThresholdPolicy(np.array(th)) for th in ([1.2, 0.3], [1.2, 0.5])]
+    priors = np.tile(m.initial, (300, 1))
+    for seed in range(5):
+        batch = assert_shared_paths(m, spec, policies, 0, priors, seed, max_steps=500)
+        assert np.any(batch.tau[1] < batch.tau[0])
+
+
+class Intersection:
+    """Stops exactly where every one of ``policies`` stops."""
+
+    def __init__(self, *policies):
+        self.deciders = [sim._batch_decider(p) for p in policies]
+
+    def batch_decide(self, pts):
+        stop = np.all([decide(pts) == dp.STOP for decide in self.deciders], axis=0)
+        return np.where(stop, dp.STOP, dp.CONTINUE)
 
 
 @pytest.fixture(scope="module")
@@ -489,10 +568,14 @@ def test_stacked_grid_linear_and_callable_policies(noisy_grid_policy, transforme
     priors = np.tile(m.initial, (500, 1))
     linear = pol.LinearThresholdPolicy(np.array([1.2, 0.4]))
     callable_ = lambda pi: 1 if pi[0] > 0.6 else 2
-    policies = [grid_policy, linear, callable_, grid_policy, linear]
-    batch = assert_stack_matches_solo(m, spec, policies, priors, 5, transformed=transformed)
+    inner = Intersection(grid_policy, linear, callable_)
+    policies = [grid_policy, linear, callable_, grid_policy, inner, linear]
+    batch = assert_shared_paths(m, spec, policies, 4, priors, 5, transformed=transformed)
     assert fork_step(batch, 0, 1) > 1 and fork_step(batch, 0, 2) > 1
-    assert fork_step(batch, 0, 3) is None and fork_step(batch, 1, 4) is None
+    assert fork_step(batch, 0, 4) is not None
+    assert_batches_equal(batch_row(batch, 0), batch_row(batch, 3))
+    assert_batches_equal(batch_row(batch, 1), batch_row(batch, 5))
+    assert batch.tau.max() < 1000  # the derived cap, not the 500 default or 10 000
 
 
 def test_single_policy_keeps_its_shapes(three_state_model):
@@ -502,6 +585,6 @@ def test_single_policy_keeps_its_shapes(three_state_model):
     solo = sim.simulate_batch(three_state_model, spec, linear, priors, np.random.default_rng(4))
     for field in ("costs", "tau", "tau0", "censored"):
         assert getattr(solo, field).shape == (50,), field
-    assert_stack_matches_solo(three_state_model, spec, [linear], priors, 4)
+    assert_shared_paths(three_state_model, spec, [linear], 0, priors, 4)
     with pytest.raises(ValueError, match="at least one policy"):
         sim.simulate_batch(three_state_model, spec, [], priors, np.random.default_rng(4))
