@@ -133,10 +133,16 @@ _FAMILIES = {
     "scheduling": (Scheduling, ["alpha1", "alpha2", "c1", "c2", "g", "rho", "obs_hi", "confusion"]),
 }
 
-_ARRAY_FIELDS = {"false_alarm", "delays", "local_costs", "c1", "c2", "g", "confusion"}
+# array fields and their dimension (their sizes are checked against the
+# models in _spec); every other field but the include_welfare flag is a number
+_ARRAY_FIELDS = {
+    "false_alarm": 1, "delays": 1, "c1": 1, "c2": 1, "g": 1,
+    "local_costs": 2, "confusion": 2, "obs_hi": 2,
+}
 
 
-def parse_cost(cfg: dict, where: str = "cost") -> object:
+def parse_cost(cfg: dict, where: str = "config.cost") -> object:
+    """Parse a cost spec.  An array field set to ``null`` takes the family's default."""
     family = _need(cfg, "family", where)
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(f"{where}.family: unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
@@ -146,10 +152,22 @@ def parse_cost(cfg: dict, where: str = "cost") -> object:
         if key not in cfg:
             continue
         value = cfg[key]
-        if key == "obs_hi":
-            value = DiscreteObs(_matrix(value, f"{where}.obs_hi"))
-        elif key in _ARRAY_FIELDS and value is not None:
+        if key in _ARRAY_FIELDS:
+            if value is None:
+                continue
             value = _matrix(value, f"{where}.{key}")
+            if value.ndim != _ARRAY_FIELDS[key]:
+                noun = "a vector" if _ARRAY_FIELDS[key] == 1 else "a matrix"
+                raise ConfigError(f"{where}.{key}: expected {noun}, got {cfg[key]!r}")
+            if key == "obs_hi":
+                try:
+                    value = DiscreteObs(value)
+                except ValueError as exc:
+                    raise ConfigError(f"{where}.obs_hi: {exc}") from None
+        elif key != "include_welfare":
+            value = _number(cfg, key, None, float, where)
+        elif not isinstance(value, bool):
+            raise ConfigError(f"{where}.include_welfare: expected true or false, got {value!r}")
         kwargs[key] = value
     unknown = set(cfg) - set(fields) - {"family"}
     if unknown:
@@ -206,6 +224,27 @@ def _model(cfg: dict, model_cfg: dict, where: str = "model", validate: bool = Tr
     return model
 
 
+def _array_shapes(spec, model: DetectionModel):
+    """``(field, shape, expected shape, meaning)`` for each array field of
+    ``spec`` whose size depends on the model."""
+    x, y = model.n_states, model.obs.matrix.shape[1]
+    for key in ("false_alarm", "delays", "c1", "c2", "g"):
+        if getattr(spec, key, None) is not None:
+            yield key, getattr(spec, key).shape, (x,), "one entry per state"
+    if hasattr(spec, "local_costs"):
+        # constrained-social has one local action per symbol
+        shape = spec.local_costs.shape
+        if spec.family == "constrained_social":
+            yield "local_costs", shape, (x, y), "states x symbols"
+        else:
+            yield "local_costs", shape, (x, shape[1]), "one row per state"
+    if hasattr(spec, "obs_hi"):
+        shape = spec.obs_hi.matrix.shape
+        yield "obs_hi", shape, (x, shape[1]), "one row per state"
+        if spec.confusion is not None:
+            yield "confusion", spec.confusion.shape, (shape[1], y), "mode-2 symbols x mode-1 symbols"
+
+
 def _spec(cfg: dict, models: list, batch_command: str | None = None):
     """Parse the cost spec and check it against the models it runs with.
 
@@ -218,15 +257,11 @@ def _spec(cfg: dict, models: list, batch_command: str | None = None):
             f"config.cost.family: {batch_command} supports {list(sim.BATCH_FAMILIES)}, "
             f"not {spec.family!r}"
         )
-    if hasattr(spec, "local_costs"):
-        # one row per state; constrained-social also one local action per symbol
-        costs, symbols = spec.local_costs, spec.family == "constrained_social"
-        for model in models:
-            want = (model.n_states, model.obs.matrix.shape[1] if symbols else costs.shape[1])
-            if costs.shape != want:
+    for model in models:
+        for key, shape, want, meaning in _array_shapes(spec, model):
+            if shape != want:
                 raise ConfigError(
-                    f"config.cost.local_costs: expected shape {want} "
-                    f"({'states x symbols' if symbols else 'one row per state'}), got {costs.shape}"
+                    f"config.cost.{key}: expected shape {want} ({meaning}), got {shape}"
                 )
     return spec
 
@@ -290,6 +325,13 @@ def cmd_sweep(cfg: dict, out_dir: Path, name: str) -> int:
     if not isinstance(entries, list) or not entries:
         raise ConfigError("config.models: expected a non-empty list of {label, model} objects")
     labels = [str(_need(e, "label", f"config.models[{k}]")) for k, e in enumerate(entries)]
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            # each label names its solution file
+            raise ConfigError(
+                f"config.models[{k}].label: {label!r} is already the label of "
+                f"config.models[{labels.index(label)}]"
+            )
     models = [
         _model(cfg, _need(e, "model", f"config.models[{k}]"), f"models[{k}].model")
         for k, e in enumerate(entries)

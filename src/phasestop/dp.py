@@ -7,7 +7,8 @@ linear stopping offset), and runs value iteration of one Bellman operator,
 Each cost family supplies two actions, each a stage cost with the grid
 indices and sigma-weights of its successor beliefs (projected to the
 nearest grid point); stopping is an action with no successors, and the
-scheduling family's two modes differ in their observation matrix.
+scheduling family's two modes differ in their observation matrix.  The
+Bayes step and the social action rule come from :mod:`phasestop.filters`.
 Structural analysis helpers check connectedness, convexity, and
 single-crossing of the policy along vertex-anchored lines.
 """
@@ -21,6 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .filters import bayes_step, social_likelihoods, social_scores
 from .model import (
     ConstrainedSocial,
     CostSpec,
@@ -202,16 +204,10 @@ def build_grid(n_states: int, m: int) -> SimplexGrid:
 # Stage costs
 
 
-def _symbol_scores(costs: np.ndarray, b: np.ndarray, pts: np.ndarray):
-    """Myopic local-action scores ``pi' (B_y o c)``, one (N, A) array per symbol y."""
-    for y in range(b.shape[1]):
-        yield pts @ (b[:, y : y + 1] * costs)
-
-
 def _welfare_term(costs: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Expected myopic local cost: sum over symbols of min_a c_a' (B_y o pi)."""
+    """Expected myopic local cost: sum over symbols of min_a pi' (B_y o c_a)."""
     total = np.zeros(pts.shape[0])
-    for scores in _symbol_scores(costs, b, pts):
+    for scores in social_scores(costs, b, pts):
         total += scores.min(axis=1)
     return total
 
@@ -354,29 +350,16 @@ def _project(grid: SimplexGrid, beliefs: np.ndarray, interpolate: bool):
 
 def _successors(grid: SimplexGrid, pred: np.ndarray, liks, interpolate: bool):
     """Grid indices and sigma-weights of the successors ``pred * lik``, one
-    branch per likelihood in ``liks``; a zero-sigma branch goes to point 0."""
+    branch per likelihood in ``liks``; a zero or NaN sigma sends the branch to
+    point 0."""
     idx_parts, w_parts = [], []
     for lik in liks:
-        unnorm = pred * lik
-        sigma = unnorm.sum(axis=1)
-        safe = np.where(sigma > 0.0, sigma, 1.0)
-        nxt = unnorm / safe[:, None]
-        nxt[sigma <= 0.0] = grid.points[0]
+        nxt, sigma = bayes_step(pred, lik)
+        nxt[~(sigma > 0.0)] = grid.points[0]
         idx, w = _project(grid, nxt, interpolate)
         idx_parts.append(idx)
         w_parts.append(w * sigma[:, None])
     return np.concatenate(idx_parts, axis=1), np.concatenate(w_parts, axis=1)
-
-
-def _social_likelihoods(spec: SocialStopping, b: np.ndarray, pts: np.ndarray):
-    """Likelihood of each broadcast local action: the sum of the columns of
-    ``b`` whose symbol makes that action myopically optimal at the belief."""
-    chosen = np.stack([s.argmin(axis=1) for s in _symbol_scores(spec.local_costs, b, pts)], axis=1)
-    for a in range(spec.local_costs.shape[1]):
-        lik = np.zeros(pts.shape)
-        for y in range(b.shape[1]):
-            lik[chosen[:, y] == a] += b[:, y][None, :]
-        yield lik
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +405,7 @@ def _bellman_setup(model, spec, grid, offset, interpolate):
         # factor, which is exactly the offset
         init = np.zeros(grid.n_points)
     elif isinstance(spec, SocialStopping):
-        pred, liks = pts, _social_likelihoods(spec, b, pts)
+        pred, liks = pts, social_likelihoods(spec.local_costs, b, pts)
     elif isinstance(spec, ConstrainedSocial):
         pred, liks = pts, b.T
     else:

@@ -1,8 +1,12 @@
-"""Belief-state recursions: HMM filter, social-learning filter, risk-sensitive filter.
+"""Belief-state recursions: the one Bayes step and the one social action rule.
 
-All updates are pure functions of their inputs.  A zero normalization means
-the conditioning event is impossible from the given belief; that is surfaced
-as :class:`ZeroProbabilityError` rather than silently renormalized.
+:func:`bayes_step` corrects a prediction by a likelihood for every belief
+recursion in the package: the HMM, risk-sensitive and social filters here,
+the grid solver's successors and the batch simulator.  Each caller forms its
+own prediction and handles a zero or NaN normalisation; the filters here
+raise :class:`ZeroProbabilityError`.  :func:`social_scores` and
+:func:`social_likelihoods` are the myopic social action rule on a stack of
+beliefs, used by the solver and by the one-belief helpers below.
 """
 
 from __future__ import annotations
@@ -24,16 +28,34 @@ class FilterOutput:
     norm: float
 
 
+def bayes_step(pred, lik):
+    """Bayes correction of the prediction ``pred`` by the likelihood ``lik``.
+
+    Returns ``(pred * lik / sigma, sigma)``, ``sigma`` being the sum over the
+    last axis, for one belief or a stack of rows (``lik`` broadcasts against
+    ``pred``).  A row whose ``sigma`` is zero or NaN is returned undivided;
+    what that means is up to the caller.
+    """
+    unnorm = pred * lik
+    sigma = unnorm.sum(axis=-1)
+    return unnorm / np.where(sigma > 0.0, sigma, 1.0)[..., None], sigma
+
+
+def _output(step, event: str, p: np.ndarray) -> FilterOutput:
+    """The :func:`bayes_step` result ``step`` from ``p``; a zero or NaN sigma
+    means ``event`` is impossible from ``p``."""
+    nxt, sigma = step
+    if not sigma > 0.0:
+        raise ZeroProbabilityError(f"{event} impossible from belief {p}")
+    return FilterOutput(nxt, float(sigma))
+
+
 def hmm_update(pi, y: int, model: DetectionModel) -> FilterOutput:
     """One Bayesian filter step: predict through the chain, correct by symbol
     ``y`` of the model's observation matrix."""
     p = as_belief(pi)
     b = model.discrete_obs().matrix
-    unnorm = b[:, y] * (model.transition.T @ p)
-    sigma = float(unnorm.sum())
-    if sigma <= 0.0:
-        raise ZeroProbabilityError(f"observation {y} impossible from belief {p}")
-    return FilterOutput(unnorm / sigma, sigma)
+    return _output(bayes_step(model.transition.T @ p, b[:, y]), f"observation {y}", p)
 
 
 def risk_update(pi, y: int, model: DetectionModel, spec: RiskSensitive) -> FilterOutput:
@@ -42,11 +64,7 @@ def risk_update(pi, y: int, model: DetectionModel, spec: RiskSensitive) -> Filte
     p = as_belief(pi)
     b = model.discrete_obs().matrix
     _, r2 = spec.scalings(model.transition)
-    unnorm = b[:, y] * (model.transition.T @ (r2 * p))
-    sigma = float(unnorm.sum())
-    if sigma <= 0.0:
-        raise ZeroProbabilityError(f"observation {y} impossible from belief {p}")
-    return FilterOutput(unnorm / sigma, sigma)
+    return _output(bayes_step(model.transition.T @ (r2 * p), b[:, y]), f"observation {y}", p)
 
 
 # ---------------------------------------------------------------------------
@@ -117,39 +135,48 @@ def social_fixed_points_from(costs: np.ndarray, b: np.ndarray) -> tuple[float, f
     return float(eta1), float(eta2), float(eta3)
 
 
-def social_local_action(pi, y: int, ctx: SocialContext) -> int:
-    """Myopic local action (1-based) after privately updating ``pi`` by ``y``.
+def social_scores(costs: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Myopic local-action scores ``pi' (B_y o c)``, shape (Y, N, A): the
+    expected cost of local action ``a + 1`` after privately updating belief
+    row ``n`` by symbol ``y``, times that update's normalisation."""
+    # NumPy sends a one-row product to BLAS gemv, which can round differently
+    # from the rows of a taller (gemm) product; two rows keep one belief on gemm
+    rows = np.vstack([pts, pts]) if pts.shape[0] == 1 else pts
+    return np.stack([rows @ (b[:, y : y + 1] * costs) for y in range(b.shape[1])])[:, : len(pts)]
 
-    Ties break toward the smaller action index.
-    """
+
+def social_likelihoods(costs: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Per-state likelihood of each broadcast local action, shape (A, N, X):
+    the sum of the columns of ``b`` whose symbol makes that action myopically
+    optimal at the row's belief.  Ties go to the smaller action index."""
+    chosen = social_scores(costs, b, pts).argmin(axis=2)  # (Y, N)
+    lik = np.zeros((costs.shape[1],) + pts.shape)
+    rows = np.arange(pts.shape[0])
+    for y in range(b.shape[1]):
+        lik[chosen[y], rows] += b[:, y]
+    return lik
+
+
+def social_local_action(pi, y: int, ctx: SocialContext) -> int:
+    """Myopic local action (1-based) after privately updating ``pi`` by ``y``:
+    the rule of :func:`social_scores` at one belief."""
     p = as_belief(pi)
-    eta = ctx.obs.matrix[:, y] * p
-    total = float(eta.sum())
-    if total <= 0.0:
-        raise ZeroProbabilityError(f"observation {y} impossible from belief {p}")
-    scores = ctx.local_costs.T @ eta
-    return int(np.argmin(scores)) + 1
+    column = ctx.obs.matrix[:, y : y + 1]
+    _output(bayes_step(p, column[:, 0]), f"observation {y}", p)
+    return int(social_scores(ctx.local_costs, column, p[None, :])[0, 0].argmin()) + 1
 
 
 def social_action_likelihood(pi, a: int, ctx: SocialContext) -> np.ndarray:
     """Per-state probability that an agent holding public belief ``pi``
-    broadcasts action ``a``: sums observation rows over the symbols mapped
-    to ``a`` by the myopic rule."""
+    broadcasts action ``a`` (zero for an action outside ``1..A``): the rule of
+    :func:`social_likelihoods` at one belief."""
     p = as_belief(pi)
-    b = ctx.obs.matrix
-    out = np.zeros(p.size)
-    for y in range(b.shape[1]):
-        if social_local_action(p, y, ctx) == a:
-            out += b[:, y]
-    return out
+    if not 1 <= a <= ctx.n_actions:
+        return np.zeros(p.size)
+    return social_likelihoods(ctx.local_costs, ctx.obs.matrix, p[None, :])[a - 1, 0]
 
 
 def social_update(pi, a: int, ctx: SocialContext) -> FilterOutput:
     """Public-belief update after observing broadcast action ``a``."""
     p = as_belief(pi)
-    lik = social_action_likelihood(p, a, ctx)
-    unnorm = lik * p
-    sigma = float(unnorm.sum())
-    if sigma <= 0.0:
-        raise ZeroProbabilityError(f"action {a} impossible from public belief {p}")
-    return FilterOutput(unnorm / sigma, sigma)
+    return _output(bayes_step(p, social_action_likelihood(p, a, ctx)), f"action {a}", p)

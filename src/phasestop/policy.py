@@ -90,14 +90,14 @@ def line_monotonicity_violations(
     theta,
     rng: np.random.Generator | None = None,
     n_lines: int = 0,
-    include_vertex_lines: bool = True,
     tol: float = 1e-12,
 ) -> list[str]:
     """Witnesses that the threshold score fails to be monotone on some
     vertex-anchored line, or that the first vertex is not in the stop set.
 
-    Feasible coefficients produce no witnesses; every infeasible vector
-    produces at least one when the vertex-anchored lines are included.
+    The lines checked run from each vertex, plus ``n_lines`` random ones drawn
+    from ``rng``.  Feasible coefficients produce no witnesses; every
+    infeasible vector produces at least one.
     """
     t = np.asarray(theta, dtype=float)
     pol = LinearThresholdPolicy(t)
@@ -107,17 +107,9 @@ def line_monotonicity_violations(
     if intercept <= tol:
         out.append("first vertex not in the stopping set (intercept <= 0)")
 
-    bases_hi: list[np.ndarray] = []
-    bases_lo: list[np.ndarray] = []
-    if include_vertex_lines:
-        for j in range(x - 1):
-            e = np.zeros(x)
-            e[j] = 1.0
-            bases_hi.append(e)
-        for j in range(1, x):
-            e = np.zeros(x)
-            e[j] = 1.0
-            bases_lo.append(e)
+    eye = np.eye(x)
+    bases_hi = list(eye[: x - 1])
+    bases_lo = list(eye[1:])
     if rng is not None and n_lines > 0:
         for _ in range(n_lines):
             w = rng.dirichlet(np.ones(x - 1))
@@ -281,19 +273,16 @@ def optimize_with_restarts(
     priors: np.ndarray,
     rng: np.random.Generator,
     restarts: int = 5,
-    init_scale: float = 1.0,
-    eval_seed: int | None = None,
-    eval_priors: np.ndarray | None = None,
     max_steps: int | None = None,
 ) -> tuple[SpsaResult, float]:
-    """Run SPSA from several random initial points and keep the cheapest
-    final policy, scored on a shared evaluation seed."""
+    """Run SPSA from several standard-normal initial points and keep the
+    cheapest final policy, scored on ``priors`` with a shared evaluation seed
+    drawn from ``rng`` first."""
     dim = model.n_states - 1
-    eval_priors = priors if eval_priors is None else eval_priors
-    eval_seed = int(rng.integers(0, 2**63 - 1)) if eval_seed is None else eval_seed
+    eval_seed = int(rng.integers(0, 2**63 - 1))
     results = []
     for _ in range(max(1, restarts)):
-        init = rng.normal(0.0, init_scale, size=dim)
+        init = rng.normal(0.0, 1.0, size=dim)
         results.append(
             spsa_optimize(model, spec, init, iterations, params, priors, rng, max_steps=max_steps)
         )
@@ -302,7 +291,7 @@ def optimize_with_restarts(
         [res.policy for res in results],
         model,
         spec,
-        eval_priors,
+        priors,
         np.random.default_rng(eval_seed),
         max_steps=max_steps,
     )

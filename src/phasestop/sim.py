@@ -28,6 +28,7 @@ from .dp import STOP, stage_cost_vectors
 from .filters import (
     SocialContext,
     ZeroProbabilityError,
+    bayes_step,
     hmm_update,
     social_local_action,
     social_update,
@@ -38,6 +39,8 @@ DETECTION_MAX_STEPS = 10_000
 # the additive-cost families driven by the plain Bayesian filter
 BATCH_FAMILIES = ("quickest_predictive", "quickest_classical", "transient")
 SOCIAL_MAX_STEPS = 1_000
+# a discounted batch runs until the largest stage cost, discounted, falls below this
+TRUNCATION_TOL = 1e-8
 
 
 @dataclass
@@ -222,7 +225,6 @@ def simulate_batch(
     rng: np.random.Generator,
     max_steps: int | None = None,
     transformed: bool = True,
-    truncation_tol: float = 1e-8,
 ) -> BatchResult:
     """Simulate one trajectory per prior row, accumulating discounted stage costs.
 
@@ -260,7 +262,7 @@ def simulate_batch(
             max_steps = 500
         else:
             bound = _stage_cost_bound(spec, model)
-            max_steps = int(np.ceil(np.log(truncation_tol / max(bound, 1e-12)) / np.log(rho)))
+            max_steps = int(np.ceil(np.log(TRUNCATION_TOL / max(bound, 1e-12)) / np.log(rho)))
             max_steps = max(1, min(max_steps, DETECTION_MAX_STEPS))
     deciders = [_batch_decider(pol) for pol in policies]
     cdf_p, cdf_b = _cdf(p), _cdf(b)
@@ -286,8 +288,7 @@ def simulate_batch(
         states = _count_by_state(cdf_p, states, rng.random(rows.size))
         t0[(t0 < 0) & (states == 0)] = k
         ys = _draw_by_state(cdf_b, states, rng.random(rows.size))
-        unnorm = (beliefs @ p) * b_t[ys]
-        sigma = unnorm.sum(axis=1)
+        beliefs, sigma = bayes_step(beliefs @ p, b_t[ys])
         bad = ~((sigma > 0.0) & (sigma < np.inf))
         if bad.any():
             j = int(np.argmax(bad))
@@ -295,7 +296,6 @@ def simulate_batch(
                 f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
                 f"{sigma[j]} after observation {int(ys[j])}"
             )
-        beliefs = unnorm / sigma[:, None]
         c_stop, c_cont = stage_cost_vectors(spec, model, beliefs, original=not transformed)
         stop = alive & (np.array([decide(beliefs) for decide in deciders]) == STOP)
         if stop.any():

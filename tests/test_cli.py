@@ -475,6 +475,13 @@ def test_orders_rejects_observation_rows_that_do_not_match_the_states(tmp_path, 
     assert not list(tmp_path.glob("rows_*"))
 
 
+TRANSIENT_COST = {"family": "transient", "alpha": 0.0, "beta": 1.0, "delays": [0, 1], "rho": 0.9}
+SCHEDULING_COST = {
+    "family": "scheduling", "alpha1": 2.5, "alpha2": 0.5, "c1": [0.1, 0.15], "c2": [0.5, 0.65],
+    "g": [0, 1], "rho": 0.8, "obs_hi": [[0.9, 0.1], [0.1, 0.9]], "confusion": [[0.8, 0.2], [0.2, 0.8]],
+}
+
+
 NUMERIC_CONFIGS = {
     "solve": {"model": SMALL_MODEL, "cost": SMALL_COST, "grid": {"m": 10}},
     "phdist": {"model": SMALL_MODEL, "k_max": 10},
@@ -524,13 +531,44 @@ NUMERIC_CONFIGS = {
         ("simulate", {"policy": {"solution": 5}},
          "config.policy.solution: expected a file path, got 5"),
         ("sweep", {"models": [3]}, "config.models[0]: expected an object, got 3"),
-        ("sweep", {"cost": "quickest"}, "cost: expected an object, got 'quickest'"),
+        ("sweep", {"cost": "quickest"}, "config.cost: expected an object, got 'quickest'"),
         ("solve", {"cost": {**SMALL_COST, "family": ["quickest_classical"]}},
-         "cost.family: unknown family ['quickest_classical']"),
+         "config.cost.family: unknown family ['quickest_classical']"),
         ("solve", {"model": {**SMALL_MODEL, "observation": "gaussian"}},
          "model.observation: expected an object with 'discrete' or 'gaussian', got 'gaussian'"),
         ("solve", {"model": {**SMALL_MODEL, "observation": {"gaussian": {"means": "a"}}}},
          "model.observation.gaussian.means: not a numeric array"),
+        ("solve", {"cost": {**SMALL_COST, "rho": "x"}}, "config.cost.rho: expected a number, got 'x'"),
+        ("solve", {"cost": {**SMALL_COST, "beta": None}}, "config.cost.beta: expected a number, got None"),
+        ("spsa", {"cost": {**SMALL_COST, "false_alarm": 0.5}},
+         "config.cost.false_alarm: expected a vector, got 0.5"),
+        ("simulate", {"cost": {**SMALL_COST, "false_alarm": [0, 1, 2]}},
+         "config.cost.false_alarm: expected shape (2,) (one entry per state), got (3,)"),
+        ("sweep", {"models": [{"label": "a", "model": SMALL_MODEL}, {"label": "a", "model": SMALL_MODEL}]},
+         "config.models[1].label: 'a' is already the label of config.models[0]"),
+        ("solve", {"cost": {**SMALL_COST, "false_alarm": [[0, 1]]}},
+         "config.cost.false_alarm: expected a vector, got [[0, 1]]"),
+        ("solve", {"cost": {**TRANSIENT_COST, "delays": 1.0}}, "config.cost.delays: expected a vector, got 1.0"),
+        ("solve", {"cost": {**TRANSIENT_COST, "delays": [0, 1, 2]}},
+         "config.cost.delays: expected shape (2,) (one entry per state), got (3,)"),
+        ("solve", {"cost": {**TRANSIENT_COST, "false_alarm": [0, 1, 0]}},
+         "config.cost.false_alarm: expected shape (2,) (one entry per state), got (3,)"),
+        ("solve", {"cost": {**SCHEDULING_COST, "c1": 0.1}}, "config.cost.c1: expected a vector, got 0.1"),
+        ("solve", {"cost": {**SCHEDULING_COST, "c2": [0.5, 0.6, 0.7]}},
+         "config.cost.c2: expected shape (2,) (one entry per state), got (3,)"),
+        ("solve", {"cost": {**SCHEDULING_COST, "g": [[0, 1]]}}, "config.cost.g: expected a vector, got [[0, 1]]"),
+        ("solve", {"cost": {**SCHEDULING_COST, "obs_hi": [0.9, 0.1]}},
+         "config.cost.obs_hi: expected a matrix, got [0.9, 0.1]"),
+        ("solve", {"cost": {**SCHEDULING_COST, "obs_hi": [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]}},
+         "config.cost.obs_hi: expected shape (2, 2) (one row per state), got (3, 2)"),
+        ("solve", {"cost": {**SCHEDULING_COST, "obs_hi": [[0.9, 0.2], [0.1, 0.9]]}},
+         "config.cost.obs_hi: observation matrix rows must sum to 1"),
+        ("solve", {"cost": {**SCHEDULING_COST, "confusion": 1}}, "config.cost.confusion: expected a matrix, got 1"),
+        ("solve", {"cost": {**SCHEDULING_COST, "confusion": [[1, 0, 0], [0, 1, 0]]}},
+         "config.cost.confusion: expected shape (2, 2) (mode-2 symbols x mode-1 symbols), got (2, 3)"),
+        ("solve", {"cost": {**SCHEDULING_COST, "alpha1": [1]}}, "config.cost.alpha1: expected a number, got [1]"),
+        ("solve", {"cost": {**SOCIAL_COST, "include_welfare": "no"}},
+         "config.cost.include_welfare: expected true or false, got 'no'"),
     ],
 )
 def test_numeric_fields_exit_2_with_their_path(tmp_path, capsys, command, patch, message):

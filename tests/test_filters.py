@@ -232,3 +232,91 @@ def test_risk_update_filters_with_the_parsed_bins():
     unnorm = b[:, 120] * (m.transition.T @ (r2 * pi))
     assert out.norm == unnorm.sum()
     assert np.array_equal(out.next_belief, unnorm / unnorm.sum())
+
+
+def _ulps_around(eta: float, n: int = 60) -> np.ndarray:
+    """The 2n + 1 floats from n ulps below ``eta`` to n ulps above it."""
+    below, above = [eta], [eta]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[:0:-1] + above)
+
+
+def test_filters_and_solver_share_the_bayes_step_and_the_social_rule():
+    import dataclasses
+
+    from phasestop import cli, dp
+
+    for name in ("fig4a", "fig4c"):
+        cfg = cli.load_config(name)
+        m, spec = cli.parse_model(cfg["model"]), cli.parse_cost(cfg["cost"])
+        b, costs = m.obs.matrix, spec.local_costs
+        ctx = filters.SocialContext(costs, m.obs)
+        grid = dp.build_grid(2, cfg["grid"]["m"])
+        near = np.concatenate([_ulps_around(e) for e in (ctx.eta1, ctx.eta2, ctx.eta3)])
+        pts = np.vstack([grid.points, np.stack([1.0 - near, near], axis=1)])
+        # the solver's successor weights at every probe belief: sigma of each
+        # broadcast action, zero for an action the rule never picks there
+        probe = dataclasses.replace(grid, points=pts)
+        _, _, actions = dp._bellman_setup(m, spec, probe, dp.value_offset(spec, m, pts), False)
+        _, idx, w = actions[1]
+        filtered, filtered_idx = np.zeros_like(w), idx.copy()
+        for n, pi in enumerate(pts):
+            for a in range(costs.shape[1]):
+                try:
+                    out = filters.social_update(pi, a + 1, ctx)
+                except filters.ZeroProbabilityError:
+                    continue
+                filtered[n, a] = out.norm
+                filtered_idx[n, a] = grid.nearest(out.next_belief)[0]
+        mismatched = ((filtered != w) | (filtered_idx != idx)).any(axis=1)
+        assert mismatched.sum() == 0, (name, pts[mismatched][:3])
+        # the one-belief helpers are rows of the batched rule
+        scores = filters.social_scores(costs, b, pts)
+        liks = filters.social_likelihoods(costs, b, pts)
+        for n, pi in enumerate(pts):
+            for y in range(b.shape[1]):
+                assert filters.social_local_action(pi, y, ctx) == scores[y, n].argmin() + 1
+            for a in range(costs.shape[1]):
+                assert np.array_equal(filters.social_action_likelihood(pi, a + 1, ctx), liks[a, n])
+                nxt, sigma = filters.bayes_step(pi, liks[a, n])
+                if sigma > 0.0:
+                    out = filters.social_update(pi, a + 1, ctx)
+                    assert np.array_equal(out.next_belief, nxt) and out.norm == sigma
+
+    # one belief gets the scores of its row in a stack, at any state count
+    rng = np.random.default_rng(5)
+    costs, b = rng.random((4, 3)), rng.dirichlet(np.ones(5), size=4)
+    pts = rng.dirichlet(np.ones(4), size=200)
+    scores = filters.social_scores(costs, b, pts)
+    for n, pi in enumerate(pts):
+        assert np.array_equal(filters.social_scores(costs, b, pi[None, :])[:, 0], scores[:, n])
+
+    # the HMM and risk-sensitive filters are the Bayes step on their prediction,
+    # and the step on a stack of rows equals the step on each row
+    cfg = cli.load_config("fig3a")
+    m = cli.parse_model(cfg["model"])
+    b, p = m.obs.matrix, m.transition
+    risk = model.RiskSensitive(risk=0.2, beta=2.0, d=1.0)
+    _, r2 = risk.scalings(p)
+    beliefs = np.random.default_rng(4).dirichlet(np.ones(3), size=40)
+    for y in (0, 37, 50, 100):
+        preds = beliefs @ p
+        stacked, sigmas = filters.bayes_step(preds, b[:, y])
+        for n, pi in enumerate(beliefs):
+            nxt, sigma = filters.bayes_step(preds[n], b[:, y])
+            assert np.array_equal(stacked[n], nxt) and sigmas[n] == sigma
+            for out, pred in (
+                (filters.hmm_update(pi, y, m), p.T @ pi),
+                (filters.risk_update(pi, y, m, risk), p.T @ (r2 * pi)),
+            ):
+                nxt, sigma = filters.bayes_step(pred, b[:, y])
+                assert np.array_equal(out.next_belief, nxt) and out.norm == sigma
+
+
+def test_bayes_step_leaves_a_zero_or_nan_row_undivided():
+    pred = np.array([[0.5, 0.5], [1.0, 0.0], [np.nan, 0.5]])
+    nxt, sigma = filters.bayes_step(pred, np.array([0.0, 1.0]))
+    assert np.array_equal(sigma[:2], [0.5, 0.0]) and np.isnan(sigma[2])
+    assert np.array_equal(nxt[:2], [[0.0, 1.0], [0.0, 0.0]])
