@@ -1,11 +1,13 @@
 """Run every bundled config, plus ``orders`` on the solve configs, into one directory.
 
-It also writes two small fig3a-derived configs into the directory and runs
+It also writes four small fig3a-derived configs into the directory and runs
 them: ``spsa`` (100 priors, 10 iterations, 3 restarts, 500-step cap) and
 ``simulate`` (2 000 trajectories under a fixed threshold policy), so that the
-simulation paths are compared too.  Their observation variance is 0.3, not
-fig3a's 0.01, so that the cost moves with the threshold and SPSA's two
-perturbed policies stop different trajectories.
+simulation paths are compared too, and a transient-detection and a
+risk-sensitive cost, each through ``solve`` and ``orders``, so that every
+cost family has a bundled output.  The two simulation configs observe with
+variance 0.3, not fig3a's 0.01, so that the cost moves with the threshold and
+SPSA's two perturbed policies stop different trajectories.
 
 Usage: ``PYTHONPATH=src python scripts/bundled_outputs.py OUT_DIR``
 
@@ -33,13 +35,20 @@ RUNS = [
     ("ph_example", "phdist"),
 ]
 
-# name -> (command, fields added to fig3a's cost, bins and noisier model)
+# name -> (commands, noisy, fields over fig3a's model, cost and bins); a noisy
+# config observes with variance 0.3
 DERIVED = {
-    "fig3a_spsa": ("spsa", {
+    "fig3a_spsa": (("spsa",), True, {
         "priors": 100, "iterations": 10, "restarts": 3, "max_steps": 500,
         "gains": {"step": 0.15, "stability": 10.0, "perturb": 0.1},
     }),
-    "fig3a_simulate": ("simulate", {"policy": {"theta": [1.2, 0.3]}, "trajectories": 2000}),
+    "fig3a_simulate": (("simulate",), True, {"policy": {"theta": [1.2, 0.3]}, "trajectories": 2000}),
+    "fig3a_transient": (("solve", "orders"), False, {"cost": {
+        "family": "transient", "alpha": 0.5, "beta": 1.0, "delays": [0, 1, 0], "rho": 0.9,
+    }}),
+    "fig3a_risk": (("solve", "orders"), False, {"cost": {
+        "family": "risk_sensitive", "risk": 0.1, "beta": 3.0, "d": 1.0,
+    }}),
 }
 
 
@@ -51,13 +60,14 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     runs = RUNS + [(name, "orders") for name, command in RUNS if command == "solve"]
     fig3a = cli.load_config("fig3a")
-    for name, (command, fields) in DERIVED.items():
+    for name, (commands, noisy, fields) in DERIVED.items():
         model = json.loads(json.dumps(fig3a["model"]))
-        gaussian = model["observation"]["gaussian"]
-        gaussian["variances"] = [0.3] * len(gaussian["variances"])
+        if noisy:
+            gaussian = model["observation"]["gaussian"]
+            gaussian["variances"] = [0.3] * len(gaussian["variances"])
         cfg = {"model": model, "cost": fig3a["cost"], "bins": fig3a["bins"], **fields}
         (out / f"{name}.json").write_text(json.dumps(cfg, indent=1) + "\n")
-        runs.append((name, command))
+        runs.extend((name, command) for command in commands)
     failed = 0
     for name, command in runs:
         config = str(out / f"{name}.json") if name in DERIVED else name

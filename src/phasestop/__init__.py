@@ -1,6 +1,8 @@
 """Bayesian sequential detection with phase-type change times.
 
-Subpackages: :mod:`phasestop.model` (domain types), :mod:`phasestop.filters`
+Subpackages: :mod:`phasestop.model` (domain types; one class per cost family
+holds its parameters, stage costs, offset, belief updates and assumption
+checks), :mod:`phasestop.filters`
 (belief recursions), :mod:`phasestop.orders` (stochastic orders and
 assumption checks), :mod:`phasestop.dp` (grid value iteration and region
 structure), :mod:`phasestop.policy` (linear threshold policies and SPSA),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -22,17 +23,12 @@ import numpy as np
 from . import dp, orders, policy as policy_mod, sim
 from .model import (
     DEFAULT_BINS,
-    ConstrainedSocial,
+    FAMILIES,
     DetectionModel,
     DiscreteObs,
     GaussianObs,
-    QuickestClassicalDelay,
-    QuickestPredictiveDelay,
-    RiskSensitive,
-    Scheduling,
-    SocialStopping,
-    TransientDetection,
     discretize_gaussian,
+    ph_pmf,
     validate_model,
 )
 
@@ -65,7 +61,7 @@ def _number(section, key: str, default, kind=int, where: str = "config", low=Non
 
     ``kind`` is ``int`` or ``float``, applied as the commands always have
     (``"7"`` and ``7.9`` read as 7 for ``int``).  A value it rejects, such as
-    ``"abc"``, ``null`` or a list, or a result below ``low``, is a
+    ``"abc"``, ``null`` or a list, a boolean, or a result below ``low``, is a
     :class:`ConfigError` naming the field.
     """
     if not isinstance(section, dict):
@@ -73,6 +69,8 @@ def _number(section, key: str, default, kind=int, where: str = "config", low=Non
     value = section.get(key, default)
     noun = "an integer" if kind is int else "a number"
     try:
+        if isinstance(value, bool):  # JSON true and false are not numbers
+            raise TypeError
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}.{key}: expected {noun}, got {value!r}") from None
@@ -123,15 +121,8 @@ def parse_model(cfg: dict, where: str = "model", bins=DEFAULT_BINS) -> Detection
         raise ConfigError(f"{where}: {exc}") from None
 
 
-_FAMILIES = {
-    "quickest_predictive": (QuickestPredictiveDelay, ["alpha", "beta", "d", "rho", "op_cost"]),
-    "quickest_classical": (QuickestClassicalDelay, ["alpha", "beta", "d", "rho", "false_alarm"]),
-    "transient": (TransientDetection, ["alpha", "beta", "delays", "rho", "false_alarm"]),
-    "risk_sensitive": (RiskSensitive, ["risk", "beta", "d"]),
-    "social_stopping": (SocialStopping, ["d", "beta", "rho", "local_costs", "include_welfare"]),
-    "constrained_social": (ConstrainedSocial, ["local_costs", "d", "beta", "rho"]),
-    "scheduling": (Scheduling, ["alpha1", "alpha2", "c1", "c2", "g", "rho", "obs_hi", "confusion"]),
-}
+# each family's config fields are its dataclass fields
+_FAMILIES = {cls.family: (cls, [f.name for f in dataclasses.fields(cls)]) for cls in FAMILIES}
 
 # array fields and their dimension (their sizes are checked against the
 # models in _spec); every other field but the include_welfare flag is a number
@@ -336,6 +327,13 @@ def cmd_sweep(cfg: dict, out_dir: Path, name: str) -> int:
         _model(cfg, _need(e, "model", f"config.models[{k}]"), f"models[{k}].model")
         for k, e in enumerate(entries)
     ]
+    for k, model in enumerate(models):
+        if model.n_states != models[0].n_states:
+            # one grid serves every model
+            raise ConfigError(
+                f"config.models[{k}].model: {model.n_states} states, but "
+                f"config.models[0].model has {models[0].n_states}"
+            )
     spec = _spec(cfg, models)
     grid = _grid_for(cfg, models[0])
     res = dp.value_monotonicity_sweep(models, spec, grid, labels=labels, **_stopping_rule(cfg))
@@ -548,8 +546,6 @@ def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
 
 
 def cmd_phdist(cfg: dict, out_dir: Path, name: str) -> int:
-    from .model import ph_pmf
-
     model = _model(cfg, _need(cfg, "model", "config"))
     k_max = _number(cfg, "k_max", 200, low=0)
     dist = ph_pmf(model, k_max, tag=cfg.get("validation", "relaxed"))

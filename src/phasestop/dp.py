@@ -1,16 +1,16 @@
 """Grid dynamic programming on the belief simplex.
 
-Builds a barycentric grid, evaluates the per-family stage costs in the
-transformed coordinates (stop cost and continue cost after subtracting the
-linear stopping offset), and runs value iteration of one Bellman operator,
-``V(pi) = min_u { c(pi, u) + disc * sum_y sigma(pi, y, u) V(T(pi, y, u)) }``.
-Each cost family supplies two actions, each a stage cost with the grid
-indices and sigma-weights of its successor beliefs (projected to the
-nearest grid point); stopping is an action with no successors, and the
-scheduling family's two modes differ in their observation matrix.  The
-Bayes step and the social action rule come from :mod:`phasestop.filters`.
-Structural analysis helpers check connectedness, convexity, and
-single-crossing of the policy along vertex-anchored lines.
+Builds a barycentric grid and runs value iteration of one Bellman operator,
+``V(pi) = min_u { c(pi, u) + disc * sum_y sigma(pi, y, u) V(T(pi, y, u)) }``,
+in the transformed coordinates (stop cost and continue cost after
+subtracting the linear stopping offset).  Everything family-specific comes
+from the spec's methods (:class:`~phasestop.model.CostSpec`): the stage
+costs, the offset, the zero-horizon value and each action's belief update.
+This module turns an update into the grid indices and sigma-weights of its
+successor beliefs (projected to the nearest grid point); stopping is an
+action with no successors.  The Bayes step comes from
+:mod:`phasestop.filters`.  Structural analysis helpers check connectedness,
+convexity, and single-crossing of the policy along vertex-anchored lines.
 """
 
 from __future__ import annotations
@@ -22,19 +22,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .filters import bayes_step, social_likelihoods, social_scores
+from .filters import bayes_step
 from .model import (
     ConstrainedSocial,
     CostSpec,
     DetectionModel,
     DiscreteObs,
-    QuickestClassicalDelay,
-    QuickestPredictiveDelay,
     RiskSensitive,
     Scheduling,
     SocialStopping,
-    TransientDetection,
 )
+from .orders import matrix_order_geq
 
 STOP, CONTINUE = 1, 2
 
@@ -204,93 +202,15 @@ def build_grid(n_states: int, m: int) -> SimplexGrid:
 # Stage costs
 
 
-def _welfare_term(costs: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Expected myopic local cost: sum over symbols of min_a pi' (B_y o c_a)."""
-    total = np.zeros(pts.shape[0])
-    for scores in social_scores(costs, b, pts):
-        total += scores.min(axis=1)
-    return total
-
-
 def stage_cost_vectors(
     spec: CostSpec,
     model: DetectionModel,
     pts: np.ndarray,
     original: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stage costs (stop, continue) for each belief row of ``pts``.
-
-    By default the transformed coordinates are returned (the linear stopping
-    offset subtracted, the continue cost compensated); ``original=True``
-    gives the raw expected costs.  For the scheduling family the two entries
-    are the mode-1 and mode-2 costs, and for the risk-sensitive family the
-    original continue cost is zero (the delay enters the belief recursion).
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    p = model.transition
-    p1 = pts[:, 0]
-    if isinstance(spec, QuickestPredictiveDelay):
-        fpi = 1.0 - p1
-        fppi = 1.0 - pts @ p[:, 0]
-        var = p1 - p1 * p1
-        c1_bar = spec.alpha * var + spec.beta * fpi
-        c2_bar = spec.d * (pts @ p[:, 0]) + spec.op_cost
-    elif isinstance(spec, QuickestClassicalDelay):
-        f = spec.false_alarm
-        fpi = pts @ f
-        fppi = pts @ (p @ f)
-        var = p1 - p1 * p1
-        c1_bar = spec.alpha * var + spec.beta * fpi
-        c2_bar = spec.d * p1
-    elif isinstance(spec, TransientDetection):
-        f = spec.false_alarm_vector(model.n_states)
-        if spec.alpha > 0 and spec.false_alarm is not None:
-            raise ValueError("variance penalty requires the default start-state false alarm")
-        fpi = pts @ f
-        fppi = pts @ (p @ f)
-        var = fpi - fpi * fpi
-        c1_bar = spec.alpha * var + spec.beta * fpi
-        c2_bar = pts @ spec.delays
-    elif isinstance(spec, RiskSensitive):
-        r1, r2 = spec.scalings(p)
-        c2 = pts @ (r2 * (p @ r1) - r1)
-        if original:
-            return pts @ r1, np.zeros(pts.shape[0])
-        return np.zeros(pts.shape[0]), c2
-    elif isinstance(spec, SocialStopping):
-        c1_bar = spec.beta * (1.0 - p1)
-        c2_bar = spec.d * p1
-        if spec.include_welfare:
-            c2_bar = c2_bar + _welfare_term(spec.local_costs, model.discrete_obs().matrix, pts)
-        if original:
-            return c1_bar, c2_bar
-        return np.zeros(pts.shape[0]), c2_bar - (1.0 - spec.rho) * c1_bar
-    elif isinstance(spec, ConstrainedSocial):
-        b = model.discrete_obs().matrix
-        c = spec.local_costs
-        herd = (pts @ c).min(axis=1) / (1.0 - spec.rho)
-        reveal = pts @ (b * c).sum(axis=1)
-        c1_bar = spec.beta * (1.0 - p1) + herd
-        c2_bar = reveal + spec.d * p1
-        if original:
-            return c1_bar, c2_bar
-        return herd, reveal + (spec.d + (1.0 - spec.rho) * spec.beta) * p1 - (1.0 - spec.rho) * spec.beta
-    elif isinstance(spec, Scheduling):
-        q = pts @ p
-        gg = spec.g * spec.g
-        var = q @ gg - (q @ spec.g) ** 2
-        cost1 = spec.alpha1 * var + q @ spec.c1
-        cost2 = spec.alpha2 * var + q @ spec.c2
-        return cost1, cost2
-    else:
-        raise ValueError(f"unsupported cost family: {type(spec).__name__}")
-    # shared linear-offset transformation for the detection families
-    if original:
-        return c1_bar, c2_bar
-    ab = spec.alpha + spec.beta
-    c1 = c1_bar - ab * fpi
-    c2 = c2_bar - ab * fpi + spec.rho * ab * fppi
-    return c1, c2
+    """Stage costs (stop, continue) for each belief row of ``pts``, in the
+    transformed coordinates unless ``original``; see :class:`CostSpec`."""
+    return spec.stage_costs(model, np.atleast_2d(np.asarray(pts, dtype=float)), original)
 
 
 def stage_costs(
@@ -306,22 +226,7 @@ def stage_costs(
 
 def value_offset(spec: CostSpec, model: DetectionModel, pts: np.ndarray) -> np.ndarray:
     """Linear offset such that original values = transformed values + offset."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if isinstance(spec, QuickestPredictiveDelay):
-        return (spec.alpha + spec.beta) * (1.0 - pts[:, 0])
-    if isinstance(spec, QuickestClassicalDelay):
-        return (spec.alpha + spec.beta) * (pts @ spec.false_alarm)
-    if isinstance(spec, TransientDetection):
-        f = spec.false_alarm_vector(model.n_states)
-        return (spec.alpha + spec.beta) * (pts @ f)
-    if isinstance(spec, RiskSensitive):
-        r1, _ = spec.scalings(model.transition)
-        return pts @ r1
-    if isinstance(spec, (SocialStopping, ConstrainedSocial)):
-        return spec.beta * (1.0 - pts[:, 0])
-    if isinstance(spec, Scheduling):
-        return np.zeros(pts.shape[0])
-    raise ValueError(f"unsupported cost family: {type(spec).__name__}")
+    return spec.offset(model, np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,32 +290,14 @@ DEFAULT_HORIZON_UNDISCOUNTED = 200
 
 def _bellman_setup(model, spec, grid, offset, interpolate):
     """The family's ``(disc, init, actions)``: ``actions`` lists ``(stage_cost,
-    idx, w)``, stop / mode 1 first; a stop action has ``idx = w = None``."""
-    pts = grid.points
-    p = model.transition
-    b = model.discrete_obs().matrix
-    c1, c2 = stage_cost_vectors(spec, model, pts)
-    disc = getattr(spec, "rho", 1.0)
-    init = -offset
-    if isinstance(spec, Scheduling):
-        pred = pts @ p
-        return disc, init, [
-            (c1, *_successors(grid, pred, b.T, interpolate)),
-            (c2, *_successors(grid, pred, spec.obs_hi.matrix.T, interpolate)),
-        ]
-    if isinstance(spec, RiskSensitive):
-        _, r2 = spec.scalings(p)
-        pred, liks = (pts * r2) @ p, b.T
-        # multiplicative recursion: the zero-horizon value is the forced stop
-        # factor, which is exactly the offset
-        init = np.zeros(grid.n_points)
-    elif isinstance(spec, SocialStopping):
-        pred, liks = pts, social_likelihoods(spec.local_costs, b, pts)
-    elif isinstance(spec, ConstrainedSocial):
-        pred, liks = pts, b.T
-    else:
-        pred, liks = pts @ p, b.T
-    return disc, init, [(c1, None, None), (c2, *_successors(grid, pred, liks, interpolate))]
+    idx, w)`` per action of ``spec.updates``, stop / mode 1 first; a stop
+    action has ``idx = w = None``."""
+    costs = stage_cost_vectors(spec, model, grid.points)
+    actions = [
+        (c, None, None) if update is None else (c, *_successors(grid, *update, interpolate))
+        for c, update in zip(costs, spec.updates(model, grid.points))
+    ]
+    return spec.rho, spec.initial_value(offset), actions
 
 
 def _q_values(actions, disc: float, v: np.ndarray) -> list[np.ndarray]:
@@ -708,8 +595,6 @@ def value_monotonicity_sweep(
 ) -> SweepResult:
     """Solve per model (given in dominance-descending order) and verify that
     the optimal expected cost increases pointwise down the family."""
-    from .orders import matrix_order_geq
-
     labels = labels if labels is not None else list(range(len(models)))
     sols = [value_iterate(m, spec, grid, horizon=horizon, tol=tol) for m in models]
     ordered = [

@@ -6,16 +6,38 @@ the grid solver's successors and the batch simulator.  Each caller forms its
 own prediction and handles a zero or NaN normalisation; the filters here
 raise :class:`ZeroProbabilityError`.  :func:`social_scores` and
 :func:`social_likelihoods` are the myopic social action rule on a stack of
-beliefs, used by the solver and by the one-belief helpers below.
+beliefs, used by the social cost family and by the one-belief helpers
+below.  :func:`as_belief` validates one belief vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import DetectionModel, DiscreteObs, RiskSensitive, as_belief
+if TYPE_CHECKING:
+    from .model import DetectionModel, DiscreteObs, RiskSensitive
+
+SUM_TOL = 1e-12
+
+
+def as_belief(probs, tol: float = SUM_TOL) -> np.ndarray:
+    """Validate and return a belief vector as a float array.
+
+    Raises ValueError if entries are outside [0, 1] or do not sum to one
+    within ``tol``.
+    """
+    pi = np.asarray(probs, dtype=float)
+    if pi.ndim != 1 or pi.size < 2:
+        raise ValueError("belief must be a vector with at least two entries")
+    if np.any(pi < -tol) or np.any(pi > 1.0 + tol):
+        raise ValueError(f"belief entries outside [0, 1]: {pi}")
+    s = float(pi.sum())
+    if abs(s - 1.0) > max(tol, 1e-12 * pi.size):
+        raise ValueError(f"belief entries sum to {s}, expected 1")
+    return pi
 
 
 class ZeroProbabilityError(ValueError):

@@ -8,33 +8,21 @@ Conventions used throughout the package:
 * Observation symbols are plain array indices ``0 .. Y-1``.
 * Global decisions are ``1`` (stop) and ``2`` (continue); local actions in
   the social-learning families are likewise 1-based.
+
+Each cost family is one :class:`CostSpec` dataclass that holds its
+parameters together with its stage costs, value offset, belief updates and
+structural assumption checks; the solver, simulator, checkers and CLI call
+these methods and never test a spec's type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-SUM_TOL = 1e-12
-
-
-def as_belief(probs, tol: float = SUM_TOL) -> np.ndarray:
-    """Validate and return a belief vector as a float array.
-
-    Raises ValueError if entries are outside [0, 1] or do not sum to one
-    within ``tol``.
-    """
-    pi = np.asarray(probs, dtype=float)
-    if pi.ndim != 1 or pi.size < 2:
-        raise ValueError("belief must be a vector with at least two entries")
-    if np.any(pi < -tol) or np.any(pi > 1.0 + tol):
-        raise ValueError(f"belief entries outside [0, 1]: {pi}")
-    s = float(pi.sum())
-    if abs(s - 1.0) > max(tol, 1e-12 * pi.size):
-        raise ValueError(f"belief entries sum to {s}, expected 1")
-    return pi
+from .filters import SUM_TOL, as_belief, social_likelihoods, social_scores
+from .orders import _ineq, _tp2_check
 
 
 def dirichlet_uniform_sample(n_states: int, rng: np.random.Generator) -> np.ndarray:
@@ -257,8 +245,47 @@ def _check_nonneg(name: str, value) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
+class CostSpec:
+    """A cost family: its parameters (the dataclass fields) and its behaviour.
+
+    On a stack of belief rows ``pts``, ``stage_costs(model, pts, original)``
+    gives the (stop, continue) costs (the mode-1 and mode-2 costs for
+    scheduling), in the transformed coordinates unless ``original``, and
+    ``offset(model, pts)`` the linear offset: original values = transformed
+    values + offset.  ``updates(model, pts)`` lists ``(pred, liks)`` per
+    action, stop / mode 1 first: the action's successors are the Bayes steps
+    ``pred * lik`` for each likelihood row of ``liks``, and a stop action is
+    ``None``.  ``assumptions(model)`` lists the structural assumption checks
+    (:class:`~phasestop.orders.AssumptionCheck`).  By default continuing
+    predicts through the chain and corrects by the model's observation
+    matrix, discounted by ``rho``, from the zero-horizon value ``-offset``.
+    """
+
+    def updates(self, model: DetectionModel, pts: np.ndarray) -> list:
+        return [None, (pts @ model.transition, model.discrete_obs().matrix.T)]
+
+    def initial_value(self, offset: np.ndarray) -> np.ndarray:
+        return -offset
+
+
+class _DetectionCost(CostSpec):
+    """Detection family: ``_terms(model, pts)`` gives the false-alarm
+    probability ``f'pi``, its one-step prediction ``f'P'pi`` and the original
+    stop and continue costs; the offset is ``(alpha + beta) f'pi``."""
+
+    def stage_costs(self, model, pts, original=False):
+        fpi, fppi, c1_bar, c2_bar = self._terms(model, pts)
+        if original:
+            return c1_bar, c2_bar
+        ab = self.alpha + self.beta
+        return c1_bar - ab * fpi, c2_bar - ab * fpi + self.rho * ab * fppi
+
+    def offset(self, model, pts):
+        return (self.alpha + self.beta) * self._terms(model, pts)[0]
+
+
 @dataclass(frozen=True)
-class QuickestPredictiveDelay:
+class QuickestPredictiveDelay(_DetectionCost):
     """Quickest detection with a one-step-ahead delay penalty.
 
     Stopping pays a variance penalty (weight ``alpha``) plus a false-alarm
@@ -282,9 +309,28 @@ class QuickestPredictiveDelay:
         _check_nonneg("op_cost", self.op_cost)
         _check_prob("rho", self.rho)
 
+    def _terms(self, model, pts):
+        p1, q1 = pts[:, 0], pts @ model.transition[:, 0]
+        fpi = 1.0 - p1
+        return fpi, 1.0 - q1, self.alpha * (p1 - p1 * p1) + self.beta * fpi, self.d * q1 + self.op_cost
+
+    def assumptions(self, model):
+        p = model.transition
+        margin = self.d - self.rho * (self.alpha + self.beta)
+        return [
+            _ineq("A1-Ex1", margin, "d >= rho*(alpha+beta)"),
+            _tp2_check("A2", model.discrete_obs().matrix, "observation matrix TP2"),
+            _tp2_check("A3", p, "transition matrix TP2"),
+            _ineq(
+                "S-Ex1",
+                margin * (1.0 - p[1, 0]) - (self.alpha - self.beta),
+                "(d-rho*(alpha+beta))*(1-P21) >= alpha-beta",
+            ),
+        ]
+
 
 @dataclass(frozen=True)
-class QuickestClassicalDelay:
+class QuickestClassicalDelay(_DetectionCost):
     """Quickest detection with the classical current-state delay penalty.
 
     The false-alarm penalty is a per-state vector ``false_alarm`` whose first
@@ -310,13 +356,44 @@ class QuickestClassicalDelay:
         if f[0] != 0.0:
             raise ValueError("false-alarm vector must have first entry 0")
 
+    def _terms(self, model, pts):
+        f, p1 = self.false_alarm, pts[:, 0]
+        fpi = pts @ f
+        return fpi, pts @ (model.transition @ f), self.alpha * (p1 - p1 * p1) + self.beta * fpi, self.d * p1
+
+    def assumptions(self, model):
+        p = model.transition
+        f = self.false_alarm
+        pf = p @ f  # pf[i] = f' P' e_i
+        x = model.n_states
+        ratio = self.rho * (self.alpha + self.beta) / self.beta if self.beta > 0 else np.inf
+        worst_i = min(
+            (f[i] - max(1.0, ratio * pf[i] + (self.alpha - self.d) / self.beta) for i in range(1, x)),
+            default=0.0,
+        )
+        worst_ii = 0.0
+        for i in range(1, x - 2):
+            for j in range(i, x):
+                worst_ii = min(worst_ii, f[j] - f[i] - self.rho * (pf[j] - pf[i]))
+        worst_iii = min(
+            (f[x - 1] - f[i] - ratio * (pf[x - 1] - pf[i]) for i in range(1, x - 1)), default=0.0
+        )
+        return [
+            _ineq("AS-Ex1(i)", worst_i, "f_i >= max(1, rho*(a+b)/b f'P'e_i + (a-d)/b)"),
+            _ineq("AS-Ex1(ii)", worst_ii, "f_j - f_i >= rho f'P'(e_j - e_i)"),
+            _ineq("AS-Ex1(iii)", worst_iii, "f_X - f_i >= rho*(a+b)/b f'P'(e_X - e_i)"),
+            _tp2_check("A2", model.discrete_obs().matrix, "observation matrix TP2"),
+            _tp2_check("A3", p, "transition matrix TP2"),
+        ]
+
 
 @dataclass(frozen=True)
-class TransientDetection:
+class TransientDetection(_DetectionCost):
     """Detection of a transient state visit.
 
     ``delays`` is a per-state delay vector (zero on the start states);
-    ``false_alarm`` defaults to a unit penalty on the last (start) state.
+    ``false_alarm`` defaults to a unit penalty on the last (start) state,
+    the only false alarm the variance penalty (``alpha > 0``) allows.
     """
 
     alpha: float
@@ -340,21 +417,38 @@ class TransientDetection:
             _check_nonneg("false_alarm", f)
             if f[0] != 0.0:
                 raise ValueError("false-alarm vector must have first entry 0")
+            if self.alpha > 0:
+                raise ValueError("variance penalty requires the default start-state false alarm")
 
-    def false_alarm_vector(self, n_states: int) -> np.ndarray:
+    def _terms(self, model, pts):
+        f = np.eye(model.n_states)[-1] if self.false_alarm is None else self.false_alarm
+        fpi = pts @ f
+        c1_bar = self.alpha * (fpi - fpi * fpi) + self.beta * fpi
+        return fpi, pts @ (model.transition @ f), c1_bar, pts @ self.delays
+
+    def assumptions(self, model):
+        p = model.transition
+        checks = [_tp2_check("A2", model.discrete_obs().matrix, "observation matrix TP2")]
+        if model.n_states == 3:
+            bound = (self.delays[1] + self.beta - self.rho * self.beta * p[2, 2]) / (1.0 + self.rho * p[2, 2])
+            checks.append(_ineq("S-Ex2", bound - self.alpha, "alpha <= (d2+b-rho*b*P33)/(1+rho*P33)"))
         if self.false_alarm is not None:
-            return self.false_alarm
-        f = np.zeros(n_states)
-        f[-1] = 1.0
-        return f
+            f = self.false_alarm
+            checks.append(_ineq("PH-f", f[1] - 1.0, "first transient false alarm >= 1"))
+            vec = self.delays + self.beta * ((self.rho * p - np.eye(model.n_states)) @ f)
+            slack = float(np.min(vec[:-1] - vec[1:]))
+            checks.append(_ineq("PH-dd", slack, "(d + beta*(rho*P - I) f) has decreasing entries"))
+        return checks
 
 
 @dataclass(frozen=True)
-class RiskSensitive:
+class RiskSensitive(CostSpec):
     """Exponential (risk-sensitive) delay penalty with linear false-alarm cost.
 
     ``risk`` is the exponent scale; ``risk -> 0`` recovers the linear-cost
-    problem with unit discount.
+    problem with unit discount.  The recursion is multiplicative: the delay
+    enters the belief update, so the original continue cost is zero, and
+    the zero-horizon value is the forced-stop factor, which is the offset.
     """
 
     risk: float
@@ -362,6 +456,7 @@ class RiskSensitive:
     d: float
 
     family = "risk_sensitive"
+    rho = 1.0
 
     def __post_init__(self):
         _check_nonneg("risk", self.risk)
@@ -380,14 +475,42 @@ class RiskSensitive:
         r2 = np.exp(self.risk * self.d * transition[:, 0])
         return r1, r2
 
+    def stage_costs(self, model, pts, original=False):
+        p = model.transition
+        r1, r2 = self.scalings(p)
+        if original:
+            return pts @ r1, np.zeros(pts.shape[0])
+        return np.zeros(pts.shape[0]), pts @ (r2 * (p @ r1) - r1)
+
+    def offset(self, model, pts):
+        return pts @ self.scalings(model.transition)[0]
+
+    def updates(self, model, pts):
+        p = model.transition
+        return [None, ((pts * self.scalings(p)[1]) @ p, model.discrete_obs().matrix.T)]
+
+    def initial_value(self, offset):
+        return np.zeros_like(offset)
+
+    def assumptions(self, model):
+        p = model.transition
+        r1, r2 = self.scalings(p)
+        entries = r2 * (p @ r1) - r1
+        return [
+            _ineq("A1-Ex3", float(np.min(entries[:-1] - entries[1:])), "continue cost decreasing per state"),
+            _tp2_check("A2", model.discrete_obs().matrix, "observation matrix TP2"),
+            _tp2_check("A3", p, "transition matrix TP2"),
+        ]
+
 
 @dataclass(frozen=True)
-class SocialStopping:
+class SocialStopping(CostSpec):
     """Stopping problem driven by the social-learning public belief (2 states).
 
     ``local_costs[i, a-1]`` is the myopic cost of local action ``a`` in state
     ``i+1``.  With ``include_welfare`` the continue cost additionally charges
-    the agents' expected myopic cost.
+    the agents' expected myopic cost.  Continuing observes the action the
+    next agent broadcasts under the myopic social rule; the state is static.
     """
 
     d: float
@@ -407,9 +530,42 @@ class SocialStopping:
         if c.ndim != 2:
             raise ValueError("local cost matrix must be 2-D (states x actions)")
 
+    def _welfare(self, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Expected myopic local cost: sum over symbols of min_a pi' (B_y o c_a)."""
+        total = np.zeros(pts.shape[0])
+        for scores in social_scores(self.local_costs, b, pts):
+            total += scores.min(axis=1)
+        return total
+
+    def stage_costs(self, model, pts, original=False):
+        p1 = pts[:, 0]
+        c1_bar = self.beta * (1.0 - p1)
+        c2_bar = self.d * p1
+        if self.include_welfare:
+            c2_bar = c2_bar + self._welfare(model.discrete_obs().matrix, pts)
+        if original:
+            return c1_bar, c2_bar
+        return np.zeros(pts.shape[0]), c2_bar - (1.0 - self.rho) * c1_bar
+
+    def offset(self, model, pts):
+        return self.beta * (1.0 - pts[:, 0])
+
+    def updates(self, model, pts):
+        return [None, (pts, social_likelihoods(self.local_costs, model.discrete_obs().matrix, pts))]
+
+    def assumptions(self, model):
+        c, b = self.local_costs, model.discrete_obs().matrix
+        return [
+            _ineq("costdom-1", c[0, 1] - c[0, 0], "c(e1,1) < c(e1,2)", tol=-1e-12),
+            _ineq("costdom-2", c[1, 0] - c[1, 1], "c(e2,2) < c(e2,1)", tol=-1e-12),
+            _ineq("d-rho-beta", self.d - self.rho * self.beta, "d >= rho*beta"),
+            _tp2_check("A2", b, "observation matrix TP2"),
+            _ineq("B-symmetric", -float(np.abs(b - b.T).max()), "observation matrix symmetric"),
+        ]
+
 
 @dataclass(frozen=True)
-class ConstrainedSocial:
+class ConstrainedSocial(CostSpec):
     """Constrained-social stopping: continue reveals the observation, stop herds."""
 
     local_costs: np.ndarray
@@ -418,6 +574,7 @@ class ConstrainedSocial:
     rho: float
 
     family = "constrained_social"
+    offset = SocialStopping.offset
 
     def __post_init__(self):
         c = np.asarray(self.local_costs, dtype=float)
@@ -430,14 +587,49 @@ class ConstrainedSocial:
         if c.ndim != 2:
             raise ValueError("local cost matrix must be 2-D (states x actions)")
 
+    def stage_costs(self, model, pts, original=False):
+        c, p1 = self.local_costs, pts[:, 0]
+        herd = (pts @ c).min(axis=1) / (1.0 - self.rho)
+        reveal = pts @ (model.discrete_obs().matrix * c).sum(axis=1)
+        if original:
+            return self.beta * (1.0 - p1) + herd, reveal + self.d * p1
+        return herd, reveal + (self.d + (1.0 - self.rho) * self.beta) * p1 - (1.0 - self.rho) * self.beta
+
+    def updates(self, model, pts):
+        return [None, (pts, model.discrete_obs().matrix.T)]
+
+    def assumptions(self, model):
+        c, b = self.local_costs, model.discrete_obs().matrix
+        x, n_actions = c.shape
+        if n_actions != b.shape[1]:
+            raise ValueError("constrained-social family requires one local action per symbol")
+        avg = np.einsum("iy,iy->i", c, b)
+        worst_i = min(
+            c[x - 1, a] - c[i, a] - (1.0 - self.rho) * (avg[x - 1] - avg[i])
+            for a in range(n_actions)
+            for i in range(x)
+        )
+        worst_ii = min(
+            (1.0 - self.rho) * (avg[0] - avg[i]) - (c[0, a] - c[i, a])
+            for a in range(n_actions)
+            for i in range(x)
+        )
+        return [
+            _ineq("A1-Ex5", float(np.min(c[:-1, :] - c[1:, :])), "local costs decreasing per state"),
+            _tp2_check("A2", b, "observation matrix TP2"),
+            _ineq("S-Ex5(i)", float(worst_i), "submodularity toward the last state"),
+            _ineq("S-Ex5(ii)", float(worst_ii), "submodularity toward the first state"),
+        ]
+
 
 @dataclass(frozen=True)
-class Scheduling:
+class Scheduling(CostSpec):
     """Two-mode measurement scheduling with per-mode accuracy and cost.
 
     Mode 1 observes through the model's observation matrix, mode 2 through
     ``obs_hi``.  ``confusion``, when given, is the stochastic matrix mapping
-    mode-2 symbols to mode-1 symbols (Blackwell degradation).
+    mode-2 symbols to mode-1 symbols (Blackwell degradation).  There is no
+    stop action: both modes continue, and the offset is zero.
     """
 
     alpha1: float
@@ -469,8 +661,30 @@ class Scheduling:
             if np.any(q < -SUM_TOL) or np.any(np.abs(q.sum(axis=1) - 1.0) > 1e-9):
                 raise ValueError("confusion matrix must be row-stochastic")
 
+    def stage_costs(self, model, pts, original=False):
+        q = pts @ model.transition
+        var = q @ (self.g * self.g) - (q @ self.g) ** 2
+        return self.alpha1 * var + q @ self.c1, self.alpha2 * var + q @ self.c2
 
-CostSpec = Union[
+    def offset(self, model, pts):
+        return np.zeros(pts.shape[0])
+
+    def updates(self, model, pts):
+        pred = pts @ model.transition
+        return [(pred, model.discrete_obs().matrix.T), (pred, self.obs_hi.matrix.T)]
+
+    def assumptions(self, model):
+        checks = [
+            _tp2_check("A2-hi", self.obs_hi.matrix, "mode-2 observation matrix TP2"),
+            _tp2_check("A3", model.transition, "transition matrix TP2"),
+        ]
+        if self.confusion is not None:
+            gap = -float(np.abs(self.obs_hi.matrix @ self.confusion - model.discrete_obs().matrix).max())
+            checks.append(_ineq("blackwell", gap, "mode-1 matrix equals mode-2 times confusion"))
+        return checks
+
+
+FAMILIES = (
     QuickestPredictiveDelay,
     QuickestClassicalDelay,
     TransientDetection,
@@ -478,4 +692,4 @@ CostSpec = Union[
     SocialStopping,
     ConstrainedSocial,
     Scheduling,
-]
+)

@@ -1,27 +1,23 @@
 """Stochastic-order predicates, model assumption checkers, and random generators.
 
 All predicates use a small absolute slack (default 1e-12): inputs are O(1)
-probabilities and the comparisons involve products of two entries.
+probabilities and the comparisons involve products of two entries.  Each
+cost family states its own assumptions (``assumptions`` of the family's
+:class:`~phasestop.model.CostSpec`) from the check helpers here;
+:func:`check_assumptions` collects them into a report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import (
-    ConstrainedSocial,
-    CostSpec,
-    DetectionModel,
-    QuickestClassicalDelay,
-    QuickestPredictiveDelay,
-    RiskSensitive,
-    Scheduling,
-    SocialStopping,
-    TransientDetection,
-    as_belief,
-)
+from .filters import as_belief
+
+if TYPE_CHECKING:
+    from .model import CostSpec, DetectionModel
 
 ORDER_TOL = 1e-12
 
@@ -168,128 +164,12 @@ def _tp2_check(name: str, mat: np.ndarray, detail: str) -> AssumptionCheck:
 
 
 def check_assumptions(model: DetectionModel, spec: CostSpec) -> AssumptionReport:
-    """Numerically evaluate the structural assumptions for the cost family.
+    """Numerically evaluate the structural assumptions of the cost family
+    (``spec.assumptions``).
 
     Every inequality is reported with its slack (negative slack = violated).
     """
-    checks: list[AssumptionCheck] = []
-    p = model.transition
-    b = model.discrete_obs().matrix
-
-    if isinstance(spec, QuickestPredictiveDelay):
-        checks.append(
-            _ineq(
-                "A1-Ex1",
-                spec.d - spec.rho * (spec.alpha + spec.beta),
-                "d >= rho*(alpha+beta)",
-            )
-        )
-        checks.append(_tp2_check("A2", b, "observation matrix TP2"))
-        checks.append(_tp2_check("A3", p, "transition matrix TP2"))
-        checks.append(
-            _ineq(
-                "S-Ex1",
-                (spec.d - spec.rho * (spec.alpha + spec.beta)) * (1.0 - p[1, 0])
-                - (spec.alpha - spec.beta),
-                "(d-rho*(alpha+beta))*(1-P21) >= alpha-beta",
-            )
-        )
-    elif isinstance(spec, QuickestClassicalDelay):
-        f = spec.false_alarm
-        pf = p @ f  # pf[i] = f' P' e_i
-        x = model.n_states
-        ratio = spec.rho * (spec.alpha + spec.beta) / spec.beta if spec.beta > 0 else np.inf
-        worst_i = min(
-            (
-                spec.false_alarm[i] - max(1.0, ratio * pf[i] + (spec.alpha - spec.d) / spec.beta)
-                for i in range(1, x)
-            ),
-            default=0.0,
-        )
-        checks.append(_ineq("AS-Ex1(i)", worst_i, "f_i >= max(1, rho*(a+b)/b f'P'e_i + (a-d)/b)"))
-        worst_ii = 0.0
-        for i in range(1, x - 2):
-            for j in range(i, x):
-                worst_ii = min(
-                    worst_ii, f[j] - f[i] - spec.rho * (pf[j] - pf[i])
-                )
-        checks.append(_ineq("AS-Ex1(ii)", worst_ii, "f_j - f_i >= rho f'P'(e_j - e_i)"))
-        worst_iii = min(
-            (
-                f[x - 1] - f[i] - ratio * (pf[x - 1] - pf[i])
-                for i in range(1, x - 1)
-            ),
-            default=0.0,
-        )
-        checks.append(_ineq("AS-Ex1(iii)", worst_iii, "f_X - f_i >= rho*(a+b)/b f'P'(e_X - e_i)"))
-        checks.append(_tp2_check("A2", b, "observation matrix TP2"))
-        checks.append(_tp2_check("A3", p, "transition matrix TP2"))
-    elif isinstance(spec, TransientDetection):
-        checks.append(_tp2_check("A2", b, "observation matrix TP2"))
-        if model.n_states == 3:
-            d2 = spec.delays[1]
-            bound = (d2 + spec.beta - spec.rho * spec.beta * p[2, 2]) / (
-                1.0 + spec.rho * p[2, 2]
-            )
-            checks.append(
-                _ineq("S-Ex2", bound - spec.alpha, "alpha <= (d2+b-rho*b*P33)/(1+rho*P33)")
-            )
-        if spec.false_alarm is not None:
-            f = spec.false_alarm
-            d = spec.delays
-            checks.append(_ineq("PH-f", f[1] - 1.0, "first transient false alarm >= 1"))
-            vec = d + spec.beta * ((spec.rho * p - np.eye(model.n_states)) @ f)
-            slack = float(np.min(vec[:-1] - vec[1:]))
-            checks.append(_ineq("PH-dd", slack, "(d + beta*(rho*P - I) f) has decreasing entries"))
-    elif isinstance(spec, RiskSensitive):
-        r1, r2 = spec.scalings(p)
-        entries = r2 * (p @ r1) - r1
-        checks.append(
-            _ineq("A1-Ex3", float(np.min(entries[:-1] - entries[1:])), "continue cost decreasing per state")
-        )
-        checks.append(_tp2_check("A2", b, "observation matrix TP2"))
-        checks.append(_tp2_check("A3", p, "transition matrix TP2"))
-    elif isinstance(spec, SocialStopping):
-        c = spec.local_costs
-        checks.append(_ineq("costdom-1", c[0, 1] - c[0, 0], "c(e1,1) < c(e1,2)", tol=-1e-12))
-        checks.append(_ineq("costdom-2", c[1, 0] - c[1, 1], "c(e2,2) < c(e2,1)", tol=-1e-12))
-        checks.append(_ineq("d-rho-beta", spec.d - spec.rho * spec.beta, "d >= rho*beta"))
-        checks.append(_tp2_check("A2", b, "observation matrix TP2"))
-        checks.append(
-            _ineq("B-symmetric", -float(np.abs(b - b.T).max()), "observation matrix symmetric")
-        )
-    elif isinstance(spec, ConstrainedSocial):
-        c = spec.local_costs
-        checks.append(
-            _ineq("A1-Ex5", float(np.min(c[:-1, :] - c[1:, :])), "local costs decreasing per state")
-        )
-        checks.append(_tp2_check("A2", b, "observation matrix TP2"))
-        x, n_actions = c.shape
-        avg = np.einsum("iy,iy->i", c[:, :b.shape[1]], b) if n_actions == b.shape[1] else None
-        if avg is None:
-            raise ValueError("constrained-social family requires one local action per symbol")
-        worst_i = min(
-            c[x - 1, a] - c[i, a] - (1.0 - spec.rho) * (avg[x - 1] - avg[i])
-            for a in range(n_actions)
-            for i in range(x)
-        )
-        checks.append(_ineq("S-Ex5(i)", float(worst_i), "submodularity toward the last state"))
-        worst_ii = min(
-            (1.0 - spec.rho) * (avg[0] - avg[i]) - (c[0, a] - c[i, a])
-            for a in range(n_actions)
-            for i in range(x)
-        )
-        checks.append(_ineq("S-Ex5(ii)", float(worst_ii), "submodularity toward the first state"))
-    elif isinstance(spec, Scheduling):
-        checks.append(_tp2_check("A2-hi", spec.obs_hi.matrix, "mode-2 observation matrix TP2"))
-        checks.append(_tp2_check("A3", p, "transition matrix TP2"))
-        if spec.confusion is not None:
-            degraded = spec.obs_hi.matrix @ spec.confusion
-            gap = -float(np.abs(degraded - b).max())
-            checks.append(_ineq("blackwell", gap, "mode-1 matrix equals mode-2 times confusion"))
-    else:
-        raise ValueError(f"unsupported cost family: {type(spec).__name__}")
-    return AssumptionReport(tuple(checks))
+    return AssumptionReport(tuple(spec.assumptions(model)))
 
 
 # ---------------------------------------------------------------------------

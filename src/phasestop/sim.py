@@ -28,12 +28,13 @@ from .dp import STOP, stage_cost_vectors
 from .filters import (
     SocialContext,
     ZeroProbabilityError,
+    as_belief,
     bayes_step,
     hmm_update,
     social_local_action,
     social_update,
 )
-from .model import CostSpec, DetectionModel, as_belief
+from .model import CostSpec, DetectionModel
 
 DETECTION_MAX_STEPS = 10_000
 # the additive-cost families driven by the plain Bayesian filter
@@ -214,7 +215,7 @@ def _stage_cost_bound(spec: CostSpec, model: DetectionModel) -> float:
     eye = np.eye(model.n_states)
     c1, c2 = stage_cost_vectors(spec, model, eye)
     bound = float(np.max(np.abs(np.concatenate([c1, c2]))))
-    return bound + getattr(spec, "alpha", 0.0) + 1e-12
+    return bound + spec.alpha + 1e-12
 
 
 def simulate_batch(
@@ -256,7 +257,7 @@ def simulate_batch(
     n = priors.shape[0]
     b = model.discrete_obs().matrix
     p = model.transition
-    rho = getattr(spec, "rho", 1.0)
+    rho = spec.rho
     if max_steps is None:
         if rho >= 1.0:
             max_steps = 500

@@ -476,6 +476,11 @@ def test_orders_rejects_observation_rows_that_do_not_match_the_states(tmp_path, 
 
 
 TRANSIENT_COST = {"family": "transient", "alpha": 0.0, "beta": 1.0, "delays": [0, 1], "rho": 0.9}
+THREE_STATE_MODEL = {
+    "transition": [[1, 0, 0], [0.3, 0.1, 0.6], [0, 0.02, 0.98]],
+    "initial": [0, 0, 1],
+    "observation": {"discrete": [[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]]},
+}
 SCHEDULING_COST = {
     "family": "scheduling", "alpha1": 2.5, "alpha2": 0.5, "c1": [0.1, 0.15], "c2": [0.5, 0.65],
     "g": [0, 1], "rho": 0.8, "obs_hi": [[0.9, 0.1], [0.1, 0.9]], "confusion": [[0.8, 0.2], [0.2, 0.8]],
@@ -569,6 +574,13 @@ NUMERIC_CONFIGS = {
         ("solve", {"cost": {**SCHEDULING_COST, "alpha1": [1]}}, "config.cost.alpha1: expected a number, got [1]"),
         ("solve", {"cost": {**SOCIAL_COST, "include_welfare": "no"}},
          "config.cost.include_welfare: expected true or false, got 'no'"),
+        ("solve", {"grid": {"m": True}}, "config.grid.m: expected an integer, got True"),
+        ("solve", {"cost": {**SMALL_COST, "rho": True}}, "config.cost.rho: expected a number, got True"),
+        ("spsa", {"priors": False}, "config.priors: expected an integer, got False"),
+        ("spsa", {"gains": {"step": True}}, "config.gains.step: expected a number, got True"),
+        ("sweep", {"models": [{"label": "a", "model": SMALL_MODEL},
+                              {"label": "b", "model": THREE_STATE_MODEL}]},
+         "config.models[1].model: 3 states, but config.models[0].model has 2"),
     ],
 )
 def test_numeric_fields_exit_2_with_their_path(tmp_path, capsys, command, patch, message):
@@ -576,6 +588,18 @@ def test_numeric_fields_exit_2_with_their_path(tmp_path, capsys, command, patch,
     assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("num_*"))
+
+
+@pytest.mark.parametrize("command", ["solve", "orders", "sweep", "spsa", "simulate"])
+def test_transient_variance_penalty_with_an_explicit_false_alarm_exits_2(tmp_path, capsys, command):
+    # the variance penalty is defined for the default start-state false alarm only
+    cost = {**TRANSIENT_COST, "alpha": 0.5, "false_alarm": [0, 1]}
+    cfg = {**NUMERIC_CONFIGS.get(command, NUMERIC_CONFIGS["solve"]), "cost": cost}
+    ref = write_config(tmp_path, "tr", cfg)
+    assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: config.cost: variance penalty requires the default start-state false alarm" in err
+    assert not list(tmp_path.glob("tr_*"))
 
 
 @pytest.mark.parametrize(

@@ -715,3 +715,36 @@ def test_value_iterate_matches_two_loop_reference(case):
     assert got.sweeps == want.sweeps and got.sup_delta == want.sup_delta
     assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
     assert np.array_equal(np.signbit(got.values_original), np.signbit(want.values_original))
+
+
+# one case per family, with the belief pi+ at which the transformed continue
+# cost takes the offset back: the prediction P'pi for detection, the scaled
+# prediction P'(r2 o pi) (unnormalised) for risk, pi itself for the static
+# social families; scheduling has offset 0
+TRANSFORM_CASES = {
+    "quickest_predictive": ("predictive-x2-horizon", lambda mdl, spec, pts: pts @ mdl.transition),
+    "quickest_classical": ("classical-x3-horizon", lambda mdl, spec, pts: pts @ mdl.transition),
+    "transient": ("transient-x3", lambda mdl, spec, pts: pts @ mdl.transition),
+    "risk_sensitive": ("risk-x3-horizon", lambda mdl, spec, pts: (
+        pts * np.exp(spec.risk * spec.d * mdl.transition[:, 0])) @ mdl.transition),
+    "social_stopping": ("social-welfare-x2", lambda mdl, spec, pts: pts),
+    "constrained_social": ("constrained-x3-horizon", lambda mdl, spec, pts: pts),
+    "scheduling": ("scheduling-x3-horizon", lambda mdl, spec, pts: pts @ mdl.transition),
+}
+
+
+@pytest.mark.parametrize("family", sorted(TRANSFORM_CASES))
+def test_transformed_costs_shift_the_original_costs_by_the_offset(family):
+    case, successor = TRANSFORM_CASES[family]
+    mdl, spec, _, _ = BELLMAN_CASES[case]
+    assert spec.family == family
+    x = mdl.n_states
+    pts = np.vstack([np.eye(x), np.random.default_rng(8).dirichlet(np.ones(x), size=300)])
+    stop, cont = dp.stage_cost_vectors(spec, mdl, pts)
+    stop_orig, cont_orig = dp.stage_cost_vectors(spec, mdl, pts, original=True)
+    offset = dp.value_offset(spec, mdl, pts)
+    offset_next = dp.value_offset(spec, mdl, successor(mdl, spec, pts))
+    if family == "scheduling":
+        assert not offset.any() and not offset_next.any()
+    np.testing.assert_allclose(stop, stop_orig - offset, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cont, cont_orig - offset + spec.rho * offset_next, rtol=0, atol=1e-12)
