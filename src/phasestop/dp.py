@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .filters import bayes_step
+from .filters import _row_sum, bayes_step
 from .model import (
     ConstrainedSocial,
     CostSpec,
@@ -123,7 +123,7 @@ class SimplexGrid:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         x = self.n_states
         z = pts * self.m
-        total = z.sum(axis=1)
+        total = _row_sum(z)
         # a NaN or infinite coordinate makes its row total non-finite
         if not np.isfinite(total).all():
             raise ValueError("nearest: non-finite belief")

@@ -50,6 +50,22 @@ class FilterOutput:
     norm: float
 
 
+def _row_sum(a: np.ndarray):
+    """``a.sum(axis=-1)``, bit for bit, for a float array.
+
+    NumPy adds fewer than 8 entries left to right, from 0.0 (more go in
+    pairwise blocks); so does this, one column at a time, without the cost
+    of a reduction over a short last axis.  Other widths call ``.sum``.
+    """
+    n = a.shape[-1]
+    if not 2 <= n < 8:
+        return a.sum(axis=-1)
+    total = a[..., 0] + 0.0  # as NumPy's start from 0.0: a -0.0 column gives 0.0
+    for j in range(1, n):
+        total += a[..., j]
+    return total
+
+
 def bayes_step(pred, lik):
     """Bayes correction of the prediction ``pred`` by the likelihood ``lik``.
 
@@ -59,8 +75,9 @@ def bayes_step(pred, lik):
     what that means is up to the caller.
     """
     unnorm = pred * lik
-    sigma = unnorm.sum(axis=-1)
-    return unnorm / np.where(sigma > 0.0, sigma, 1.0)[..., None], sigma
+    sigma = _row_sum(unnorm)
+    unnorm /= np.where(sigma > 0.0, sigma, 1.0)[..., None]
+    return unnorm, sigma
 
 
 def _output(step, event: str, p: np.ndarray) -> FilterOutput:

@@ -366,22 +366,28 @@ class QuickestClassicalDelay(_DetectionCost):
         f = self.false_alarm
         pf = p @ f  # pf[i] = f' P' e_i
         x = model.n_states
-        ratio = self.rho * (self.alpha + self.beta) / self.beta if self.beta > 0 else np.inf
-        worst_i = min(
-            (f[i] - max(1.0, ratio * pf[i] + (self.alpha - self.d) / self.beta) for i in range(1, x)),
-            default=0.0,
-        )
+        a, b, d, rho = self.alpha, self.beta, self.d, self.rho
+        if b > 0:
+            ratio = rho * (a + b) / b
+            slacks_i = [f[i] - max(1.0, ratio * pf[i] + (a - d) / b) for i in range(1, x)]
+            slacks_iii = [f[x - 1] - f[i] - ratio * (pf[x - 1] - pf[i]) for i in range(1, x - 1)]
+            text_i = "f_i >= max(1, rho*(a+b)/b f'P'e_i + (a-d)/b)"
+            text_iii = "f_X - f_i >= rho*(a+b)/b f'P'(e_X - e_i)"
+        else:
+            # (i) and (iii) multiplied through by b: at b = 0 their left sides vanish
+            slacks_i = [0.0 - max(0.0, rho * a * pf[i] + a - d) for i in range(1, x)]
+            slacks_iii = [0.0 - rho * a * (pf[x - 1] - pf[i]) for i in range(1, x - 1)]
+            text_i = "b f_i >= max(b, rho*(a+b) f'P'e_i + a-d), at b = 0"
+            text_iii = "b (f_X - f_i) >= rho*(a+b) f'P'(e_X - e_i), at b = 0"
         worst_ii = 0.0
         for i in range(1, x - 2):
             for j in range(i, x):
-                worst_ii = min(worst_ii, f[j] - f[i] - self.rho * (pf[j] - pf[i]))
-        worst_iii = min(
-            (f[x - 1] - f[i] - ratio * (pf[x - 1] - pf[i]) for i in range(1, x - 1)), default=0.0
-        )
+                worst_ii = min(worst_ii, f[j] - f[i] - rho * (pf[j] - pf[i]))
+        worst_i, worst_iii = min(slacks_i, default=0.0), min(slacks_iii, default=0.0)
         return [
-            _ineq("AS-Ex1(i)", worst_i, "f_i >= max(1, rho*(a+b)/b f'P'e_i + (a-d)/b)"),
+            _ineq("AS-Ex1(i)", worst_i, text_i),
             _ineq("AS-Ex1(ii)", worst_ii, "f_j - f_i >= rho f'P'(e_j - e_i)"),
-            _ineq("AS-Ex1(iii)", worst_iii, "f_X - f_i >= rho*(a+b)/b f'P'(e_X - e_i)"),
+            _ineq("AS-Ex1(iii)", worst_iii, text_iii),
             _tp2_check("A2", model.discrete_obs().matrix, "observation matrix TP2"),
             _tp2_check("A3", p, "transition matrix TP2"),
         ]

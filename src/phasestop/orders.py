@@ -10,6 +10,7 @@ cost family states its own assumptions (``assumptions`` of the family's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,7 +32,7 @@ def mlr_geq(pi1, pi2, tol: float = ORDER_TOL) -> bool:
     # pi1(i) pi2(j) <= pi2(i) pi1(j) for all i < j
     lhs = np.outer(a, b)
     rhs = np.outer(b, a)
-    iu = np.triu_indices(a.size, k=1)
+    iu = _pairs(a.size)
     return bool(np.all(lhs[iu] <= rhs[iu] + tol))
 
 
@@ -46,12 +47,22 @@ def fosd_geq(pi1, pi2, tol: float = ORDER_TOL) -> bool:
     return bool(np.all(ta >= tb - tol))
 
 
+@lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs ``i < j`` below ``n``, ``np.triu_indices(n, k=1)``,
+    built once per size and read-only."""
+    pairs = np.triu_indices(n, k=1)
+    for idx in pairs:
+        idx.flags.writeable = False
+    return pairs
+
+
 def _min_minor(mat) -> float:
     """Smallest 2x2 minor ``m[i,j] m[k,l] - m[i,l] m[k,j]`` over all rows
     ``i < k`` and columns ``j < l`` (0 for a matrix with no 2x2 minor)."""
     m = np.asarray(mat, dtype=float)
-    i, k = np.triu_indices(m.shape[0], k=1)
-    j, l = np.triu_indices(m.shape[1], k=1)
+    i, k = _pairs(m.shape[0])
+    j, l = _pairs(m.shape[1])
     minors = m[i][:, j] * m[k][:, l] - m[i][:, l] * m[k][:, j]
     return float(minors.min()) if minors.size else 0.0
 

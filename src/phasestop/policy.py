@@ -28,6 +28,8 @@ class LinearThresholdPolicy:
         object.__setattr__(self, "theta", t)
         if t.ndim != 1 or t.size < 1:
             raise ValueError("theta must be a vector with at least one entry")
+        # the score's terms, computed once per policy
+        object.__setattr__(self, "_coefficients", self.coefficients())
 
     @property
     def n_states(self) -> int:
@@ -41,7 +43,7 @@ class LinearThresholdPolicy:
         return c, float(self.theta[-1])
 
     def score(self, pi) -> float:
-        c, t = self.coefficients()
+        c, t = self._coefficients
         return float(np.asarray(pi, dtype=float) @ c - t)
 
     def decide(self, pi) -> int:
@@ -49,8 +51,9 @@ class LinearThresholdPolicy:
         return STOP if self.score(pi) < 0.0 else CONTINUE
 
     def batch_decide(self, pts: np.ndarray) -> np.ndarray:
-        c, t = self.coefficients()
-        return np.where(np.asarray(pts, dtype=float) @ c - t < 0.0, STOP, CONTINUE)
+        # for finite values, pts @ c < t exactly when the score pts @ c - t < 0
+        c, t = self._coefficients
+        return np.where(np.asarray(pts, dtype=float) @ c < t, STOP, CONTINUE)
 
 
 def theta_is_mlr_increasing(theta) -> bool:

@@ -11,9 +11,13 @@ Draw convention: a draw from a pmf is the inverse CDF of one uniform
 is the number of entries at or below ``u``.  Every path draws this way, on
 tables built by :func:`_cdf`, which pins the entries at a row's total to
 1.0, so no draw picks a zero-probability column or one past the end.  The
-batch paths (:func:`simulate_batch`, :func:`sample_change_times`) build
-their tables once per call; state moves count the entries one column at a
-time, symbol draws run one ``searchsorted(..., side="right")`` per state.
+batch paths (:func:`simulate_batch`, :func:`sample_change_times`) turn each
+table into one sorted array of integer keys once per call
+(:func:`_draw_table`), and every batch draw, whichever row of the table
+each entry draws from, is one ``searchsorted`` on those keys
+(:func:`_draw_rows`).  The keys are exact: NumPy's ``random()`` returns
+``k * 2**-53`` for an integer ``k``, so ``cdf <= u`` holds exactly when
+``ceil(cdf * 2**53) <= k``, and both sides are integers below ``2**53``.
 A batch step draws one uniform per active row for the state moves, then one
 per active row for the symbols, in ascending row order.
 """
@@ -186,29 +190,43 @@ def _batch_decider(policy):
     return lambda pts: np.array([decide(pi) for pi in pts])
 
 
-def _draw_by_state(cdf: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+# the key of CDF entry c in row s of a draw table is ceil(c * 2**53) + s * 2**54:
+# row s's keys lie in [s * 2**54, s * 2**54 + 2**53], below 2**63 for s <= 511
+_GRID = 2.0**53
+_ROW_SHIFT = 54
+MAX_TABLE_ROWS = 511
+
+
+def _draw_table(cdf: np.ndarray) -> np.ndarray:
+    """The sorted ``int64`` search keys of the :func:`_cdf` table ``cdf``
+    (rows, cols) for :func:`_draw_rows`: entry ``(s, j)`` is
+    ``ceil(cdf[s, j] * 2**53)`` offset by ``s * 2**54``.  Raises
+    ``ValueError`` for a table of more than 511 rows: up to 511, every key
+    and every query of :func:`_draw_rows` stays below ``2**63``."""
+    if cdf.shape[0] > MAX_TABLE_ROWS:
+        raise ValueError(f"a draw table has at most {MAX_TABLE_ROWS} rows, got {cdf.shape[0]}")
+    keys = np.ceil(cdf * _GRID).astype(np.int64)
+    keys += np.arange(cdf.shape[0], dtype=np.int64)[:, None] << _ROW_SHIFT
+    return keys
+
+
+def _draw_rows(keys: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws: entry ``i`` draws from row ``states[i]`` of the
-    :func:`_cdf` table ``cdf`` with the uniform ``u[i]``.
+    table whose :func:`_draw_table` keys are ``keys``, with the uniform
+    ``u[i]``, giving the number of entries of the row at or below ``u[i]``.
 
-    Returns the number of entries of the row at or below ``u[i]``: the first
-    index whose entry exceeds ``u[i]``.  One ``searchsorted`` per present
-    state, for tables with many columns.
+    Exact only for uniforms on the ``2**-53`` grid, as ``rng.random()``
+    returns them: ``k = u * 2**53`` is then an integer, and a row's entry
+    is at or below ``u`` exactly when its key is at or below
+    ``s * 2**54 + k``.  Every key of an earlier row lies below that query
+    and every key of a later row above it, so one ``searchsorted`` over the
+    flattened table counts ``s * cols`` entries plus the draw.
     """
-    out = np.empty(states.size, dtype=np.intp)
-    for s in np.flatnonzero(np.bincount(states, minlength=cdf.shape[0])):
-        sel = np.flatnonzero(states == s)
-        out[sel] = np.searchsorted(cdf[s], u[sel], side="right")
-    return out
-
-
-def _count_by_state(cdf: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The draws of :func:`_draw_by_state`, counted one column at a time:
-    ``sum_j [cdf[states, j] <= u]``.  For tables with few columns, such as
-    the transition CDF."""
-    out = (cdf[states, 0] <= u).astype(np.intp)
-    for col in cdf.T[1:]:
-        out += col[states] <= u
-    return out
+    query = (u * _GRID).astype(np.int64)
+    query += states << _ROW_SHIFT
+    draws = keys.ravel().searchsorted(query, side="right")
+    draws -= states * keys.shape[1]
+    return draws
 
 
 def _stage_cost_bound(spec: CostSpec, model: DetectionModel) -> float:
@@ -266,7 +284,7 @@ def simulate_batch(
             max_steps = int(np.ceil(np.log(TRUNCATION_TOL / max(bound, 1e-12)) / np.log(rho)))
             max_steps = max(1, min(max_steps, DETECTION_MAX_STEPS))
     deciders = [_batch_decider(pol) for pol in policies]
-    cdf_p, cdf_b = _cdf(p), _cdf(b)
+    keys_p, keys_b = _draw_table(_cdf(p)), _draw_table(_cdf(b))
     b_t = np.ascontiguousarray(b.T)  # row y: likelihood of symbol y per state
 
     shape = (len(policies), n)
@@ -279,20 +297,20 @@ def simulate_batch(
     # tau0, running cost (the same for every policy still running the row)
     # and which policies still run them
     rows = np.arange(n)
-    states = _count_by_state(_cdf(priors), rows, rng.random(n))
+    # the prior table has a row per trajectory: count its entries at or below u
+    states = (_cdf(priors) <= rng.random(n)[:, None]).sum(axis=1)
     beliefs, t0, acc = priors.copy(), np.where(states == 0, 0, -1), np.zeros(n)
     alive = np.ones(shape, dtype=bool)
     disc = 1.0
     for k in range(1, max_steps + 1):
         if rows.size == 0:
             break
-        states = _count_by_state(cdf_p, states, rng.random(rows.size))
+        states = _draw_rows(keys_p, states, rng.random(rows.size))
         t0[(t0 < 0) & (states == 0)] = k
-        ys = _draw_by_state(cdf_b, states, rng.random(rows.size))
+        ys = _draw_rows(keys_b, states, rng.random(rows.size))
         beliefs, sigma = bayes_step(beliefs @ p, b_t[ys])
-        bad = ~((sigma > 0.0) & (sigma < np.inf))
-        if bad.any():
-            j = int(np.argmax(bad))
+        if not (sigma.min() > 0.0 and sigma.max() < np.inf):
+            j = int(np.argmax(~((sigma > 0.0) & (sigma < np.inf))))
             raise ZeroProbabilityError(
                 f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
                 f"{sigma[j]} after observation {int(ys[j])}"
@@ -305,7 +323,7 @@ def simulate_batch(
             costs[t, done] = acc[j] + disc * c_stop[j]
             tau[t, done], tau0[t, done] = k, t0[j]
             alive ^= stop  # stop lies inside alive
-            keep = alive.any(axis=0)
+            keep = np.flatnonzero(alive.any(axis=0))
             rows, states, beliefs, t0, acc, c_cont = (
                 rows[keep], states[keep], beliefs[keep], t0[keep], acc[keep], c_cont[keep]
             )
@@ -327,7 +345,7 @@ def sample_change_times(
 ) -> np.ndarray:
     """First-hit times of the absorbing state for ``n`` independent chains
     (-1 when not absorbed within ``max_steps``)."""
-    cdf_p = _cdf(model.transition)
+    keys_p = _draw_table(_cdf(model.transition))
     states = np.searchsorted(_cdf(as_belief(model.initial)), rng.random(n), side="right")
     times = np.where(states == 0, 0, -1)
     rows = np.flatnonzero(states != 0)
@@ -335,7 +353,7 @@ def sample_change_times(
     for k in range(1, max_steps + 1):
         if rows.size == 0:
             break
-        states = _count_by_state(cdf_p, states, rng.random(rows.size))
+        states = _draw_rows(keys_p, states, rng.random(rows.size))
         hit = states == 0
         times[rows[hit]] = k
         rows, states = rows[~hit], states[~hit]

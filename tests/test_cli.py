@@ -106,6 +106,23 @@ def test_orders_command_eq52_family(tmp_path, capsys):
     assert any("A3" in line and "FAIL" in line for line in out.splitlines())
 
 
+@pytest.mark.parametrize("command", ["orders", "solve"])
+def test_quickest_classical_without_false_alarm_penalty(tmp_path, capsys, command):
+    # beta = 0: AS-Ex1(i) and (iii) are checked multiplied through by beta
+    cost = {**SMALL_COST, "beta": 0.0}
+    ref = write_config(tmp_path, "nobeta", {"model": SMALL_MODEL, "cost": cost})
+    assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 0
+    checks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("AS-Ex1")]
+    assert len(checks) == 3 and all(" pass " in line for line in checks)
+    assert "at b = 0" in checks[0] and "at b = 0" in checks[2]
+    # alpha = 2 breaks (i): its slack is d - alpha - rho alpha f'P'e_2 = 1 - 2 - 1.4
+    cost = {**cost, "alpha": 2.0}
+    ref = write_config(tmp_path, "nobeta2", {"model": SMALL_MODEL, "cost": cost})
+    assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 0
+    first = next(line for line in capsys.readouterr().out.splitlines() if "AS-Ex1(i) " in line)
+    assert "FAIL" in first and "slack=-2.4" in first
+
+
 def test_spsa_rejects_invalid_gains(tmp_path, capsys):
     cfg = {
         "model": SMALL_MODEL,

@@ -69,6 +69,22 @@ def test_nearest_matches_exact_brute_force(x, m):
     assert np.array_equal(g.nearest(pts), brute_nearest(g, pts))
 
 
+@pytest.mark.parametrize("x,m", [(3, 20), (4, 12)])
+def test_nearest_matches_brute_force_on_many_beliefs(x, m):
+    # every grid point's float squared distance from m * pi; argmin takes the
+    # first minimum, the lexicographically smallest grid point, and rows whose
+    # two best distances lie within 1e-9 are settled by the exact brute force
+    g = dp.build_grid(x, m)
+    rng = np.random.default_rng(2000 + x)
+    pts = np.vstack([rng.dirichlet(np.ones(x), size=1500), rng.dirichlet(0.2 * np.ones(x), size=500)])
+    d2 = ((pts[:, None, :] * m - g.coords[None, :, :]) ** 2).sum(axis=2)
+    want = d2.argmin(axis=1)
+    best_two = np.sort(d2, axis=1)[:, :2]
+    close = best_two[:, 1] - best_two[:, 0] < 1e-9
+    want[close] = brute_nearest(g, pts[close])
+    assert np.array_equal(g.nearest(pts), want)
+
+
 def argsort_nearest(grid, pts):
     """The sorting kernel that the pairwise ranks in ``nearest`` replaced:
     two stable argsorts per row rank the fractional parts."""

@@ -320,3 +320,20 @@ def test_bayes_step_leaves_a_zero_or_nan_row_undivided():
     nxt, sigma = filters.bayes_step(pred, np.array([0.0, 1.0]))
     assert np.array_equal(sigma[:2], [0.5, 0.0]) and np.isnan(sigma[2])
     assert np.array_equal(nxt[:2], [[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("x", range(2, 13))
+def test_row_sum_is_numpy_sum_bit_for_bit(x):
+    rng = np.random.default_rng(x)
+    for k in (1, 7, 100, 20_000):
+        # entries of one magnitude per row, where the order of the additions
+        # shows in the last bits, and of mixed magnitudes, from 1e-300 to 1e5
+        row_scale = 10.0 ** rng.uniform(-300, 5, size=(k, 1))
+        mixed = 10.0 ** rng.uniform(-300, 5, size=(k, x))
+        for a in (rng.random((k, x)) * row_scale, rng.random((k, x)) * mixed):
+            a[0] = -0.0  # a signed-zero row: NumPy's sum is +0.0
+            got, want = filters._row_sum(a), a.sum(axis=-1)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (x, k)
+            for row in a[:3]:  # one belief, as a 1-D array
+                got, want = filters._row_sum(row), row.sum(axis=-1)
+                assert np.shape(got) == () and got.tobytes() == want.tobytes(), (x, k)

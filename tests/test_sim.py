@@ -364,29 +364,55 @@ def test_change_times_bit_identical(staged_model):
             assert new.dtype == ref.dtype and np.array_equal(new, ref)
 
 
-def test_draw_by_state_matches_counting():
-    for cols in (3, 7):
+GRID = 2.0**53
+
+
+def grid_uniforms_around(cdf):
+    """Uniforms on the ``2**-53`` grid of ``rng.random()`` at and next to the
+    entries of ``cdf``: each entry that lies on the grid, the grid points on
+    each side of every entry, and the ends 0 and 1 - 2**-53."""
+    scaled = np.asarray(cdf).ravel() * GRID
+    k = np.concatenate(
+        [np.floor(scaled) - 1, np.floor(scaled), np.ceil(scaled), np.ceil(scaled) + 1, [0, GRID - 1]]
+    )
+    return np.unique(np.clip(k, 0, GRID - 1)) / GRID
+
+
+def test_draw_rows_matches_searchsorted():
+    for cols in (3, 7, 101):
         rng = np.random.default_rng(12 + cols)
-        pmf = rng.dirichlet(np.ones(cols), size=5)
+        pmf = rng.dirichlet(np.ones(cols), size=6)
         pmf[0] = np.eye(cols)[0]  # an absorbing row: CDF entries all 1
         pmf[1, 1] = 0.0  # a zero-probability column inside the row
         pmf[2, 0] = 0.0  # and one at its start: the CDF starts at 0
         pmf[3, -1] = 0.0  # and one at its end
+        pmf[4, :2] = [1e-300, 1e-17]  # entries off the grid, below its first step
         pmf /= pmf.sum(axis=1, keepdims=True)
         cdf = sim._cdf(pmf)
-        # every entry below 1 of every row as a uniform, then random ones: the
-        # tie u == cdf counts as "at or below", so on a run of equal entries (a
-        # zero-probability column) the draw is the column after the run
-        states = np.concatenate([np.repeat(np.arange(5), cols), rng.integers(0, 5, size=500)])
-        u = np.concatenate([cdf.ravel(), rng.random(500)])
-        states, u = states[u < 1.0], u[u < 1.0]
-        want = (u[:, None] >= cdf[states]).sum(axis=1)
-        first = np.array([np.searchsorted(cdf[s], v, side="right") for s, v in zip(states, u)])
-        assert np.array_equal(want, first)
+        assert (cdf == 1.0).sum() > len(cdf)  # entries pinned to 1.0 besides the last
+        # the grid points at and around every entry of every row, then random
+        # ones: the tie u == cdf counts as "at or below", so on a run of equal
+        # entries (a zero-probability column) the draw is the column after the run
+        u_grid = grid_uniforms_around(cdf)
+        states = np.concatenate([np.repeat(np.arange(6), u_grid.size), rng.integers(0, 6, 500)])
+        u = np.concatenate([np.tile(u_grid, 6), rng.random(500)])
+        assert u.min() == 0.0 and u.max() == 1.0 - 2.0**-53
+        assert np.array_equal(u * GRID, np.floor(u * GRID))  # every uniform on the grid
+        want = np.array([np.searchsorted(cdf[s], v, side="right") for s, v in zip(states, u)])
         assert pmf[states, want].min() > 0.0  # never a zero-probability column
-        for draw in (sim._draw_by_state, sim._count_by_state):
-            got = draw(cdf, states, u)
-            assert got.dtype == np.intp and np.array_equal(got, want), (draw.__name__, cols)
+        got = sim._draw_rows(sim._draw_table(cdf), states, u)
+        assert got.dtype == np.intp and np.array_equal(got, want), cols
+
+
+def test_draw_table_row_limit():
+    cdf = sim._cdf(np.full((sim.MAX_TABLE_ROWS, 4), 0.25))
+    keys = sim._draw_table(cdf)
+    assert np.all(np.diff(keys.ravel()) > 0)  # sorted, rows apart
+    top = np.array([sim.MAX_TABLE_ROWS - 1] * 3)
+    u = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+    assert list(sim._draw_rows(keys, top, u)) == [0, 2, 3]
+    with pytest.raises(ValueError, match="at most 511 rows"):
+        sim._draw_table(sim._cdf(np.full((sim.MAX_TABLE_ROWS + 1, 4), 0.25)))
 
 
 class Uniforms:
@@ -409,8 +435,8 @@ def test_draws_at_the_ends_of_the_unit_interval(three_state_model):
     b = m.discrete_obs().matrix
     top = 1.0 - 2.0**-53
     assert np.cumsum(b[0])[-1] == top
-    for draw in (sim._draw_by_state, sim._count_by_state):
-        assert draw(sim._cdf([[0.0, 0.5, 0.5]]), np.array([0]), np.array([0.0]))[0] == 1
+    keys = sim._draw_table(sim._cdf([[0.0, 0.5, 0.5]]))
+    assert list(sim._draw_rows(keys, np.array([0, 0]), np.array([0.0, top]))) == [1, 2]
     # x_0 = 3, then u = 0 moves 3 -> 2 -> 1, and state 1 draws a symbol at u = top
     uniforms = [0.0, 0.0, 0.5, 0.0, top]
     traj = sim.sample_trajectory(m, never_stop, max_steps=2, rng=Uniforms(uniforms))
