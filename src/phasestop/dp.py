@@ -536,11 +536,19 @@ class GridPolicy:
     grid: SimplexGrid
     actions: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "_stops", np.asarray(self.actions) == STOP)
+
     def decide(self, pi) -> int:
         return int(self.actions[self.grid.nearest(np.atleast_2d(pi))[0]])
 
+    def stop_mask(self, pts: np.ndarray) -> np.ndarray:
+        """True where the nearest grid point's action is stop, one belief per
+        row of ``pts``."""
+        return self._stops[self.grid.nearest(pts)]
+
     def batch_decide(self, pts: np.ndarray) -> np.ndarray:
-        return self.actions[self.grid.nearest(pts)]
+        return np.where(self.stop_mask(pts), STOP, CONTINUE)
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,17 @@ class CostSpec:
         return [None, (pts @ model.transition, model.discrete_obs().matrix.T)]
 
     def initial_value(self, offset: np.ndarray) -> np.ndarray:
+        """The zero-horizon value, in transformed coordinates, from the offset
+        at each grid point: the terminal rule of a horizon run.
+
+        The rule is free exit: ``-offset`` is the original value 0, so a path
+        still running when the horizon ends stops at no cost, with no
+        false-alarm or delay charge.  :class:`RiskSensitive` overrides it
+        with a forced stop (transformed zeros, the original value being the
+        stopping cost).  A converged discounted run does not depend on the
+        rule; a fixed-horizon run does, and the bundled fig3a-c thresholds
+        exist only under free exit (under a forced stop they stop everywhere).
+        """
         return -offset
 
 
@@ -278,7 +289,8 @@ class _DetectionCost(CostSpec):
         if original:
             return c1_bar, c2_bar
         ab = self.alpha + self.beta
-        return c1_bar - ab * fpi, c2_bar - ab * fpi + self.rho * ab * fppi
+        ab_fpi = ab * fpi
+        return c1_bar - ab_fpi, c2_bar - ab_fpi + self.rho * ab * fppi
 
     def offset(self, model, pts):
         return (self.alpha + self.beta) * self._terms(model, pts)[0]

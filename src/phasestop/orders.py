@@ -15,8 +15,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .filters import as_belief
-
 if TYPE_CHECKING:
     from .model import CostSpec, DetectionModel
 
@@ -90,42 +88,6 @@ def matrix_order_geq(p1, p2, tol: float = ORDER_TOL) -> bool:
             if np.any(np.outer(a[:, j], b[:, l]) > np.outer(b[:, j], a[:, l]) + tol):
                 return False
     return True
-
-
-def epsilon_dominated(pi, eps) -> np.ndarray:
-    """Shift mass down one state at a time: ``pi + sum_j eps_j (e_j - e_{j+1})``.
-
-    Each ``eps_j`` must lie in ``[0, min(1 - pi(j), pi(j+1))]``; the result is
-    a valid belief dominated by ``pi`` in first-order stochastic dominance.
-    """
-    p = as_belief(pi)
-    e = np.asarray(eps, dtype=float)
-    if e.shape != (p.size - 1,):
-        raise ValueError("need one epsilon per adjacent state pair")
-    hi = np.minimum(1.0 - p[:-1], p[1:])
-    if np.any(e < -ORDER_TOL) or np.any(e > hi + ORDER_TOL):
-        raise ValueError("epsilon outside the admissible box")
-    out = p.copy()
-    out[:-1] += e
-    out[1:] -= e
-    return out
-
-
-def line_point(vertex: int, base, eps: float) -> np.ndarray:
-    """Point ``(1-eps)*base + eps*e_vertex`` on the line from ``base`` to a vertex.
-
-    ``base`` must lie on the face opposite the (1-based) vertex.
-    """
-    b = as_belief(base)
-    if not 1 <= vertex <= b.size:
-        raise ValueError("vertex out of range")
-    if abs(b[vertex - 1]) > ORDER_TOL:
-        raise ValueError("base point must have zero mass on the vertex state")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
-    out = (1.0 - eps) * b
-    out[vertex - 1] += eps
-    return out
 
 
 # ---------------------------------------------------------------------------

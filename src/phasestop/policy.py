@@ -50,10 +50,14 @@ class LinearThresholdPolicy:
         """1 (stop) when the score is strictly negative, else 2 (continue)."""
         return STOP if self.score(pi) < 0.0 else CONTINUE
 
-    def batch_decide(self, pts: np.ndarray) -> np.ndarray:
+    def stop_mask(self, pts: np.ndarray) -> np.ndarray:
+        """True where :meth:`decide` stops, one belief per row of ``pts``."""
         # for finite values, pts @ c < t exactly when the score pts @ c - t < 0
         c, t = self._coefficients
-        return np.where(np.asarray(pts, dtype=float) @ c < t, STOP, CONTINUE)
+        return pts @ c < t
+
+    def batch_decide(self, pts: np.ndarray) -> np.ndarray:
+        return np.where(self.stop_mask(np.asarray(pts, dtype=float)), STOP, CONTINUE)
 
 
 def theta_is_mlr_increasing(theta) -> bool:

@@ -12,14 +12,19 @@ is the number of entries at or below ``u``.  Every path draws this way, on
 tables built by :func:`_cdf`, which pins the entries at a row's total to
 1.0, so no draw picks a zero-probability column or one past the end.  The
 batch paths (:func:`simulate_batch`, :func:`sample_change_times`) turn each
-table into one sorted array of integer keys once per call
+table into one sorted, flattened array of integer keys once per call
 (:func:`_draw_table`), and every batch draw, whichever row of the table
 each entry draws from, is one ``searchsorted`` on those keys
-(:func:`_draw_rows`).  The keys are exact: NumPy's ``random()`` returns
-``k * 2**-53`` for an integer ``k``, so ``cdf <= u`` holds exactly when
-``ceil(cdf * 2**53) <= k``, and both sides are integers below ``2**53``.
-A batch step draws one uniform per active row for the state moves, then one
-per active row for the symbols, in ascending row order.
+(:func:`_draw_positions`).  A draw is a position in the flattened table,
+``s * cols + j`` for column ``j`` of row ``s``, and the batch paths map
+positions to what they need through arrays built once per call: the chain
+table to the next state's row offset ``j << 54``, which the step carries in
+place of the state (offset 0 is state 1), and the observation table to the
+likelihood row ``b[:, j]``.  The keys are exact: NumPy's ``random()``
+returns ``k * 2**-53`` for an integer ``k``, so ``cdf <= u`` holds exactly
+when ``ceil(cdf * 2**53) <= k``, and both sides are integers below
+``2**53``.  A batch step draws one uniform per active row for the state
+moves, then one per active row for the symbols, in ascending row order.
 """
 
 from __future__ import annotations
@@ -183,11 +188,15 @@ class BatchResult:
 
 
 def _batch_decider(policy):
-    """``policy``'s actions for a stack of beliefs, one per row."""
+    """``policy``'s stop mask for a stack of beliefs, one per row: its own
+    ``stop_mask``, else its actions (``batch_decide``, else ``decide`` or
+    the callable per row) compared with ``STOP``."""
+    if hasattr(policy, "stop_mask"):
+        return policy.stop_mask
     if hasattr(policy, "batch_decide"):
-        return lambda pts: np.asarray(policy.batch_decide(pts))
+        return lambda pts: np.asarray(policy.batch_decide(pts)) == STOP
     decide = _policy_fn(policy)
-    return lambda pts: np.array([decide(pi) for pi in pts])
+    return lambda pts: np.array([decide(pi) for pi in pts]) == STOP
 
 
 # the key of CDF entry c in row s of a draw table is ceil(c * 2**53) + s * 2**54:
@@ -199,34 +208,41 @@ MAX_TABLE_ROWS = 511
 
 def _draw_table(cdf: np.ndarray) -> np.ndarray:
     """The sorted ``int64`` search keys of the :func:`_cdf` table ``cdf``
-    (rows, cols) for :func:`_draw_rows`: entry ``(s, j)`` is
-    ``ceil(cdf[s, j] * 2**53)`` offset by ``s * 2**54``.  Raises
-    ``ValueError`` for a table of more than 511 rows: up to 511, every key
-    and every query of :func:`_draw_rows` stays below ``2**63``."""
+    (rows, cols) for :func:`_draw_positions`, flattened row by row: entry
+    ``(s, j)`` is ``ceil(cdf[s, j] * 2**53)`` offset by ``s << 54``.
+    Raises ``ValueError`` for a table of more than 511 rows: up to 511,
+    every key and every query of :func:`_draw_positions` stays below
+    ``2**63``."""
     if cdf.shape[0] > MAX_TABLE_ROWS:
         raise ValueError(f"a draw table has at most {MAX_TABLE_ROWS} rows, got {cdf.shape[0]}")
     keys = np.ceil(cdf * _GRID).astype(np.int64)
     keys += np.arange(cdf.shape[0], dtype=np.int64)[:, None] << _ROW_SHIFT
-    return keys
+    return keys.ravel()
 
 
-def _draw_rows(keys: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws: entry ``i`` draws from row ``states[i]`` of the
-    table whose :func:`_draw_table` keys are ``keys``, with the uniform
-    ``u[i]``, giving the number of entries of the row at or below ``u[i]``.
+def _draw_positions(keys: np.ndarray, offsets: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: entry ``i`` draws from row ``s = offsets[i] >> 54``
+    of the table whose :func:`_draw_table` keys are ``keys``, with the
+    uniform ``u[i]``, giving the draw's position ``s * cols + j`` in the
+    flattened table, ``j`` being the number of entries of the row at or
+    below ``u[i]``.
 
     Exact only for uniforms on the ``2**-53`` grid, as ``rng.random()``
     returns them: ``k = u * 2**53`` is then an integer, and a row's entry
     is at or below ``u`` exactly when its key is at or below
-    ``s * 2**54 + k``.  Every key of an earlier row lies below that query
+    ``offsets[i] + k``.  Every key of an earlier row lies below that query
     and every key of a later row above it, so one ``searchsorted`` over the
     flattened table counts ``s * cols`` entries plus the draw.
     """
     query = (u * _GRID).astype(np.int64)
-    query += states << _ROW_SHIFT
-    draws = keys.ravel().searchsorted(query, side="right")
-    draws -= states * keys.shape[1]
-    return draws
+    query += offsets
+    return keys.searchsorted(query, side="right")
+
+
+def _row_offsets(rows: int, cols: int) -> np.ndarray:
+    """By position in a flattened (rows, cols) draw table, the row offset
+    ``j << 54`` of the drawn column ``j``: the chain table's next state."""
+    return np.tile(np.arange(cols, dtype=np.int64) << _ROW_SHIFT, rows)
 
 
 def _stage_cost_bound(spec: CostSpec, model: DetectionModel) -> float:
@@ -285,7 +301,8 @@ def simulate_batch(
             max_steps = max(1, min(max_steps, DETECTION_MAX_STEPS))
     deciders = [_batch_decider(pol) for pol in policies]
     keys_p, keys_b = _draw_table(_cdf(p)), _draw_table(_cdf(b))
-    b_t = np.ascontiguousarray(b.T)  # row y: likelihood of symbol y per state
+    # by draw position: the next state's row offset, and symbol y's likelihood per state
+    next_off, lik = _row_offsets(*p.shape), np.tile(b.T, (b.shape[0], 1))
 
     shape = (len(policies), n)
     costs = np.zeros(shape)
@@ -293,30 +310,30 @@ def simulate_batch(
     tau0 = np.full(shape, -1)
     censored = np.zeros(shape, dtype=bool)
 
-    # the rows some policy still runs, ascending, with their state, belief,
-    # tau0, running cost (the same for every policy still running the row)
-    # and which policies still run them
+    # the rows some policy still runs, ascending, with their state's row
+    # offset, belief, tau0, running cost (the same for every policy still
+    # running the row) and which policies still run them
     rows = np.arange(n)
     # the prior table has a row per trajectory: count its entries at or below u
-    states = (_cdf(priors) <= rng.random(n)[:, None]).sum(axis=1)
-    beliefs, t0, acc = priors.copy(), np.where(states == 0, 0, -1), np.zeros(n)
+    off = (_cdf(priors) <= rng.random(n)[:, None]).sum(axis=1) << _ROW_SHIFT
+    beliefs, t0, acc = priors.copy(), np.where(off == 0, 0, -1), np.zeros(n)
     alive = np.ones(shape, dtype=bool)
     disc = 1.0
     for k in range(1, max_steps + 1):
         if rows.size == 0:
             break
-        states = _draw_rows(keys_p, states, rng.random(rows.size))
-        t0[(t0 < 0) & (states == 0)] = k
-        ys = _draw_rows(keys_b, states, rng.random(rows.size))
-        beliefs, sigma = bayes_step(beliefs @ p, b_t[ys])
+        off = next_off[_draw_positions(keys_p, off, rng.random(rows.size))]
+        t0[(t0 < 0) & (off == 0)] = k
+        y_pos = _draw_positions(keys_b, off, rng.random(rows.size))
+        beliefs, sigma = bayes_step(beliefs @ p, lik[y_pos])
         if not (sigma.min() > 0.0 and sigma.max() < np.inf):
             j = int(np.argmax(~((sigma > 0.0) & (sigma < np.inf))))
             raise ZeroProbabilityError(
                 f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
-                f"{sigma[j]} after observation {int(ys[j])}"
+                f"{sigma[j]} after observation {int(y_pos[j]) % b.shape[1]}"
             )
         c_stop, c_cont = stage_cost_vectors(spec, model, beliefs, original=not transformed)
-        stop = alive & (np.array([decide(beliefs) for decide in deciders]) == STOP)
+        stop = alive & np.array([decide(beliefs) for decide in deciders])
         if stop.any():
             t, j = np.nonzero(stop)
             done = rows[j]
@@ -324,8 +341,8 @@ def simulate_batch(
             tau[t, done], tau0[t, done] = k, t0[j]
             alive ^= stop  # stop lies inside alive
             keep = np.flatnonzero(alive.any(axis=0))
-            rows, states, beliefs, t0, acc, c_cont = (
-                rows[keep], states[keep], beliefs[keep], t0[keep], acc[keep], c_cont[keep]
+            rows, off, beliefs, t0, acc, c_cont = (
+                rows[keep], off[keep], beliefs[keep], t0[keep], acc[keep], c_cont[keep]
             )
             alive = alive[:, keep]
         acc += disc * c_cont
@@ -345,18 +362,19 @@ def sample_change_times(
 ) -> np.ndarray:
     """First-hit times of the absorbing state for ``n`` independent chains
     (-1 when not absorbed within ``max_steps``)."""
-    keys_p = _draw_table(_cdf(model.transition))
+    p = model.transition
+    keys_p, next_off = _draw_table(_cdf(p)), _row_offsets(*p.shape)
     states = np.searchsorted(_cdf(as_belief(model.initial)), rng.random(n), side="right")
     times = np.where(states == 0, 0, -1)
     rows = np.flatnonzero(states != 0)
-    states = states[rows]
+    off = states[rows] << _ROW_SHIFT
     for k in range(1, max_steps + 1):
         if rows.size == 0:
             break
-        states = _draw_rows(keys_p, states, rng.random(rows.size))
-        hit = states == 0
+        off = next_off[_draw_positions(keys_p, off, rng.random(rows.size))]
+        hit = off == 0
         times[rows[hit]] = k
-        rows, states = rows[~hit], states[~hit]
+        rows, off = rows[~hit], off[~hit]
     return times
 
 
@@ -399,16 +417,6 @@ def decompose_from_times(tau, tau0, d: float, beta: float, censored=None) -> Det
         n=n,
         n_censored=n_censored,
     )
-
-
-def shiryayev_decompose(trajectories, d: float, beta: float) -> DetectionSummary:
-    """Decompose recorded trajectories into the delay and false-alarm terms."""
-    if not trajectories:
-        raise ValueError("no trajectories")
-    tau = np.array([t.tau if t.tau is not None else len(t.actions) for t in trajectories])
-    tau0 = np.array([t.tau0 if t.tau0 is not None else -1 for t in trajectories])
-    censored = np.array([t.censored for t in trajectories])
-    return decompose_from_times(tau, tau0, d, beta, censored)
 
 
 def trajectory_csv(traj: Trajectory) -> str:

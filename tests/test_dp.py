@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from phasestop import dp, filters, model, orders
+from phasestop import cli, dp, filters, model, orders
 
 
 def brute_nearest(grid, pts):
@@ -764,3 +764,22 @@ def test_transformed_costs_shift_the_original_costs_by_the_offset(family):
         assert not offset.any() and not offset_next.any()
     np.testing.assert_allclose(stop, stop_orig - offset, rtol=0, atol=1e-12)
     np.testing.assert_allclose(cont, cont_orig - offset + spec.rho * offset_next, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c"])
+def test_fig3_thresholds_come_from_the_free_exit_horizon(name):
+    # the terminal rule is free exit (CostSpec.initial_value): on fig3a-c
+    # continuing costs more than stopping at every grid point, so the
+    # converged policy stops everywhere, and the bundled threshold is that
+    # of the 200-step free-exit run
+    cfg = cli.load_config(name)
+    mdl = cli.parse_model(cfg["model"], bins=cfg["bins"])
+    spec = cli.parse_cost(cfg["cost"])
+    g = dp.build_grid(mdl.n_states, 20)
+    c_stop, c_cont = dp.stage_cost_vectors(spec, mdl, g.points)
+    assert np.all(c_cont - c_stop > 0.0)
+    converged = dp.value_iterate(mdl, spec, g, tol=1e-10)
+    assert converged.sweeps < dp.MAX_SWEEPS and converged.sup_delta < 1e-10
+    assert np.all(converged.policy == dp.STOP)
+    horizon = dp.value_iterate(mdl, spec, g, horizon=cfg["horizon"])
+    assert cfg["horizon"] == 200 and np.any(horizon.policy == dp.CONTINUE)

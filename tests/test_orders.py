@@ -153,41 +153,6 @@ def test_three_state_ordered_pair():
     assert orders.is_tp2(p1) and orders.is_tp2(p2)
 
 
-def test_epsilon_dominated():
-    pi = np.array([0.3, 0.7])
-    out = orders.epsilon_dominated(pi, [0.2])
-    assert np.allclose(out, [0.5, 0.5])
-    assert orders.fosd_geq(pi, out)
-    assert np.array_equal(orders.epsilon_dominated(pi, [0.0]), pi)
-    with pytest.raises(ValueError):
-        orders.epsilon_dominated(pi, [0.8])
-
-    rng = np.random.default_rng(3)
-    for _ in range(2000):
-        x = int(rng.integers(2, 6))
-        p = rng.dirichlet(np.ones(x))
-        hi = np.minimum(1.0 - p[:-1], p[1:])
-        eps = rng.random(x - 1) * hi
-        out = orders.epsilon_dominated(p, eps)
-        assert np.all(out >= -1e-12) and abs(out.sum() - 1.0) < 1e-9
-        assert orders.fosd_geq(p, out)
-
-
-def test_line_point():
-    base = np.array([0.4, 0.6, 0.0])
-    assert np.allclose(orders.line_point(3, base, 0.0), base)
-    assert np.allclose(orders.line_point(3, base, 1.0), [0, 0, 1])
-    with pytest.raises(ValueError):
-        orders.line_point(1, base, 0.5)  # base has mass on state 1
-    # moving toward the last vertex increases in the MLR order
-    lo = orders.line_point(3, base, 0.2)
-    hi = orders.line_point(3, base, 0.7)
-    assert orders.mlr_geq(hi, lo)
-    # convex combinations of comparable beliefs stay between them
-    mid = 0.5 * lo + 0.5 * hi
-    assert orders.mlr_geq(hi, mid) and orders.mlr_geq(mid, lo)
-
-
 def test_assumptions_quickest_predictive(three_state_model):
     good = model.QuickestPredictiveDelay(alpha=0, beta=1, d=1, rho=1, op_cost=1e-3)
     rep = orders.check_assumptions(three_state_model, good)

@@ -116,26 +116,25 @@ def test_batch_rejects_other_families(identity_model_2):
         )
 
 
-def test_shiryayev_decompose_edge_cases(geometric_model):
+def test_decompose_from_times_edge_cases(geometric_model):
+    spec = model.QuickestClassicalDelay(
+        alpha=0.0, beta=2.0, d=1.0, rho=1.0, false_alarm=[0, 1]
+    )
+    priors = np.tile(geometric_model.initial, (500, 1))
     rng = np.random.default_rng(8)
-    trajs = [
-        sim.sample_trajectory(geometric_model, always_stop, rng=rng) for _ in range(500)
-    ]
-    summary = sim.shiryayev_decompose(trajs, d=1.0, beta=2.0)
+    batch = sim.simulate_batch(geometric_model, spec, always_stop, priors, rng)
+    summary = sim.decompose_from_times(batch.tau, batch.tau0, 1.0, 2.0, batch.censored)
     assert summary.mean_delay == 0.0
     # stopping at step one is a false alarm whenever the change comes later
     p21 = geometric_model.transition[1, 0]
     assert summary.false_alarm_rate == pytest.approx(1 - p21, abs=0.06)
 
-    trajs = [
-        sim.sample_trajectory(geometric_model, never_stop, max_steps=300, rng=rng)
-        for _ in range(100)
-    ]
-    summary = sim.shiryayev_decompose(trajs, d=1.0, beta=2.0)
+    batch = sim.simulate_batch(geometric_model, spec, never_stop, priors[:100], rng, max_steps=300)
+    summary = sim.decompose_from_times(batch.tau, batch.tau0, 1.0, 2.0, batch.censored)
     assert summary.false_alarm_rate == 0.0
     assert summary.n_censored == 100
     with pytest.raises(ValueError):
-        sim.shiryayev_decompose([], 1.0, 1.0)
+        sim.decompose_from_times([], [], 1.0, 1.0)
 
 
 def test_social_trajectory_cascades(identity_model_2, social_context_a):
@@ -367,6 +366,11 @@ def test_change_times_bit_identical(staged_model):
 GRID = 2.0**53
 
 
+def draw_positions(keys, states, u):
+    """``sim._draw_positions`` from the rows ``states`` of a draw table."""
+    return sim._draw_positions(keys, states << sim._ROW_SHIFT, u)
+
+
 def grid_uniforms_around(cdf):
     """Uniforms on the ``2**-53`` grid of ``rng.random()`` at and next to the
     entries of ``cdf``: each entry that lies on the grid, the grid points on
@@ -400,17 +404,17 @@ def test_draw_rows_matches_searchsorted():
         assert np.array_equal(u * GRID, np.floor(u * GRID))  # every uniform on the grid
         want = np.array([np.searchsorted(cdf[s], v, side="right") for s, v in zip(states, u)])
         assert pmf[states, want].min() > 0.0  # never a zero-probability column
-        got = sim._draw_rows(sim._draw_table(cdf), states, u)
-        assert got.dtype == np.intp and np.array_equal(got, want), cols
+        got = draw_positions(sim._draw_table(cdf), states, u)
+        assert got.dtype == np.intp and np.array_equal(got, states * cols + want), cols
 
 
 def test_draw_table_row_limit():
     cdf = sim._cdf(np.full((sim.MAX_TABLE_ROWS, 4), 0.25))
     keys = sim._draw_table(cdf)
-    assert np.all(np.diff(keys.ravel()) > 0)  # sorted, rows apart
+    assert keys.ndim == 1 and np.all(np.diff(keys) > 0)  # flat, sorted, rows apart
     top = np.array([sim.MAX_TABLE_ROWS - 1] * 3)
     u = np.array([0.0, 0.5, 1.0 - 2.0**-53])
-    assert list(sim._draw_rows(keys, top, u)) == [0, 2, 3]
+    assert list(draw_positions(keys, top, u) - top * 4) == [0, 2, 3]
     with pytest.raises(ValueError, match="at most 511 rows"):
         sim._draw_table(sim._cdf(np.full((sim.MAX_TABLE_ROWS + 1, 4), 0.25)))
 
@@ -436,7 +440,7 @@ def test_draws_at_the_ends_of_the_unit_interval(three_state_model):
     top = 1.0 - 2.0**-53
     assert np.cumsum(b[0])[-1] == top
     keys = sim._draw_table(sim._cdf([[0.0, 0.5, 0.5]]))
-    assert list(sim._draw_rows(keys, np.array([0, 0]), np.array([0.0, top]))) == [1, 2]
+    assert list(draw_positions(keys, np.array([0, 0]), np.array([0.0, top]))) == [1, 2]
     # x_0 = 3, then u = 0 moves 3 -> 2 -> 1, and state 1 draws a symbol at u = top
     uniforms = [0.0, 0.0, 0.5, 0.0, top]
     traj = sim.sample_trajectory(m, never_stop, max_steps=2, rng=Uniforms(uniforms))
@@ -458,10 +462,18 @@ def test_batch_nan_prior_raises_zero_probability(geometric_model):
     priors = np.tile([0.2, 0.8], (5, 1))
     priors[3] = np.nan
     linear = pol.LinearThresholdPolicy(np.array([0.5]))
-    with pytest.raises(filters.ZeroProbabilityError, match="step 1: row 3"):
-        sim.simulate_batch(
-            geometric_model, spec, linear, priors, np.random.default_rng(0), max_steps=20
-        )
+    b = geometric_model.discrete_obs().matrix
+    # the NaN row starts in state 1; on the second chain it moves to state 2,
+    # whose symbols sit past state 1's in the flattened observation table
+    for chain, state in ((geometric_model.transition, 0), ([[0, 1], [0.3, 0.7]], 1)):
+        m = model.DetectionModel(chain, geometric_model.initial, geometric_model.obs)
+        rng = np.random.default_rng(0)
+        u = [rng.random(5) for _ in range(3)][2][3]  # prior, move, then symbol draws
+        y = int(np.searchsorted(np.cumsum(b[state]), u, side="right"))
+        with pytest.raises(
+            filters.ZeroProbabilityError, match=f"step 1: row 3 .* after observation {y}$"
+        ):
+            sim.simulate_batch(m, spec, linear, priors, np.random.default_rng(0), max_steps=20)
 
 
 def test_sample_trajectory_filters_with_its_bins(three_state_model):
@@ -569,11 +581,10 @@ class Intersection:
     """Stops exactly where every one of ``policies`` stops."""
 
     def __init__(self, *policies):
-        self.deciders = [sim._batch_decider(p) for p in policies]
+        self.masks = [sim._batch_decider(p) for p in policies]
 
-    def batch_decide(self, pts):
-        stop = np.all([decide(pts) == dp.STOP for decide in self.deciders], axis=0)
-        return np.where(stop, dp.STOP, dp.CONTINUE)
+    def stop_mask(self, pts):
+        return np.all([mask(pts) for mask in self.masks], axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -602,6 +613,45 @@ def test_stacked_grid_linear_and_callable_policies(noisy_grid_policy, transforme
     assert_batches_equal(batch_row(batch, 0), batch_row(batch, 3))
     assert_batches_equal(batch_row(batch, 1), batch_row(batch, 5))
     assert batch.tau.max() < 1000  # the derived cap, not the 500 default or 10 000
+
+
+def test_stop_masks_match_actions(noisy_grid_policy):
+    m, spec, grid_policy = noisy_grid_policy
+    linear = pol.LinearThresholdPolicy(np.array([1.0, 0.5]))
+    pts = np.random.default_rng(9).dirichlet(np.ones(3), size=400)
+    # exact ties: linear's score is exactly 0 here, and these lie halfway
+    # between grid points of different actions
+    linear_ties = np.array([[0.5, 0.5, 0.0], [0.5, 0.25, 0.25], [0.5, 0.0, 0.5]])
+    assert [linear.score(pi) for pi in linear_ties] == [0.0] * 3
+    g = grid_policy.grid
+    acts = grid_policy.actions
+    pairs = [(i, j) for i in range(g.n_points) for j in g.neighbors[i] if acts[i] != acts[j]]
+    grid_ties = np.array([(g.points[i] + g.points[j]) / 2 for i, j in pairs])
+    assert len(grid_ties) > 0
+    for policy, ties in ((linear, linear_ties), (grid_policy, grid_ties)):
+        rows = np.concatenate([pts, ties])
+        mask = sim._batch_decider(policy)(rows)
+        assert mask.dtype == bool and mask.any() and not mask.all()
+        assert np.array_equal(mask, policy.batch_decide(rows) == dp.STOP)
+        assert np.array_equal(mask, [policy.decide(pi) == dp.STOP for pi in rows])
+    assert not linear.stop_mask(linear_ties).any()  # a score of exactly 0 continues
+
+    # duck-typed policies, one with only batch_decide and one with only
+    # decide, stacked with the built-in ones
+    class BatchOnly:
+        def batch_decide(self, pts):
+            return linear.batch_decide(pts)
+
+    class DecideOnly:
+        def decide(self, pi):
+            return grid_policy.decide(pi)
+
+    priors = np.tile(m.initial, (100, 1))
+    policies = [grid_policy, BatchOnly(), linear, DecideOnly()]
+    batch = sim.simulate_batch(m, spec, policies, priors, np.random.default_rng(10))
+    assert_batches_equal(batch_row(batch, 0), batch_row(batch, 3))
+    assert_batches_equal(batch_row(batch, 1), batch_row(batch, 2))
+    assert fork_step(batch, 0, 2) is not None
 
 
 def test_single_policy_keeps_its_shapes(three_state_model):
