@@ -1,13 +1,15 @@
 """Run every bundled config, plus ``orders`` on the solve configs, into one directory.
 
-It also writes four small fig3a-derived configs into the directory and runs
+It also writes five small fig3a-derived configs into the directory and runs
 them: ``spsa`` (100 priors, 10 iterations, 3 restarts, 500-step cap) and
 ``simulate`` (2 000 trajectories under a fixed threshold policy), so that the
-simulation paths are compared too, and a transient-detection and a
+simulation paths are compared too; a transient-detection and a
 risk-sensitive cost, each through ``solve`` and ``orders``, so that every
-cost family has a bundled output.  The two simulation configs observe with
-variance 0.3, not fig3a's 0.01, so that the cost moves with the threshold and
-SPSA's two perturbed policies stop different trajectories.
+cost family has a bundled output; and fig3a's cost discounted by 0.9 with no
+horizon, through ``solve`` and ``orders``, one converged solution with a
+genuine threshold.  The two simulation configs and the discounted one
+observe with variance 0.3, not fig3a's 0.01, so that the cost moves with the
+threshold and SPSA's two perturbed policies stop different trajectories.
 
 Usage: ``PYTHONPATH=src python scripts/bundled_outputs.py OUT_DIR``
 
@@ -48,6 +50,11 @@ DERIVED = {
     }}),
     "fig3a_risk": (("solve", "orders"), False, {"cost": {
         "family": "risk_sensitive", "risk": 0.1, "beta": 3.0, "d": 1.0,
+    }}),
+    # fig3a's cost discounted, with no horizon: solved to convergence
+    "fig3a_discounted": (("solve", "orders"), True, {"cost": {
+        "family": "quickest_predictive", "alpha": 0, "beta": 1.0, "d": 1, "rho": 0.9,
+        "op_cost": 0.001,
     }}),
 }
 

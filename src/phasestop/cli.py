@@ -85,8 +85,11 @@ def _optional_number(cfg: dict, key: str, kind, low=None):
 
 
 def _stopping_rule(cfg: dict) -> dict:
-    """The ``horizon`` and ``tol`` arguments of value iteration."""
-    return {key: _optional_number(cfg, key, float) for key in ("horizon", "tol")}
+    """The ``horizon`` (a sweep count) and ``tol`` arguments of value iteration."""
+    return {
+        "horizon": _optional_number(cfg, "horizon", int, low=1),
+        "tol": _optional_number(cfg, "tol", float, low=0),
+    }
 
 
 def _matrix(value, where: str) -> np.ndarray:
@@ -500,7 +503,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
         raise ConfigError("config.trajectories: must be positive")
     pol = _policy_from_config(cfg, model)
     seed = _number(cfg, "seed", 0, low=0)
-    max_steps = _number(cfg, "max_steps", 10_000, low=1)
+    max_steps = _number(cfg, "max_steps", sim.DETECTION_MAX_STEPS, low=1)
     record = _number(cfg, "record", 1, low=0)
     rng = np.random.default_rng(seed)
     priors = np.tile(np.asarray(model.initial, dtype=float), (n, 1))

@@ -23,15 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .filters import _row_sum, bayes_step
-from .model import (
-    ConstrainedSocial,
-    CostSpec,
-    DetectionModel,
-    DiscreteObs,
-    RiskSensitive,
-    Scheduling,
-    SocialStopping,
-)
+from .model import CostSpec, DetectionModel, DiscreteObs, Scheduling
 from .orders import matrix_order_geq
 
 STOP, CONTINUE = 1, 2
@@ -345,34 +337,6 @@ def value_iterate(
     q1, q2 = _q_values(actions, disc, v)
     policy = np.where(q1 <= q2, STOP, CONTINUE)
     return GridSolution(v, v + offset, policy, sweeps, deltas[-1], np.array(deltas))
-
-
-def expected_value_after_update(
-    model: DetectionModel,
-    spec: CostSpec,
-    sol: GridSolution,
-    grid: SimplexGrid,
-    pi0,
-    original: bool = True,
-) -> float:
-    """Expected grid value of the belief after one filter step from ``pi0``.
-
-    This is the quantity estimated by a simulated cost that starts charging
-    at the first post-observation belief.
-    """
-    if isinstance(spec, (RiskSensitive, Scheduling)):
-        raise ValueError("defined for the additive-cost detection and social families")
-    pi0 = np.asarray(pi0, dtype=float)
-    vals = sol.values_original if original else sol.values
-    if isinstance(spec, (SocialStopping, ConstrainedSocial)):
-        return float(vals[grid.nearest(pi0[None, :])[0]])
-    b = model.discrete_obs().matrix
-    pred = model.transition.T @ pi0
-    idx, w = _successors(grid, pred[None, :], b.T, interpolate=False)
-    total = 0.0
-    for s, v in zip(w[0].tolist(), vals[idx[0]].tolist()):
-        total += s * v
-    return total
 
 
 # ---------------------------------------------------------------------------

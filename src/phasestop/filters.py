@@ -1,13 +1,14 @@
 """Belief-state recursions: the one Bayes step and the one social action rule.
 
 :func:`bayes_step` corrects a prediction by a likelihood for every belief
-recursion in the package: the HMM, risk-sensitive and social filters here,
-the grid solver's successors and the batch simulator.  Each caller forms its
-own prediction and handles a zero or NaN normalisation; the filters here
-raise :class:`ZeroProbabilityError`.  :func:`social_scores` and
-:func:`social_likelihoods` are the myopic social action rule on a stack of
-beliefs, used by the social cost family and by the one-belief helpers
-below.  :func:`as_belief` validates one belief vector.
+recursion in the package: the one-belief HMM and social filters here
+(:func:`hmm_update`, :func:`social_update`), the grid solver's successors and
+the batch simulator.  Each caller forms its own prediction and handles a zero
+or NaN normalisation; the filters here raise :class:`ZeroProbabilityError`.
+:func:`social_scores` and :func:`social_likelihoods` are the myopic social
+action rule on a stack of beliefs, used by the social stopping cost family
+and, one belief at a time, by :func:`social_action_likelihood`.
+:func:`as_belief` validates one belief vector.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .model import DetectionModel, DiscreteObs, RiskSensitive
+    from .model import DetectionModel, DiscreteObs
 
 SUM_TOL = 1e-12
 
@@ -97,15 +98,6 @@ def hmm_update(pi, y: int, model: DetectionModel) -> FilterOutput:
     return _output(bayes_step(model.transition.T @ p, b[:, y]), f"observation {y}", p)
 
 
-def risk_update(pi, y: int, model: DetectionModel, spec: RiskSensitive) -> FilterOutput:
-    """Risk-sensitive filter step: the prior is scaled by the exponential
-    delay weights before the usual predict/correct."""
-    p = as_belief(pi)
-    b = model.discrete_obs().matrix
-    _, r2 = spec.scalings(model.transition)
-    return _output(bayes_step(model.transition.T @ (r2 * p), b[:, y]), f"observation {y}", p)
-
-
 # ---------------------------------------------------------------------------
 # Social learning
 
@@ -147,16 +139,6 @@ class SocialContext:
     def n_actions(self) -> int:
         return self.local_costs.shape[1]
 
-    def interval_of(self, pi2: float, tol: float = 0.0) -> int:
-        """Index l in 1..4 of the interval containing the belief value ``pi2``."""
-        if pi2 > self.eta1 + tol:
-            return 1
-        if pi2 > self.eta2 + tol:
-            return 2
-        if pi2 > self.eta3 + tol:
-            return 3
-        return 4
-
 
 def social_fixed_points_from(costs: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     delta1 = costs[0, 1] - costs[0, 0]
@@ -194,15 +176,6 @@ def social_likelihoods(costs: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.
     for y in range(b.shape[1]):
         lik[chosen[y], rows] += b[:, y]
     return lik
-
-
-def social_local_action(pi, y: int, ctx: SocialContext) -> int:
-    """Myopic local action (1-based) after privately updating ``pi`` by ``y``:
-    the rule of :func:`social_scores` at one belief."""
-    p = as_belief(pi)
-    column = ctx.obs.matrix[:, y : y + 1]
-    _output(bayes_step(p, column[:, 0]), f"observation {y}", p)
-    return int(social_scores(ctx.local_costs, column, p[None, :])[0, 0].argmin()) + 1
 
 
 def social_action_likelihood(pi, a: int, ctx: SocialContext) -> np.ndarray:

@@ -64,7 +64,7 @@ def theta_is_mlr_increasing(theta) -> bool:
     """Feasibility of the threshold coefficients: monotone score along the
     vertex-anchored lines plus a stopping region containing the first vertex."""
     t = np.asarray(theta, dtype=float)
-    if t[-1] <= 0.0:
+    if not np.isfinite(t).all() or t[-1] <= 0.0:
         return False
     if t.size >= 2:
         if t[-2] < 1.0:
@@ -184,7 +184,7 @@ class SpsaParams:
             raise ValueError("perturbation decay must lie in [0.5, 1]")
         if not 0.5 < self.step_decay <= 1.0:
             raise ValueError("step decay must lie in (0.5, 1]")
-        if self.step <= 0 or self.stability <= 0 or self.perturb <= 0:
+        if not (self.step > 0 and self.stability > 0 and self.perturb > 0):  # NaN fails
             raise ValueError("step, stability, and perturbation scales must be positive")
 
 

@@ -34,21 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import STOP, stage_cost_vectors
-from .filters import (
-    SocialContext,
-    ZeroProbabilityError,
-    as_belief,
-    bayes_step,
-    hmm_update,
-    social_local_action,
-    social_update,
-)
+from .filters import ZeroProbabilityError, as_belief, bayes_step, hmm_update
 from .model import CostSpec, DetectionModel
 
 DETECTION_MAX_STEPS = 10_000
 # the additive-cost families driven by the plain Bayesian filter
 BATCH_FAMILIES = ("quickest_predictive", "quickest_classical", "transient")
-SOCIAL_MAX_STEPS = 1_000
 # a discounted batch runs until the largest stage cost, discounted, falls below this
 TRUNCATION_TOL = 1e-8
 
@@ -61,7 +52,6 @@ class Trajectory:
     actions: np.ndarray  # u_1 .. u_K (1 stop / 2 continue)
     tau: int | None  # stop step, None when censored
     tau0: int | None  # first step in the absorbing state, None if not reached
-    local_actions: np.ndarray | None = None  # social broadcasts a_1 .. a_K
 
     @property
     def censored(self) -> bool:
@@ -125,53 +115,6 @@ def sample_trajectory(
         actions=np.array(actions),
         tau=tau,
         tau0=tau0,
-    )
-
-
-def social_trajectory(
-    ctx: SocialContext,
-    model: DetectionModel,
-    policy,
-    true_state: int,
-    max_steps: int = SOCIAL_MAX_STEPS,
-    rng: np.random.Generator | None = None,
-) -> Trajectory:
-    """Simulate agents broadcasting myopic actions while a global stopping
-    policy watches the public belief.
-
-    The underlying state is fixed (identity dynamics); the global decision at
-    round ``k`` is applied to the public belief before agent ``k`` acts.
-    """
-    rng = rng if rng is not None else np.random.default_rng()
-    decide = _policy_fn(policy)
-    cdf_y = _cdf(ctx.obs.matrix[true_state - 1])
-    pi = as_belief(model.initial)
-    beliefs = [pi]
-    observations: list[int] = []
-    actions: list[int] = []
-    local: list[int] = []
-    tau = None
-    for k in range(1, max_steps + 1):
-        u = int(decide(pi))
-        actions.append(u)
-        if u == STOP:
-            tau = k
-            break
-        y = _draw(rng, cdf_y)
-        a = social_local_action(pi, y, ctx)
-        pi = social_update(pi, a, ctx).next_belief
-        observations.append(y)
-        local.append(a)
-        beliefs.append(pi)
-    n = len(beliefs)
-    return Trajectory(
-        states=np.full(n, true_state),
-        observations=np.array(observations),
-        beliefs=np.array(beliefs),
-        actions=np.array(actions),
-        tau=tau,
-        tau0=0 if true_state == 1 else None,
-        local_actions=np.array(local),
     )
 
 

@@ -522,7 +522,7 @@ NUMERIC_CONFIGS = {
         ("solve", {"grid": {"m": "abc"}}, "config.grid.m: expected an integer, got 'abc'"),
         ("solve", {"grid": {"m": 0}}, "config.grid.m: expected an integer >= 1, got 0"),
         ("solve", {"grid": [10]}, "config.grid: expected an object, got [10]"),
-        ("solve", {"horizon": "long"}, "config.horizon: expected a number, got 'long'"),
+        ("solve", {"horizon": "long"}, "config.horizon: expected an integer, got 'long'"),
         ("solve", {"tol": [1e-9]}, "config.tol: expected a number, got [1e-09]"),
         ("phdist", {"k_max": "abc"}, "config.k_max: expected an integer, got 'abc'"),
         ("phdist", {"k_max": -1}, "config.k_max: expected an integer >= 0, got -1"),
@@ -598,6 +598,13 @@ NUMERIC_CONFIGS = {
         ("sweep", {"models": [{"label": "a", "model": SMALL_MODEL},
                               {"label": "b", "model": THREE_STATE_MODEL}]},
          "config.models[1].model: 3 states, but config.models[0].model has 2"),
+        # value iteration runs forever on a NaN horizon and needs at least one sweep
+        ("solve", {"horizon": "nan"}, "config.horizon: expected an integer, got 'nan'"),
+        ("sweep", {"horizon": -3}, "config.horizon: expected an integer >= 1, got -3"),
+        ("solve", {"tol": float("nan")}, "config.tol: expected a number >= 0, got nan"),
+        # a NaN gain makes every iterate NaN
+        ("spsa", {"gains": {"step": "nan"}},
+         "config.gains: step, stability, and perturbation scales must be positive"),
     ],
 )
 def test_numeric_fields_exit_2_with_their_path(tmp_path, capsys, command, patch, message):

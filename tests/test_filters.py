@@ -57,15 +57,23 @@ def test_filter_preserves_mlr_in_belief_and_symbol():
             prev_hi = a
 
 
+def _risk_step(spec, m, pi, y):
+    """The risk-sensitive continue update of ``spec`` from belief ``pi`` on
+    symbol ``y``: the Bayes step on the prediction of ``spec.updates``."""
+    pred, liks = spec.updates(m, np.asarray(pi, dtype=float)[None])[1]
+    nxt, sigma = filters.bayes_step(pred, liks[y])
+    return nxt[0], sigma[0]
+
+
 def test_risk_update_reduces_to_plain_filter_at_zero():
     m = model.DetectionModel(
         [[1, 0], [0.5, 0.5]], [0, 1], model.DiscreteObs([[0.8, 0.2], [0.2, 0.8]])
     )
     spec = model.RiskSensitive(risk=0.0, beta=2.0, d=1.0)
-    a = filters.risk_update([0.4, 0.6], 1, m, spec)
+    nxt, sigma = _risk_step(spec, m, [0.4, 0.6], 1)
     b = filters.hmm_update([0.4, 0.6], 1, m)
-    assert np.allclose(a.next_belief, b.next_belief, atol=1e-15)
-    assert a.norm == pytest.approx(b.norm, abs=1e-15)
+    assert np.allclose(nxt, b.next_belief, atol=1e-15)
+    assert sigma == pytest.approx(b.norm, abs=1e-15)
 
 
 def test_risk_update_hand_example():
@@ -74,12 +82,12 @@ def test_risk_update_hand_example():
     m = model.DetectionModel(p, [0, 1], model.DiscreteObs(b))
     spec = model.RiskSensitive(risk=1.0, beta=2.0, d=1.0)
     pi = np.array([0.5, 0.5])
-    out = filters.risk_update(pi, 0, m, spec)
+    nxt, sigma = _risk_step(spec, m, pi, 0)
     # independent evaluation of the scaled predict/correct
     r2 = np.array([np.e, np.exp(0.5)])
     unnorm = b[:, 0] * (p.T @ (r2 * pi))
-    assert out.norm == pytest.approx(unnorm.sum(), rel=1e-14)
-    assert np.allclose(out.next_belief, unnorm / unnorm.sum(), atol=1e-14)
+    assert sigma == pytest.approx(unnorm.sum(), rel=1e-14)
+    assert np.allclose(nxt, unnorm / unnorm.sum(), atol=1e-14)
 
 
 def test_risk_update_absorbing_fixed_point():
@@ -87,8 +95,8 @@ def test_risk_update_absorbing_fixed_point():
         [[1, 0], [0.5, 0.5]], [0, 1], model.DiscreteObs([[0.8, 0.2], [0.2, 0.8]])
     )
     spec = model.RiskSensitive(risk=0.7, beta=1.0, d=2.0)
-    out = filters.risk_update([1.0, 0.0], 1, m, spec)
-    assert np.allclose(out.next_belief, [1, 0], atol=1e-15)
+    nxt, _ = _risk_step(spec, m, [1.0, 0.0], 1)
+    assert np.allclose(nxt, [1, 0], atol=1e-15)
 
 
 def test_social_fixed_points_values(social_context_a):
@@ -107,21 +115,27 @@ def test_social_fixed_points_symmetric_costs():
     assert ctx.eta2 == pytest.approx(0.5, abs=1e-14)
 
 
+def _local_action(pi, y, ctx):
+    """The myopic local action (1-based) after privately updating ``pi`` by ``y``."""
+    pts = np.asarray(pi, dtype=float)[None]
+    return int(filters.social_scores(ctx.local_costs, ctx.obs.matrix, pts)[y, 0].argmin()) + 1
+
+
 def test_social_local_action_cases(social_context_a):
     ctx = social_context_a
     # with the public belief split evenly, a bad-state signal favors action 1:
     # private beliefs (0.9, 0.1): costs 4.370 vs 5.013
-    assert filters.social_local_action([0.5, 0.5], 0, ctx) == 1
-    assert filters.social_local_action([0.5, 0.5], 1, ctx) == 2
+    assert _local_action([0.5, 0.5], 0, ctx) == 1
+    assert _local_action([0.5, 0.5], 1, ctx) == 2
     # degenerate public belief pins the action regardless of the signal
     for y in (0, 1):
-        assert filters.social_local_action([1.0, 0.0], y, ctx) == 1
+        assert _local_action([1.0, 0.0], y, ctx) == 1
     # pointwise-dominating column always wins
     dom = filters.SocialContext(
         np.array([[1.0, 2.0], [0.5, 1.5]]), ctx.obs
     )
     for y in (0, 1):
-        assert filters.social_local_action([0.5, 0.5], y, dom) == 1
+        assert _local_action([0.5, 0.5], y, dom) == 1
 
 
 def test_social_action_likelihood_cascade_and_learning(social_context_a):
@@ -201,15 +215,15 @@ def test_social_interval_transport(social_context_a):
         pi = np.array([1 - pi2, pi2])
         up = filters.social_update(pi, 2, ctx).next_belief[1]
         down = filters.social_update(pi, 1, ctx).next_belief[1]
-        assert ctx.interval_of(up) == 1
-        assert ctx.interval_of(down) == 3
+        assert up > ctx.eta1  # interval 1
+        assert ctx.eta3 < down <= ctx.eta2  # interval 3
     for _ in range(200):
         pi2 = rng.uniform(ctx.eta3 * 1.001, ctx.eta2 * 0.999)  # interval 3
         pi = np.array([1 - pi2, pi2])
         up = filters.social_update(pi, 2, ctx).next_belief[1]
         down = filters.social_update(pi, 1, ctx).next_belief[1]
-        assert ctx.interval_of(up) == 2
-        assert ctx.interval_of(down) == 4
+        assert ctx.eta2 < up <= ctx.eta1  # interval 2
+        assert down <= ctx.eta3  # interval 4
 
 
 def test_risk_update_filters_with_the_parsed_bins():
@@ -227,11 +241,11 @@ def test_risk_update_filters_with_the_parsed_bins():
     b = m.discrete_obs().matrix
     assert b.shape == (3, 151)
     pi = np.array([0.2, 0.3, 0.5])
-    out = filters.risk_update(pi, 120, m, spec)
+    nxt, sigma = _risk_step(spec, m, pi, 120)
     _, r2 = spec.scalings(m.transition)
-    unnorm = b[:, 120] * (m.transition.T @ (r2 * pi))
-    assert out.norm == unnorm.sum()
-    assert np.array_equal(out.next_belief, unnorm / unnorm.sum())
+    unnorm = b[:, 120] * ((r2 * pi) @ m.transition)
+    assert sigma == unnorm.sum()
+    assert np.array_equal(nxt, unnorm / unnorm.sum())
 
 
 def _ulps_around(eta: float, n: int = 60) -> np.ndarray:
@@ -273,11 +287,8 @@ def test_filters_and_solver_share_the_bayes_step_and_the_social_rule():
         mismatched = ((filtered != w) | (filtered_idx != idx)).any(axis=1)
         assert mismatched.sum() == 0, (name, pts[mismatched][:3])
         # the one-belief helpers are rows of the batched rule
-        scores = filters.social_scores(costs, b, pts)
         liks = filters.social_likelihoods(costs, b, pts)
         for n, pi in enumerate(pts):
-            for y in range(b.shape[1]):
-                assert filters.social_local_action(pi, y, ctx) == scores[y, n].argmin() + 1
             for a in range(costs.shape[1]):
                 assert np.array_equal(filters.social_action_likelihood(pi, a + 1, ctx), liks[a, n])
                 nxt, sigma = filters.bayes_step(pi, liks[a, n])
@@ -293,13 +304,11 @@ def test_filters_and_solver_share_the_bayes_step_and_the_social_rule():
     for n, pi in enumerate(pts):
         assert np.array_equal(filters.social_scores(costs, b, pi[None, :])[:, 0], scores[:, n])
 
-    # the HMM and risk-sensitive filters are the Bayes step on their prediction,
-    # and the step on a stack of rows equals the step on each row
+    # the HMM filter is the Bayes step on its prediction, and the step on a
+    # stack of rows equals the step on each row
     cfg = cli.load_config("fig3a")
     m = cli.parse_model(cfg["model"])
     b, p = m.obs.matrix, m.transition
-    risk = model.RiskSensitive(risk=0.2, beta=2.0, d=1.0)
-    _, r2 = risk.scalings(p)
     beliefs = np.random.default_rng(4).dirichlet(np.ones(3), size=40)
     for y in (0, 37, 50, 100):
         preds = beliefs @ p
@@ -307,12 +316,9 @@ def test_filters_and_solver_share_the_bayes_step_and_the_social_rule():
         for n, pi in enumerate(beliefs):
             nxt, sigma = filters.bayes_step(preds[n], b[:, y])
             assert np.array_equal(stacked[n], nxt) and sigmas[n] == sigma
-            for out, pred in (
-                (filters.hmm_update(pi, y, m), p.T @ pi),
-                (filters.risk_update(pi, y, m, risk), p.T @ (r2 * pi)),
-            ):
-                nxt, sigma = filters.bayes_step(pred, b[:, y])
-                assert np.array_equal(out.next_belief, nxt) and out.norm == sigma
+            out = filters.hmm_update(pi, y, m)
+            nxt, sigma = filters.bayes_step(p.T @ pi, b[:, y])
+            assert np.array_equal(out.next_belief, nxt) and out.norm == sigma
 
 
 def test_bayes_step_leaves_a_zero_or_nan_row_undivided():

@@ -28,6 +28,9 @@ def test_theta_feasibility_examples():
     assert pol.theta_is_mlr_increasing([0.5, 1.3, 0.2])
     assert not pol.theta_is_mlr_increasing([1.5, 1.3, 0.2])
     assert not pol.theta_is_mlr_increasing([-0.1, 1.3, 0.2])
+    # a non-finite coefficient is infeasible, whichever check it reaches
+    for theta in ([np.nan, np.nan], [np.nan, 0.5], [np.inf, 0.5], [np.nan], [0.5, 1.3, np.nan]):
+        assert not pol.theta_is_mlr_increasing(theta)
 
 
 def test_phi_to_theta_examples():
@@ -114,6 +117,9 @@ def test_spsa_params_validation():
         pol.SpsaParams(step_decay=0.5)
     with pytest.raises(ValueError):
         pol.SpsaParams(step=-1.0)
+    for field in ("step", "stability", "perturb"):
+        with pytest.raises(ValueError, match="must be positive"):
+            pol.SpsaParams(**{field: float("nan")})
     pol.SpsaParams()  # defaults valid
 
 

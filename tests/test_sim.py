@@ -137,48 +137,6 @@ def test_decompose_from_times_edge_cases(geometric_model):
         sim.decompose_from_times([], [], 1.0, 1.0)
 
 
-def test_social_trajectory_cascades(identity_model_2, social_context_a):
-    # herding occurs within the step budget in every run; the global policy
-    # stops on entering a cascade interval, where the public belief freezes
-    rng = np.random.default_rng(9)
-    ctx = social_context_a
-    in_cascade = lambda pi: pi[1] > ctx.eta1 or pi[1] <= ctx.eta3
-    stop_when_frozen = lambda pi: 1 if in_cascade(pi) else 2
-    runs = 10_000
-    for k in range(runs):
-        traj = sim.social_trajectory(
-            ctx, identity_model_2, stop_when_frozen,
-            true_state=1 + int(k % 2), max_steps=1000, rng=rng,
-        )
-        assert traj.tau is not None
-        assert in_cascade(traj.beliefs[-1])
-    # once inside a cascade interval the belief is frozen verbatim
-    for k in range(200):
-        traj = sim.social_trajectory(
-            ctx, identity_model_2, never_stop,
-            true_state=1 + int(k % 2), max_steps=60, rng=rng,
-        )
-        pi2 = traj.beliefs[:, 1]
-        inside = (pi2 > ctx.eta1) | (pi2 <= ctx.eta3)
-        assert inside.any()
-        start = int(np.argmax(inside))
-        assert np.all(pi2[start:] == pi2[start])
-
-
-def test_social_trajectory_belief_drift(identity_model_2, social_context_a):
-    # with the truth in state 1, the public belief should on average drift
-    # toward state 1 before any cascade
-    rng = np.random.default_rng(10)
-    finals = []
-    for _ in range(400):
-        traj = sim.social_trajectory(
-            social_context_a, identity_model_2, never_stop,
-            true_state=1, max_steps=50, rng=rng,
-        )
-        finals.append(traj.beliefs[-1, 0])
-    assert np.mean(finals) > 0.55
-
-
 def test_trajectory_csv_layout(geometric_model):
     traj = sim.sample_trajectory(
         geometric_model, lambda pi: 1 if pi[0] > 0.6 else 2,
