@@ -311,8 +311,16 @@ def value_iterate(
     Undiscounted runs (rho = 1, and the risk-sensitive family) default to a
     fixed horizon; discounted runs stop when the sup-norm change drops below
     ``tol`` (default 1e-8) or after 10_000 sweeps.  The greedy policy picks
-    the first action (stop / mode 1) on ties.
+    the first action (stop / mode 1) on ties.  Raises ``ValueError`` before
+    any sweep when ``horizon`` is not an integer >= 1 or ``tol`` is NaN or
+    negative.
     """
+    if horizon is not None and (
+        isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1
+    ):
+        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+    if tol is not None and not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     if grid.n_states != model.n_states:
         raise ValueError("grid dimension does not match the model")
     offset = value_offset(spec, model, grid.points)

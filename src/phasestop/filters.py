@@ -3,7 +3,8 @@
 :func:`bayes_step` corrects a prediction by a likelihood for every belief
 recursion in the package: the one-belief HMM and social filters here
 (:func:`hmm_update`, :func:`social_update`), the grid solver's successors and
-the batch simulator.  Each caller forms its own prediction and handles a zero
+the batch simulator (through :func:`_bayes_step`, which also returns the
+least normalisation).  Each caller forms its own prediction and handles a zero
 or NaN normalisation; the filters here raise :class:`ZeroProbabilityError`.
 :func:`social_scores` and :func:`social_likelihoods` are the myopic social
 action rule on a stack of beliefs, used by the social stopping cost family
@@ -73,12 +74,20 @@ def bayes_step(pred, lik):
     Returns ``(pred * lik / sigma, sigma)``, ``sigma`` being the sum over the
     last axis, for one belief or a stack of rows (``lik`` broadcasts against
     ``pred``).  A row whose ``sigma`` is zero or NaN is returned undivided;
-    what that means is up to the caller.
+    what that means is up to the caller.  When every ``sigma`` is positive
+    the rows are divided by ``sigma`` itself, with no guarded copy of it.
     """
+    return _bayes_step(pred, lik)[:2]
+
+
+def _bayes_step(pred, lik):
+    """:func:`bayes_step`'s ``(belief, sigma)`` and ``sigma``'s least entry,
+    for a caller that checks the normalisations anyway."""
     unnorm = pred * lik
     sigma = _row_sum(unnorm)
-    unnorm /= np.where(sigma > 0.0, sigma, 1.0)[..., None]
-    return unnorm, sigma
+    low = sigma.min()
+    unnorm /= (sigma if low > 0.0 else np.where(sigma > 0.0, sigma, 1.0))[..., None]
+    return unnorm, sigma, low
 
 
 def _output(step, event: str, p: np.ndarray) -> FilterOutput:

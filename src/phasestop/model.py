@@ -280,20 +280,42 @@ class CostSpec:
 
 
 class _DetectionCost(CostSpec):
-    """Detection family: ``_terms(model, pts)`` gives the false-alarm
-    probability ``f'pi``, its one-step prediction ``f'P'pi`` and the original
-    stop and continue costs; the offset is ``(alpha + beta) f'pi``."""
+    """Detection family: ``_continue_terms(model, pts)`` gives the
+    false-alarm probability ``f'pi``, its one-step prediction ``f'P'pi`` and
+    the original continue cost, and ``_stop_cost(pts, fpi)`` the original stop
+    cost, by default ``alpha`` times the variance of the post-change indicator
+    plus ``beta f'pi``.  The offset is ``(alpha + beta) f'pi``.
+
+    :meth:`continue_costs` prices the continue action alone, bit for bit
+    ``stage_costs(...)[1]``, for a caller that reads the stop cost only where
+    a policy stops (the batch simulator).
+    """
+
+    def _continue(self, model, pts, original):
+        """``f'pi`` and the continue cost, transformed unless ``original``."""
+        fpi, fppi, c2_bar = self._continue_terms(model, pts)
+        if original:
+            return fpi, c2_bar
+        ab = self.alpha + self.beta
+        return fpi, c2_bar - ab * fpi + self.rho * ab * fppi
+
+    def continue_costs(self, model, pts, original=False):
+        """The continue costs alone: ``stage_costs(model, pts, original)[1]``."""
+        return self._continue(model, pts, original)[1]
 
     def stage_costs(self, model, pts, original=False):
-        fpi, fppi, c1_bar, c2_bar = self._terms(model, pts)
-        if original:
-            return c1_bar, c2_bar
-        ab = self.alpha + self.beta
-        ab_fpi = ab * fpi
-        return c1_bar - ab_fpi, c2_bar - ab_fpi + self.rho * ab * fppi
+        fpi, c2 = self._continue(model, pts, original)
+        c1 = self._stop_cost(pts, fpi)
+        if not original:
+            c1 = c1 - (self.alpha + self.beta) * fpi
+        return c1, c2
+
+    def _stop_cost(self, pts, fpi):
+        p1 = pts[:, 0]
+        return self.alpha * (p1 - p1 * p1) + self.beta * fpi
 
     def offset(self, model, pts):
-        return (self.alpha + self.beta) * self._terms(model, pts)[0]
+        return (self.alpha + self.beta) * self._continue_terms(model, pts)[0]
 
 
 @dataclass(frozen=True)
@@ -321,10 +343,9 @@ class QuickestPredictiveDelay(_DetectionCost):
         _check_nonneg("op_cost", self.op_cost)
         _check_prob("rho", self.rho)
 
-    def _terms(self, model, pts):
-        p1, q1 = pts[:, 0], pts @ model.transition[:, 0]
-        fpi = 1.0 - p1
-        return fpi, 1.0 - q1, self.alpha * (p1 - p1 * p1) + self.beta * fpi, self.d * q1 + self.op_cost
+    def _continue_terms(self, model, pts):
+        q1 = pts @ model.transition[:, 0]
+        return 1.0 - pts[:, 0], 1.0 - q1, self.d * q1 + self.op_cost
 
     def assumptions(self, model):
         p = model.transition
@@ -368,10 +389,9 @@ class QuickestClassicalDelay(_DetectionCost):
         if f[0] != 0.0:
             raise ValueError("false-alarm vector must have first entry 0")
 
-    def _terms(self, model, pts):
-        f, p1 = self.false_alarm, pts[:, 0]
-        fpi = pts @ f
-        return fpi, pts @ (model.transition @ f), self.alpha * (p1 - p1 * p1) + self.beta * fpi, self.d * p1
+    def _continue_terms(self, model, pts):
+        f = self.false_alarm
+        return pts @ f, pts @ (model.transition @ f), self.d * pts[:, 0]
 
     def assumptions(self, model):
         p = model.transition
@@ -438,11 +458,12 @@ class TransientDetection(_DetectionCost):
             if self.alpha > 0:
                 raise ValueError("variance penalty requires the default start-state false alarm")
 
-    def _terms(self, model, pts):
+    def _continue_terms(self, model, pts):
         f = np.eye(model.n_states)[-1] if self.false_alarm is None else self.false_alarm
-        fpi = pts @ f
-        c1_bar = self.alpha * (fpi - fpi * fpi) + self.beta * fpi
-        return fpi, pts @ (model.transition @ f), c1_bar, pts @ self.delays
+        return pts @ f, pts @ (model.transition @ f), pts @ self.delays
+
+    def _stop_cost(self, pts, fpi):
+        return self.alpha * (fpi - fpi * fpi) + self.beta * fpi
 
     def assumptions(self, model):
         p = model.transition

@@ -24,7 +24,8 @@ likelihood row ``b[:, j]``.  The keys are exact: NumPy's ``random()``
 returns ``k * 2**-53`` for an integer ``k``, so ``cdf <= u`` holds exactly
 when ``ceil(cdf * 2**53) <= k``, and both sides are integers below
 ``2**53``.  A batch step draws one uniform per active row for the state
-moves, then one per active row for the symbols, in ascending row order.
+moves, then one per active row for the symbols, in ascending row order, in
+one ``rng.random`` call of twice the active rows.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import STOP, stage_cost_vectors
-from .filters import ZeroProbabilityError, as_belief, bayes_step, hmm_update
+from .filters import ZeroProbabilityError, _bayes_step, as_belief, hmm_update
 from .model import CostSpec, DetectionModel
 
 DETECTION_MAX_STEPS = 10_000
@@ -215,11 +216,12 @@ def simulate_batch(
 
     ``policy`` may also be a list of T policies, giving (T, n) arrays.  The
     policies share one sample path per row (chain, symbols, beliefs), as only
-    their stop steps differ: each step draws, filters and prices once the
-    rows some policy still runs, and every policy decides on all of them.  A
-    policy whose stop region lies inside every other's thus matches its solo
-    run bit for bit, generator end state included, and nested stop regions
-    give stop steps ordered row by row.
+    their stop steps differ: each step draws and filters once the rows some
+    policy still runs, and every policy decides on all of them.  A policy
+    whose stop region lies inside every other's thus matches its solo run
+    bit for bit, generator end state included, and nested stop regions give
+    stop steps ordered row by row.  The step prices continuing on every row
+    it runs, and stopping only on the steps where some policy stops.
     """
     if spec.family not in BATCH_FAMILIES:
         raise ValueError(
@@ -265,19 +267,21 @@ def simulate_batch(
     for k in range(1, max_steps + 1):
         if rows.size == 0:
             break
-        off = next_off[_draw_positions(keys_p, off, rng.random(rows.size))]
+        u = rng.random(2 * rows.size)  # the state moves' uniforms, then the symbols'
+        off = next_off[_draw_positions(keys_p, off, u[: rows.size])]
         t0[(t0 < 0) & (off == 0)] = k
-        y_pos = _draw_positions(keys_b, off, rng.random(rows.size))
-        beliefs, sigma = bayes_step(beliefs @ p, lik[y_pos])
-        if not (sigma.min() > 0.0 and sigma.max() < np.inf):
+        y_pos = _draw_positions(keys_b, off, u[rows.size :])
+        del u  # before the Bayes step allocates: no higher peak memory
+        beliefs, sigma, low = _bayes_step(beliefs @ p, lik[y_pos])
+        if not (low > 0.0 and sigma.max() < np.inf):
             j = int(np.argmax(~((sigma > 0.0) & (sigma < np.inf))))
             raise ZeroProbabilityError(
                 f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
                 f"{sigma[j]} after observation {int(y_pos[j]) % b.shape[1]}"
             )
-        c_stop, c_cont = stage_cost_vectors(spec, model, beliefs, original=not transformed)
         stop = alive & np.array([decide(beliefs) for decide in deciders])
         if stop.any():
+            c_stop, c_cont = stage_cost_vectors(spec, model, beliefs, original=not transformed)
             t, j = np.nonzero(stop)
             done = rows[j]
             costs[t, done] = acc[j] + disc * c_stop[j]
@@ -288,6 +292,8 @@ def simulate_batch(
                 rows[keep], off[keep], beliefs[keep], t0[keep], acc[keep], c_cont[keep]
             )
             alive = alive[:, keep]
+        else:  # no stop cost is read on this step
+            c_cont = spec.continue_costs(model, beliefs, not transformed)
         acc += disc * c_cont
         disc *= rho
     t, j = np.nonzero(alive)

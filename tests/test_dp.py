@@ -257,6 +257,31 @@ def test_value_iterate_discounted_contracts(geometric_model):
     assert np.all(ratios <= 0.8 + 1e-9)
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [{"horizon": float("nan")}, {"horizon": -3}, {"horizon": 0}, {"horizon": 2.5},
+     {"horizon": 200.0}, {"horizon": True}, {"horizon": "200"},
+     {"tol": float("nan")}, {"tol": -1e-8}, {"horizon": 5, "tol": float("nan")}],
+    ids=str,
+)
+def test_value_iterate_rejects_a_bad_stopping_rule(geometric_model, monkeypatch, rule):
+    spec = model.QuickestClassicalDelay(alpha=0.0, beta=5.0, d=1.0, rho=0.8, false_alarm=[0, 1])
+    g = dp.build_grid(2, 10)
+
+    def no_sweep(*args):
+        raise AssertionError("swept before checking the stopping rule")
+
+    monkeypatch.setattr(dp, "_q_values", no_sweep)
+    match = "horizon must be an integer >= 1" if "tol" not in rule else "tol must be a number >= 0"
+    with pytest.raises(ValueError, match=match):
+        dp.value_iterate(geometric_model, spec, g, **rule)
+    with pytest.raises(ValueError, match=match):
+        dp.value_monotonicity_sweep([geometric_model], spec, g, **rule)
+    monkeypatch.undo()
+    # a NumPy integer and a zero tolerance are accepted
+    assert dp.value_iterate(geometric_model, spec, g, horizon=np.int64(2), tol=0.0).sweeps == 2
+
+
 def test_value_is_mlr_decreasing_on_vertex_chains(three_state_model):
     spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
     g = dp.build_grid(3, 20)

@@ -326,6 +326,21 @@ def test_bayes_step_leaves_a_zero_or_nan_row_undivided():
     nxt, sigma = filters.bayes_step(pred, np.array([0.0, 1.0]))
     assert np.array_equal(sigma[:2], [0.5, 0.0]) and np.isnan(sigma[2])
     assert np.array_equal(nxt[:2], [[0.0, 1.0], [0.0, 0.0]])
+    assert np.isnan(nxt[2, 0]) and nxt[2, 1] == 0.5
+    # with every sigma positive the rows are divided by sigma itself: the same
+    # bits as the guarded division of the same rows in a stack with a zero and
+    # a NaN row, which still come back undivided
+    rng = np.random.default_rng(3)
+    pos, lik = rng.dirichlet(np.ones(3), size=500), rng.random(3)
+    fast, fast_sigma = filters.bayes_step(pos, lik)
+    mixed, mixed_sigma = filters.bayes_step(np.vstack([pos, [0.0, 0.0, 0.0], [np.nan, 0.5, 0.5]]), lik)
+    assert fast.tobytes() == mixed[:500].tobytes()
+    assert fast_sigma.tobytes() == mixed_sigma[:500].tobytes()
+    assert np.array_equal(mixed[500], [0.0, 0.0, 0.0]) and mixed_sigma[500] == 0.0
+    assert np.isnan(mixed[501, 0]) and np.array_equal(mixed[501, 1:], 0.5 * lik[1:])
+    for n in (0, 499):  # one belief, as a 1-D array
+        one, one_sigma = filters.bayes_step(pos[n], lik)
+        assert one.tobytes() == fast[n].tobytes() and one_sigma == fast_sigma[n]
 
 
 @pytest.mark.parametrize("x", range(2, 13))

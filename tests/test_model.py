@@ -178,3 +178,55 @@ def test_detection_model_needs_one_observation_row_per_state():
     three_rows = model.DiscreteObs([[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]])
     with pytest.raises(ValueError, match="observation matrix row count"):
         model.DetectionModel([[1, 0], [0.5, 0.5]], [0, 1], three_rows)
+
+
+# each detection family's original (stop, continue) costs, written out
+def _predictive_costs(spec, m, pts):
+    p1, q1 = pts[:, 0], pts @ m.transition[:, 0]
+    return spec.alpha * (p1 - p1 * p1) + spec.beta * (1.0 - p1), spec.d * q1 + spec.op_cost
+
+
+def _classical_costs(spec, m, pts):
+    p1 = pts[:, 0]
+    return spec.alpha * (p1 - p1 * p1) + spec.beta * (pts @ spec.false_alarm), spec.d * p1
+
+
+def _transient_costs(spec, m, pts):
+    fpi = pts @ (np.eye(3)[-1] if spec.false_alarm is None else spec.false_alarm)
+    return spec.alpha * (fpi - fpi * fpi) + spec.beta * fpi, pts @ spec.delays
+
+
+DETECTION_CASES = {
+    "predictive": (
+        model.QuickestPredictiveDelay(alpha=0.7, beta=1.3, d=2.0, rho=0.9, op_cost=1e-3),
+        _predictive_costs,
+    ),
+    "classical": (
+        model.QuickestClassicalDelay(alpha=0.4, beta=2.0, d=1.0, rho=0.95, false_alarm=[0, 1, 1.5]),
+        _classical_costs,
+    ),
+    "transient": (
+        model.TransientDetection(alpha=0.5, beta=1.0, delays=[1.0, 1.5, 0.0], rho=0.9),
+        _transient_costs,
+    ),
+    "transient-false-alarm": (
+        model.TransientDetection(
+            alpha=0.0, beta=2.0, delays=[1.0, 1.5, 0.0], rho=1.0, false_alarm=[0, 1, 1.2]
+        ),
+        _transient_costs,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DETECTION_CASES))
+def test_continue_costs_match_stage_costs(three_state_model, case):
+    spec, written_out = DETECTION_CASES[case]
+    m = three_state_model
+    pts = np.vstack([np.eye(3), np.random.default_rng(11).dirichlet(np.ones(3), size=1000)])
+    for original in (True, False):
+        cont = spec.stage_costs(m, pts, original)[1]
+        alone = spec.continue_costs(m, pts, original)
+        assert alone.dtype == cont.dtype and alone.tobytes() == cont.tobytes(), original
+    stop, cont = spec.stage_costs(m, pts, True)
+    want_stop, want_cont = written_out(spec, m, pts)
+    assert stop.tobytes() == want_stop.tobytes() and cont.tobytes() == want_cont.tobytes()

@@ -297,6 +297,25 @@ def test_batch_bit_identical_plain_callable_discounted():
     assert new.tau.max() < 1000  # the derived cap, not the 500 default or 10 000
 
 
+@pytest.mark.parametrize("false_alarm", [None, [0, 1, 1.2]])
+def test_batch_bit_identical_transient(staged_model, false_alarm):
+    # the variance penalty needs the default false alarm; the discounted spec
+    # derives its step cap from the stage-cost bound
+    spec = model.TransientDetection(
+        alpha=0.5 if false_alarm is None else 0.0, beta=2.0, delays=[1.0, 1.5, 0.0],
+        rho=0.95 if false_alarm is None else 1.0, false_alarm=false_alarm,
+    )
+    m = staged_model(0.0)
+    rng = np.random.default_rng(6)
+    priors = rng.dirichlet(np.ones(3), size=200)
+    linear = pol.LinearThresholdPolicy(np.array([1.2, 0.3]))
+    for transformed in (True, False):
+        new, ref = both_batches(m, spec, linear, priors, 12, transformed=transformed)
+        assert_batches_equal(new, ref)
+    # at least 10 steps on which no row stops, priced by the continue costs alone
+    assert new.tau.max() - np.unique(new.tau).size >= 10
+
+
 def test_batch_bit_identical_always_stop_and_censoring(geometric_model):
     spec = model.QuickestClassicalDelay(
         alpha=0.0, beta=3.0, d=1.0, rho=1.0, false_alarm=[0, 1]
