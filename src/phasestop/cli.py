@@ -108,16 +108,18 @@ def parse_model(cfg: dict, where: str = "model", bins=DEFAULT_BINS) -> Detection
     transition = _matrix(_need(cfg, "transition", where), f"{where}.transition")
     initial = _matrix(_need(cfg, "initial", where), f"{where}.initial")
     obs_cfg, kind = _choice(cfg, "observation", where, ("discrete", "gaussian"))
+    ow = f"{where}.observation.{kind}"
     if kind == "discrete":
-        obs = DiscreteObs(_matrix(obs_cfg["discrete"], f"{where}.observation.discrete"))
+        matrix = _matrix(obs_cfg["discrete"], ow)
     else:
-        g, gw = obs_cfg["gaussian"], f"{where}.observation.gaussian"
-        means = _matrix(_need(g, "means", gw), f"{gw}.means")
-        variances = _matrix(_need(g, "variances", gw), f"{gw}.variances")
-        try:
-            obs = discretize_gaussian(GaussianObs(means, variances), bins)
-        except ValueError as exc:
-            raise ConfigError(f"{gw}: {exc}") from None
+        g = obs_cfg["gaussian"]
+        means = _matrix(_need(g, "means", ow), f"{ow}.means")
+        variances = _matrix(_need(g, "variances", ow), f"{ow}.variances")
+    try:
+        obs = (DiscreteObs(matrix) if kind == "discrete"
+               else discretize_gaussian(GaussianObs(means, variances), bins))
+    except ValueError as exc:
+        raise ConfigError(f"{ow}: {exc}") from None
     try:
         return DetectionModel(transition, initial, obs)
     except ValueError as exc:
@@ -445,9 +447,9 @@ def _policy_from_config(cfg: dict, model: DetectionModel):
     src, kind = _choice(cfg, "policy", "config", ("theta", "solution"))
     if kind == "theta":
         theta = _matrix(src["theta"], "config.policy.theta")
-        if theta.size != model.n_states - 1:
+        if theta.shape != (model.n_states - 1,) or not np.isfinite(theta).all():
             raise ConfigError(
-                f"config.policy.theta: expected {model.n_states - 1} coefficients, got {theta.size}"
+                f"config.policy.theta: expected {model.n_states - 1} finite numbers, got {src['theta']!r}"
             )
         return policy_mod.LinearThresholdPolicy(theta)
     if not isinstance(src["solution"], str):
@@ -474,6 +476,9 @@ def _policy_from_config(cfg: dict, model: DetectionModel):
         actions = np.array([int(r["policy"]) for r in rows])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.policy.solution: {exc}") from None
+    bad = sorted(set(actions.tolist()) - {dp.STOP, dp.CONTINUE})
+    if bad:
+        raise ConfigError(f"config.policy.solution: policy entries must be 1 or 2, got {bad}")
     x, m = model.n_states, int(coords[0].sum())
     n_points = math.comb(m + x - 1, x - 1) if m >= 1 else 0
     if len(rows) != n_points:

@@ -205,22 +205,6 @@ def stage_cost_vectors(
     return spec.stage_costs(model, np.atleast_2d(np.asarray(pts, dtype=float)), original)
 
 
-def stage_costs(
-    spec: CostSpec,
-    model: DetectionModel,
-    pi,
-    original: bool = False,
-) -> tuple[float, float]:
-    """Stage costs (stop, continue) at one belief; see :func:`stage_cost_vectors`."""
-    c1, c2 = stage_cost_vectors(spec, model, np.atleast_2d(pi), original=original)
-    return float(c1[0]), float(c2[0])
-
-
-def value_offset(spec: CostSpec, model: DetectionModel, pts: np.ndarray) -> np.ndarray:
-    """Linear offset such that original values = transformed values + offset."""
-    return spec.offset(model, np.atleast_2d(np.asarray(pts, dtype=float)))
-
-
 # ---------------------------------------------------------------------------
 # Successor structure
 
@@ -310,10 +294,10 @@ def value_iterate(
 
     Undiscounted runs (rho = 1, and the risk-sensitive family) default to a
     fixed horizon; discounted runs stop when the sup-norm change drops below
-    ``tol`` (default 1e-8) or after 10_000 sweeps.  The greedy policy picks
-    the first action (stop / mode 1) on ties.  Raises ``ValueError`` before
-    any sweep when ``horizon`` is not an integer >= 1 or ``tol`` is NaN or
-    negative.
+    ``tol`` (default 1e-8) or reaches 0, or after 10_000 sweeps.  The greedy
+    policy picks the first action (stop / mode 1) on ties.  Raises
+    ``ValueError`` before any sweep when ``horizon`` is not an integer >= 1
+    or ``tol`` is NaN or negative.
     """
     if horizon is not None and (
         isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1
@@ -323,7 +307,7 @@ def value_iterate(
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     if grid.n_states != model.n_states:
         raise ValueError("grid dimension does not match the model")
-    offset = value_offset(spec, model, grid.points)
+    offset = spec.offset(model, grid.points)
     disc, v, actions = _bellman_setup(model, spec, grid, offset, interpolate)
     if horizon is None and tol is None:
         if disc >= 1.0:
@@ -340,7 +324,8 @@ def value_iterate(
         sweeps += 1
         if horizon is not None and sweeps >= horizon:
             break
-        if tol is not None and (delta < tol or sweeps >= MAX_SWEEPS):
+        # delta == 0.0 is a fixed point, which tol = 0 would otherwise never accept
+        if tol is not None and (delta < tol or delta == 0.0 or sweeps >= MAX_SWEEPS):
             break
     q1, q2 = _q_values(actions, disc, v)
     policy = np.where(q1 <= q2, STOP, CONTINUE)
@@ -511,16 +496,10 @@ class GridPolicy:
     def __post_init__(self):
         object.__setattr__(self, "_stops", np.asarray(self.actions) == STOP)
 
-    def decide(self, pi) -> int:
-        return int(self.actions[self.grid.nearest(np.atleast_2d(pi))[0]])
-
     def stop_mask(self, pts: np.ndarray) -> np.ndarray:
         """True where the nearest grid point's action is stop, one belief per
         row of ``pts``."""
         return self._stops[self.grid.nearest(pts)]
-
-    def batch_decide(self, pts: np.ndarray) -> np.ndarray:
-        return np.where(self.stop_mask(pts), STOP, CONTINUE)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +510,8 @@ def myopic_policy(spec: Scheduling, model: DetectionModel, pi) -> int:
     """Mode 2 exactly when its expected stage cost is strictly cheaper."""
     if not isinstance(spec, Scheduling):
         raise ValueError("myopic policy is defined for the scheduling family")
-    c1, c2 = stage_costs(spec, model, pi)
-    return CONTINUE if c2 < c1 else STOP
+    c1, c2 = stage_cost_vectors(spec, model, pi)
+    return CONTINUE if c2[0] < c1[0] else STOP
 
 
 def blackwell_degrade(obs_hi, confusion) -> DiscreteObs:

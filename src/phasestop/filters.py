@@ -25,19 +25,19 @@ if TYPE_CHECKING:
 SUM_TOL = 1e-12
 
 
-def as_belief(probs, tol: float = SUM_TOL) -> np.ndarray:
+def as_belief(probs) -> np.ndarray:
     """Validate and return a belief vector as a float array.
 
     Raises ValueError if entries are outside [0, 1] or do not sum to one
-    within ``tol``.
+    within ``SUM_TOL`` per entry; a NaN entry makes the sum NaN, which fails.
     """
     pi = np.asarray(probs, dtype=float)
     if pi.ndim != 1 or pi.size < 2:
         raise ValueError("belief must be a vector with at least two entries")
-    if np.any(pi < -tol) or np.any(pi > 1.0 + tol):
+    if np.any(pi < -SUM_TOL) or np.any(pi > 1.0 + SUM_TOL):
         raise ValueError(f"belief entries outside [0, 1]: {pi}")
     s = float(pi.sum())
-    if abs(s - 1.0) > max(tol, 1e-12 * pi.size):
+    if not abs(s - 1.0) <= SUM_TOL * pi.size:
         raise ValueError(f"belief entries sum to {s}, expected 1")
     return pi
 

@@ -48,9 +48,9 @@ class DiscreteObs:
         object.__setattr__(self, "matrix", b)
         if b.ndim != 2:
             raise ValueError("observation matrix must be 2-D")
-        if np.any(b < -SUM_TOL):
-            raise ValueError("observation probabilities must be non-negative")
-        if np.any(np.abs(b.sum(axis=1) - 1.0) > 1e-9):
+        if not np.all(b >= -SUM_TOL):  # a NaN entry fails this and the next check
+            raise ValueError("observation probabilities must be non-negative numbers")
+        if not np.all(np.abs(b.sum(axis=1) - 1.0) <= 1e-9):
             raise ValueError("observation matrix rows must sum to 1")
 
 
@@ -68,8 +68,10 @@ class GaussianObs:
         object.__setattr__(self, "variances", v)
         if m.shape != v.shape or m.ndim != 1:
             raise ValueError("means and variances must be vectors of equal length")
-        if np.any(v <= 0):
-            raise ValueError("variances must be strictly positive")
+        if not np.isfinite(m).all():
+            raise ValueError("means must be finite")
+        if not np.all((v > 0) & (v < np.inf)):  # NaN fails
+            raise ValueError("variances must be strictly positive and finite")
 
 
 DEFAULT_BINS = 101
@@ -120,6 +122,8 @@ class DetectionModel:
             raise ValueError("transition matrix must be square")
         if pi0.shape != (p.shape[0],):
             raise ValueError("initial belief length must match transition matrix")
+        if not (np.isfinite(p).all() and np.isfinite(pi0).all()):
+            raise ValueError("transition matrix and initial belief entries must be finite")
         if self.obs.matrix.shape[0] != p.shape[0]:
             raise ValueError("observation matrix row count does not match state count")
 
@@ -132,21 +136,24 @@ class DetectionModel:
         return self.obs
 
 
-def spectral_radius(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
+RADIUS_TOL, RADIUS_MAX_ITER = 1e-10, 10_000  # the power iteration's stopping rule
+
+
+def spectral_radius(mat: np.ndarray) -> float:
     """Spectral radius of a non-negative matrix by power iteration."""
     m = np.asarray(mat, dtype=float)
     if m.size == 0:
         return 0.0
     v = np.ones(m.shape[0])
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(RADIUS_MAX_ITER):
         w = m @ v
         norm = float(np.abs(w).sum())
         if norm == 0.0:
             return 0.0
         lam_new = norm / float(np.abs(v).sum())
         v = w / norm
-        if abs(lam_new - lam) < tol:
+        if abs(lam_new - lam) < RADIUS_TOL:
             return lam_new
         lam = lam_new
     return lam
@@ -241,8 +248,8 @@ def _check_prob(name: str, value: float) -> None:
 
 
 def _check_nonneg(name: str, value) -> None:
-    if np.any(np.asarray(value, dtype=float) < 0):
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    if not (np.all(np.asarray(value, dtype=float) >= 0) and np.isfinite(value).all()):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 class CostSpec:

@@ -1,6 +1,6 @@
 """Stochastic-order predicates, model assumption checkers, and random generators.
 
-All predicates use a small absolute slack (default 1e-12): inputs are O(1)
+All predicates use the small absolute slack ``ORDER_TOL``: inputs are O(1)
 probabilities and the comparisons involve products of two entries.  Each
 cost family states its own assumptions (``assumptions`` of the family's
 :class:`~phasestop.model.CostSpec`) from the check helpers here;
@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 ORDER_TOL = 1e-12
 
 
-def mlr_geq(pi1, pi2, tol: float = ORDER_TOL) -> bool:
+def mlr_geq(pi1, pi2) -> bool:
     """Monotone-likelihood-ratio dominance: ``pi1 >= pi2`` in the MLR order."""
     a = np.asarray(pi1, dtype=float)
     b = np.asarray(pi2, dtype=float)
@@ -31,10 +31,10 @@ def mlr_geq(pi1, pi2, tol: float = ORDER_TOL) -> bool:
     lhs = np.outer(a, b)
     rhs = np.outer(b, a)
     iu = _pairs(a.size)
-    return bool(np.all(lhs[iu] <= rhs[iu] + tol))
+    return bool(np.all(lhs[iu] <= rhs[iu] + ORDER_TOL))
 
 
-def fosd_geq(pi1, pi2, tol: float = ORDER_TOL) -> bool:
+def fosd_geq(pi1, pi2) -> bool:
     """First-order stochastic dominance: every tail sum of pi1 dominates pi2's."""
     a = np.asarray(pi1, dtype=float)
     b = np.asarray(pi2, dtype=float)
@@ -42,7 +42,7 @@ def fosd_geq(pi1, pi2, tol: float = ORDER_TOL) -> bool:
         raise ValueError("beliefs must have the same dimension")
     ta = np.cumsum(a[::-1])[::-1]
     tb = np.cumsum(b[::-1])[::-1]
-    return bool(np.all(ta >= tb - tol))
+    return bool(np.all(ta >= tb - ORDER_TOL))
 
 
 @lru_cache(maxsize=64)
@@ -65,15 +65,15 @@ def _min_minor(mat) -> float:
     return float(minors.min()) if minors.size else 0.0
 
 
-def is_tp2(mat, tol: float = ORDER_TOL) -> bool:
-    """True when every 2x2 minor (adjacent or not) of the matrix is >= -tol."""
+def is_tp2(mat) -> bool:
+    """True when every 2x2 minor (adjacent or not) of the matrix is >= -ORDER_TOL."""
     m = np.asarray(mat, dtype=float)
-    if np.any(m < -tol):
+    if np.any(m < -ORDER_TOL):
         raise ValueError("matrix must be non-negative")
-    return _min_minor(m) >= -tol
+    return _min_minor(m) >= -ORDER_TOL
 
 
-def matrix_order_geq(p1, p2, tol: float = ORDER_TOL) -> bool:
+def matrix_order_geq(p1, p2) -> bool:
     """Transition-matrix dominance: P1 >= P2 when
     ``P1[i,j] * P2[m,l] <= P2[i,j] * P1[m,l]`` for every l > j and all i, m.
     """
@@ -85,7 +85,7 @@ def matrix_order_geq(p1, p2, tol: float = ORDER_TOL) -> bool:
     for j in range(n - 1):
         for l in range(j + 1, n):
             # outer over (i, m)
-            if np.any(np.outer(a[:, j], b[:, l]) > np.outer(b[:, j], a[:, l]) + tol):
+            if np.any(np.outer(a[:, j], b[:, l]) > np.outer(b[:, j], a[:, l]) + ORDER_TOL):
                 return False
     return True
 

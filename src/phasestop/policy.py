@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import CONTINUE, STOP
 from .model import CostSpec, DetectionModel
 from .sim import simulate_batch
 
@@ -42,22 +41,12 @@ class LinearThresholdPolicy:
         c[2:] = self.theta[: self.n_states - 2]
         return c, float(self.theta[-1])
 
-    def score(self, pi) -> float:
-        c, t = self._coefficients
-        return float(np.asarray(pi, dtype=float) @ c - t)
-
-    def decide(self, pi) -> int:
-        """1 (stop) when the score is strictly negative, else 2 (continue)."""
-        return STOP if self.score(pi) < 0.0 else CONTINUE
-
     def stop_mask(self, pts: np.ndarray) -> np.ndarray:
-        """True where :meth:`decide` stops, one belief per row of ``pts``."""
+        """True where the policy stops, one belief per row of ``pts``: where
+        the score is strictly negative.  A score of exactly 0 continues."""
         # for finite values, pts @ c < t exactly when the score pts @ c - t < 0
         c, t = self._coefficients
         return pts @ c < t
-
-    def batch_decide(self, pts: np.ndarray) -> np.ndarray:
-        return np.where(self.stop_mask(np.asarray(pts, dtype=float)), STOP, CONTINUE)
 
 
 def theta_is_mlr_increasing(theta) -> bool:

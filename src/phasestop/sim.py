@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import STOP, stage_cost_vectors
+from .dp import CONTINUE, STOP, stage_cost_vectors
 from .filters import ZeroProbabilityError, _bayes_step, as_belief, hmm_update
 from .model import CostSpec, DetectionModel
 
@@ -59,10 +59,6 @@ class Trajectory:
         return self.tau is None
 
 
-def _policy_fn(policy):
-    return policy.decide if hasattr(policy, "decide") else policy
-
-
 def _cdf(pmf) -> np.ndarray:
     """Cumulative sums along the last axis, with the entries at each row's
     total pinned to 1.0: a total rounded below 1 must not let a uniform draw
@@ -82,9 +78,8 @@ def sample_trajectory(
     max_steps: int = DETECTION_MAX_STEPS,
     rng: np.random.Generator | None = None,
 ) -> Trajectory:
-    """Simulate one chain/observation/belief/decision path until stop."""
+    """Simulate one chain/observation/belief/decision path until ``policy.stop_mask`` stops."""
     rng = rng if rng is not None else np.random.default_rng()
-    decide = _policy_fn(policy)
     cdf_p = _cdf(model.transition)
     cdf_b = _cdf(model.discrete_obs().matrix)
     pi = as_belief(model.initial)
@@ -101,7 +96,7 @@ def sample_trajectory(
             tau0 = k
         y = _draw(rng, cdf_b[x])
         pi = hmm_update(pi, y, model).next_belief
-        u = int(decide(pi))
+        u = STOP if policy.stop_mask(pi[None])[0] else CONTINUE
         states.append(x + 1)
         observations.append(y)
         beliefs.append(pi)
@@ -129,18 +124,6 @@ class BatchResult:
     tau: np.ndarray  # stop step per trajectory (= max step when censored)
     tau0: np.ndarray  # first absorbing step, -1 when not reached
     censored: np.ndarray  # boolean
-
-
-def _batch_decider(policy):
-    """``policy``'s stop mask for a stack of beliefs, one per row: its own
-    ``stop_mask``, else its actions (``batch_decide``, else ``decide`` or
-    the callable per row) compared with ``STOP``."""
-    if hasattr(policy, "stop_mask"):
-        return policy.stop_mask
-    if hasattr(policy, "batch_decide"):
-        return lambda pts: np.asarray(policy.batch_decide(pts)) == STOP
-    decide = _policy_fn(policy)
-    return lambda pts: np.array([decide(pi) for pi in pts]) == STOP
 
 
 # the key of CDF entry c in row s of a draw table is ceil(c * 2**53) + s * 2**54:
@@ -207,6 +190,7 @@ def simulate_batch(
 ) -> BatchResult:
     """Simulate one trajectory per prior row, accumulating discounted stage costs.
 
+    A row stops at the first step whose belief ``policy.stop_mask`` marks.
     With ``transformed=False`` the raw expected costs are accumulated.
     Censored trajectories contribute their truncated cost and are flagged.
     The step loop works on the still-active rows only, in ascending row
@@ -244,7 +228,6 @@ def simulate_batch(
             bound = _stage_cost_bound(spec, model)
             max_steps = int(np.ceil(np.log(TRUNCATION_TOL / max(bound, 1e-12)) / np.log(rho)))
             max_steps = max(1, min(max_steps, DETECTION_MAX_STEPS))
-    deciders = [_batch_decider(pol) for pol in policies]
     keys_p, keys_b = _draw_table(_cdf(p)), _draw_table(_cdf(b))
     # by draw position: the next state's row offset, and symbol y's likelihood per state
     next_off, lik = _row_offsets(*p.shape), np.tile(b.T, (b.shape[0], 1))
@@ -279,7 +262,7 @@ def simulate_batch(
                 f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
                 f"{sigma[j]} after observation {int(y_pos[j]) % b.shape[1]}"
             )
-        stop = alive & np.array([decide(beliefs) for decide in deciders])
+        stop = alive & np.array([pol.stop_mask(beliefs) for pol in policies])
         if stop.any():
             c_stop, c_cont = stage_cost_vectors(spec, model, beliefs, original=not transformed)
             t, j = np.nonzero(stop)

@@ -4,6 +4,17 @@ import pytest
 from phasestop import dp, filters, model
 
 
+class StopWhere:
+    """A test-only policy from a per-belief predicate: ``stop_mask`` is true
+    on the rows where ``stops(pi)`` holds."""
+
+    def __init__(self, stops):
+        self.stops = stops
+
+    def stop_mask(self, pts):
+        return np.array([bool(self.stops(pi)) for pi in pts], dtype=bool)
+
+
 @pytest.fixture(scope="session")
 def geometric_model():
     """Two-state absorbing chain with a symmetric binary channel."""

@@ -203,6 +203,12 @@ def test_simulate_from_solution_csv(tmp_path):
     assert traj[0] == "step,state,observation,belief0,belief1,action"
 
 
+def _bad_action_row(lines):
+    cells = lines[2].split(",")
+    cells[3] = "3"  # the policy column: neither 1 (stop) nor 2 (continue)
+    lines[2] = ",".join(cells)
+
+
 def _drop_row(lines):
     del lines[3]
 
@@ -226,6 +232,7 @@ def _negative_row(lines):
         (_duplicate_row, "grid point (1, 9) appears more than once"),
         (_off_grid_row, "(2, 9) is not on the grid"),
         (_negative_row, "(-1, 11) is not on the grid"),
+        (_bad_action_row, "policy entries must be 1 or 2, got [3]"),
     ],
 )
 def test_simulate_rejects_bad_solution_csv(tmp_path, capsys, edit, message):
@@ -513,7 +520,11 @@ NUMERIC_CONFIGS = {
                  "policy": {"theta": [0.3]}, "trajectories": 10},
     "sweep": {"cost": SMALL_COST, "grid": {"m": 10},
               "models": [{"label": "a", "model": SMALL_MODEL}]},
+    "orders": {"model": SMALL_MODEL, "cost": SMALL_COST},
 }
+NAN = float("nan")
+NAN_TRANSITION = {**SMALL_MODEL, "transition": [[1, 0], [0.3, NAN]]}
+NOT_FINITE = "model: transition matrix and initial belief entries must be finite"
 
 
 @pytest.mark.parametrize(
@@ -605,6 +616,28 @@ NUMERIC_CONFIGS = {
         # a NaN gain makes every iterate NaN
         ("spsa", {"gains": {"step": "nan"}},
          "config.gains: step, stability, and perturbation scales must be positive"),
+        # a bad discrete observation matrix is a config error, as a Gaussian one is
+        ("solve", {"model": {**SMALL_MODEL, "observation": {"discrete": [[0.9, 0.2], [0.2, 0.8]]}}},
+         "model.observation.discrete: observation matrix rows must sum to 1"),
+        ("solve", {"model": {**SMALL_MODEL, "observation": {"discrete": [0.5, 0.5]}}},
+         "model.observation.discrete: observation matrix must be 2-D"),
+        ("solve", {"model": {**SMALL_MODEL, "observation": {"discrete": [[1.1, -0.1], [0.2, 0.8]]}}},
+         "model.observation.discrete: observation probabilities must be non-negative"),
+        # NaN passes a plain comparison: unchecked, it runs into NaN values or a traceback
+        ("solve", {"model": NAN_TRANSITION}, NOT_FINITE),
+        ("orders", {"model": NAN_TRANSITION}, NOT_FINITE),
+        ("simulate", {"model": {**SMALL_MODEL, "initial": [NAN, 1]}}, NOT_FINITE),
+        ("solve", {"model": {**SMALL_MODEL, "observation": {"discrete": [[0.8, 0.2], [NAN, 0.8]]}}},
+         "model.observation.discrete: observation probabilities must be non-negative"),
+        ("solve", {"model": {**SMALL_MODEL, "observation": {"gaussian": {"means": [0, NAN], "variances": [1, 1]}}}},
+         "model.observation.gaussian: means must be finite"),
+        ("solve", {"cost": {**SMALL_COST, "alpha": NAN}},
+         "config.cost: alpha must be finite and non-negative, got nan"),
+        # simulate's threshold: a finite vector of X - 1 numbers
+        ("simulate", {"policy": {"theta": [[0.3]]}}, "config.policy.theta: expected 1 finite numbers, got [[0.3]]"),
+        ("simulate", {"policy": {"theta": [NAN]}}, "config.policy.theta: expected 1 finite numbers, got [nan]"),
+        ("simulate", {"policy": {"theta": [0.3, 0.1]}},
+         "config.policy.theta: expected 1 finite numbers, got [0.3, 0.1]"),
     ],
 )
 def test_numeric_fields_exit_2_with_their_path(tmp_path, capsys, command, patch, message):

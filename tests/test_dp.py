@@ -187,12 +187,12 @@ def test_stage_costs_predictive_examples(three_state_model):
     rng = np.random.default_rng(0)
     for _ in range(20):
         pi = rng.dirichlet(np.ones(3))
-        c1, _ = dp.stage_costs(spec0, m, pi)
-        assert c1 == 0.0
+        c1, _ = dp.stage_cost_vectors(spec0, m, pi)
+        assert c1[0] == 0.0
     spec = model.QuickestPredictiveDelay(alpha=2.0, beta=1.0, d=1.5, rho=1.0)
-    c1_bar, c2_bar = dp.stage_costs(spec, m, [1, 0, 0], original=True)
-    assert c1_bar == pytest.approx(0.0, abs=1e-15)
-    assert c2_bar == pytest.approx(1.5 * m.transition[0, 0], abs=1e-15)  # = d
+    c1_bar, c2_bar = spec.stage_costs(m, np.array([[1.0, 0, 0]]), original=True)
+    assert c1_bar[0] == pytest.approx(0.0, abs=1e-15)
+    assert c2_bar[0] == pytest.approx(1.5 * m.transition[0, 0], abs=1e-15)  # = d
 
 
 def test_stage_costs_risk_small_parameter_series():
@@ -203,7 +203,7 @@ def test_stage_costs_risk_small_parameter_series():
     rng = np.random.default_rng(1)
     for _ in range(20):
         pi = rng.dirichlet(np.ones(2))
-        _, c2 = dp.stage_costs(spec, m, pi)
+        _, (c2,) = dp.stage_cost_vectors(spec, m, pi)
         # first-order series: d*P(change next) + beta*(pi1 - P(change next))
         pred = p[:, 0] @ pi
         series = d * pred + beta * (pi[0] - pred)
@@ -214,7 +214,7 @@ def test_stage_costs_constrained_social(identity_model_2):
     c = np.array([[2.0, 1.0], [1.9, 0.9]])
     spec = model.ConstrainedSocial(local_costs=c, d=1.0, beta=2.0, rho=0.5)
     pi = np.array([0.3, 0.7])
-    c1, c2 = dp.stage_costs(spec, identity_model_2, pi)
+    (c1,), (c2,) = dp.stage_cost_vectors(spec, identity_model_2, pi)
     assert c1 == pytest.approx(min(c[:, 0] @ pi, c[:, 1] @ pi) / 0.5)
     b = identity_model_2.obs.matrix
     reveal = pi @ (b * c).sum(axis=1)
@@ -280,6 +280,14 @@ def test_value_iterate_rejects_a_bad_stopping_rule(geometric_model, monkeypatch,
     monkeypatch.undo()
     # a NumPy integer and a zero tolerance are accepted
     assert dp.value_iterate(geometric_model, spec, g, horizon=np.int64(2), tol=0.0).sweeps == 2
+
+
+def test_value_iterate_tol_zero_stops_at_an_exact_fixed_point(geometric_model):
+    # with no costs the zero value is a fixed point from the first sweep on:
+    # tol = 0 accepts a sup-norm change of exactly 0 instead of running to MAX_SWEEPS
+    spec = model.QuickestPredictiveDelay(alpha=0, beta=0, d=0, rho=0.9)
+    sol = dp.value_iterate(geometric_model, spec, dp.build_grid(2, 50), tol=0.0)
+    assert sol.sweeps == 1 and sol.sup_delta == 0.0 and not sol.values.any()
 
 
 def test_value_is_mlr_decreasing_on_vertex_chains(three_state_model):
@@ -417,10 +425,9 @@ def test_grid_policy_lookup(geometric_model):
     g = dp.build_grid(2, 10)
     actions = np.where(g.points[:, 0] > 0.5, dp.STOP, dp.CONTINUE)
     pol = dp.GridPolicy(g, actions)
-    assert pol.decide([0.9, 0.1]) == dp.STOP
-    assert pol.decide([0.1, 0.9]) == dp.CONTINUE
-    batch = pol.batch_decide(np.array([[0.9, 0.1], [0.1, 0.9]]))
-    assert list(batch) == [dp.STOP, dp.CONTINUE]
+    assert list(pol.stop_mask(np.array([[0.9, 0.1], [0.1, 0.9]]))) == [True, False]
+    # one row at a time, as a single trajectory decides
+    assert pol.stop_mask(np.array([[0.9, 0.1]]))[0] and not pol.stop_mask(np.array([[0.1, 0.9]]))[0]
 
 
 def test_expected_value_after_update_matches_manual(geometric_model):
@@ -436,7 +443,7 @@ def test_expected_value_after_update_matches_manual(geometric_model):
     i0 = g.nearest(pi0[None, :])[0]
     # in transformed coordinates the continue branch of the fixed point is
     # exact on the grid
-    _, c2 = dp.stage_costs(spec, geometric_model, g.points[i0])
+    _, (c2,) = dp.stage_cost_vectors(spec, geometric_model, g.points[i0])
     assert sol.values[i0] == pytest.approx(c2 + (w[0] * sol.values[idx[0]]).sum(), abs=1e-9)
     # classical delay with no initial change mass: the first-step continue
     # cost vanishes, so the after-update value tracks the value itself up to
@@ -610,7 +617,7 @@ def _ref_value_iterate(mdl, spec, grid, horizon=None, tol=None, interpolate=Fals
         else:
             tol = dp.DEFAULT_TOL
     pts = grid.points
-    offset = dp.value_offset(spec, mdl, pts)
+    offset = spec.offset(mdl, pts)
     c1, c2 = dp.stage_cost_vectors(spec, mdl, pts)
 
     def run(q_pair):
@@ -758,8 +765,8 @@ def test_transformed_costs_shift_the_original_costs_by_the_offset(family):
     pts = np.vstack([np.eye(x), np.random.default_rng(8).dirichlet(np.ones(x), size=300)])
     stop, cont = dp.stage_cost_vectors(spec, mdl, pts)
     stop_orig, cont_orig = dp.stage_cost_vectors(spec, mdl, pts, original=True)
-    offset = dp.value_offset(spec, mdl, pts)
-    offset_next = dp.value_offset(spec, mdl, successor(mdl, spec, pts))
+    offset = spec.offset(mdl, pts)
+    offset_next = spec.offset(mdl, successor(mdl, spec, pts))
     if family == "scheduling":
         assert not offset.any() and not offset_next.any()
     np.testing.assert_allclose(stop, stop_orig - offset, rtol=0, atol=1e-12)

@@ -273,7 +273,7 @@ def test_filters_and_solver_share_the_bayes_step_and_the_social_rule():
         # the solver's successor weights at every probe belief: sigma of each
         # broadcast action, zero for an action the rule never picks there
         probe = dataclasses.replace(grid, points=pts)
-        _, _, actions = dp._bellman_setup(m, spec, probe, dp.value_offset(spec, m, pts), False)
+        _, _, actions = dp._bellman_setup(m, spec, probe, spec.offset(m, pts), False)
         _, idx, w = actions[1]
         filtered, filtered_idx = np.zeros_like(w), idx.copy()
         for n, pi in enumerate(pts):

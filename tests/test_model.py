@@ -13,6 +13,9 @@ def test_belief_validation():
         model.as_belief([-0.1, 1.1])
     with pytest.raises(ValueError):
         model.as_belief([1.0])
+    # a NaN entry makes the sum NaN, which fails the sum check
+    with pytest.raises(ValueError, match="sum to nan"):
+        model.as_belief([float("nan"), 1.0])
 
 
 def test_validate_geometric_model_is_valid():
@@ -108,6 +111,15 @@ def test_discretize_equal_variance_rows_are_tp2():
 def test_discretize_rejects_bad_inputs():
     with pytest.raises(ValueError):
         model.GaussianObs([0.0, 1.0], [0.01, -0.01])
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match="means must be finite"):
+        model.GaussianObs([0.0, nan], [1.0, 1.0])
+    for variance in (nan, inf):
+        with pytest.raises(ValueError, match="variances must be strictly positive and finite"):
+            model.GaussianObs([0.0, 1.0], [1.0, variance])
+    for bad in ([[nan, 0.2], [0.2, 0.8]], [[0.8, 0.2], [0.2, nan]], [[inf, 0.2], [0.2, 0.8]]):
+        with pytest.raises(ValueError, match="observation"):
+            model.DiscreteObs(bad)
     with pytest.raises(ValueError):
         model.discretize_gaussian(model.GaussianObs([0.0], [1.0]), bins=2)
 
@@ -137,6 +149,12 @@ def test_spectral_radius_basics():
 def test_cost_spec_validation():
     with pytest.raises(ValueError):
         model.QuickestPredictiveDelay(alpha=-1, beta=1, d=1, rho=1)
+    # NaN passes a "< 0" test; a NaN or infinite cost makes every value NaN
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha must be finite and non-negative"):
+            model.QuickestPredictiveDelay(alpha=alpha, beta=1, d=1, rho=1)
+    with pytest.raises(ValueError, match="false_alarm must be finite and non-negative"):
+        model.QuickestClassicalDelay(alpha=0, beta=1, d=1, rho=0.9, false_alarm=[0, float("nan")])
     with pytest.raises(ValueError):
         model.QuickestPredictiveDelay(alpha=0, beta=1, d=1, rho=1.2)
     with pytest.raises(ValueError):
@@ -178,6 +196,12 @@ def test_detection_model_needs_one_observation_row_per_state():
     three_rows = model.DiscreteObs([[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]])
     with pytest.raises(ValueError, match="observation matrix row count"):
         model.DetectionModel([[1, 0], [0.5, 0.5]], [0, 1], three_rows)
+    # and finite transition and initial entries
+    obs = model.DiscreteObs([[0.8, 0.2], [0.2, 0.8]])
+    nan = float("nan")
+    for transition, initial in (([[1, 0], [0.3, nan]], [0, 1]), ([[1, 0], [0.3, 0.7]], [nan, 1])):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            model.DetectionModel(transition, initial, obs)
 
 
 # each detection family's original (stop, continue) costs, written out

@@ -6,16 +6,15 @@ from phasestop import dp, model, policy as pol
 
 def test_decide_examples():
     p3 = pol.LinearThresholdPolicy(np.array([1.0, 0.5]))
-    assert p3.decide([1, 0, 0]) == 1  # the first vertex always stops
-    # at e2 the score is 1*1 + theta(1)*0 - theta(2) = 0.5 > 0: continue
-    assert p3.decide([0, 1, 0]) == 2
-    # boundary score exactly zero continues (strict inequality)
-    assert p3.score([0.5, 0.5, 0.0]) == 0.0
-    assert p3.decide([0.5, 0.5, 0.0]) == 2
+    # the first vertex always stops; at e2 the score is 1*1 + theta(1)*0 -
+    # theta(2) = 0.5 > 0: continue; a boundary score of exactly zero continues
+    # (strict inequality)
+    c, t = p3.coefficients()
+    assert np.array([0.5, 0.5, 0.0]) @ c - t == 0.0
+    assert list(p3.stop_mask(np.array([[1, 0, 0], [0, 1, 0], [0.5, 0.5, 0.0]]))) == [True, False, False]
     p2 = pol.LinearThresholdPolicy(np.array([0.3]))
-    assert p2.decide([1.0, 0.0]) == 1
-    assert p2.decide([0.7, 0.3]) == 2  # score exactly 0 -> continue
-    assert p2.decide([0.71, 0.29]) == 1
+    # [0.7, 0.3] has a score of exactly 0: continue
+    assert list(p2.stop_mask(np.array([[1.0, 0.0], [0.7, 0.3], [0.71, 0.29]]))) == [True, False, True]
 
 
 def test_theta_feasibility_examples():

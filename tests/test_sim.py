@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import StopWhere
 from phasestop import dp, filters, model, sim
 from phasestop import policy as pol
 
-
-def always_stop(pi):
-    return 1
-
-
-def never_stop(pi):
-    return 2
+always_stop = StopWhere(lambda pi: True)
+never_stop = StopWhere(lambda pi: False)
 
 
 def test_always_stop_gives_tau_one(geometric_model):
@@ -36,7 +32,7 @@ def test_absorbing_state_never_left(geometric_model):
 
 def test_belief_consistency_bitwise(geometric_model):
     rng = np.random.default_rng(2)
-    policy = lambda pi: 1 if pi[0] > 0.9 else 2
+    policy = StopWhere(lambda pi: pi[0] > 0.9)
     for _ in range(1000):
         traj = sim.sample_trajectory(geometric_model, policy, max_steps=500, rng=rng)
         pi = np.asarray(geometric_model.initial, dtype=float)
@@ -47,7 +43,7 @@ def test_belief_consistency_bitwise(geometric_model):
 
 
 def test_trajectory_determinism(geometric_model):
-    policy = lambda pi: 1 if pi[0] > 0.8 else 2
+    policy = StopWhere(lambda pi: pi[0] > 0.8)
     a = sim.sample_trajectory(geometric_model, policy, rng=np.random.default_rng(33))
     b = sim.sample_trajectory(geometric_model, policy, rng=np.random.default_rng(33))
     assert np.array_equal(a.states, b.states)
@@ -57,7 +53,7 @@ def test_trajectory_determinism(geometric_model):
 
 
 def test_stop_step_is_first_stop_action(geometric_model):
-    policy = lambda pi: 1 if pi[0] > 0.6 else 2
+    policy = StopWhere(lambda pi: pi[0] > 0.6)
     rng = np.random.default_rng(4)
     for _ in range(50):
         traj = sim.sample_trajectory(geometric_model, policy, rng=rng)
@@ -81,21 +77,13 @@ def test_change_times_match_ph_pmf(staged_model):
 def test_batch_matches_trajectory_distribution(geometric_model):
     # the batch and scalar simulators implement the same law: compare the
     # stop-time distribution of a threshold policy
-    policy = lambda pi: 1 if pi[0] > 0.7 else 2
-
-    class Batchable:
-        def batch_decide(self, pts):
-            return np.where(pts[:, 0] > 0.7, 1, 2)
-
-        def decide(self, pi):
-            return policy(pi)
-
+    policy = StopWhere(lambda pi: pi[0] > 0.7)
     spec = model.QuickestClassicalDelay(
         alpha=0.0, beta=3.0, d=1.0, rho=1.0, false_alarm=[0, 1]
     )
     priors = np.tile([0.0, 1.0], (4000, 1))
     batch = sim.simulate_batch(
-        geometric_model, spec, Batchable(), priors,
+        geometric_model, spec, policy, priors,
         np.random.default_rng(6), max_steps=500,
     )
     rng = np.random.default_rng(7)
@@ -139,7 +127,7 @@ def test_decompose_from_times_edge_cases(geometric_model):
 
 def test_trajectory_csv_layout(geometric_model):
     traj = sim.sample_trajectory(
-        geometric_model, lambda pi: 1 if pi[0] > 0.6 else 2,
+        geometric_model, StopWhere(lambda pi: pi[0] > 0.6),
         rng=np.random.default_rng(11),
     )
     text = sim.trajectory_csv(traj)
@@ -178,8 +166,6 @@ def _reference_simulate_batch(
             bound = sim._stage_cost_bound(spec, model_)
             max_steps = int(np.ceil(np.log(truncation_tol / max(bound, 1e-12)) / np.log(rho)))
             max_steps = max(1, min(max_steps, sim.DETECTION_MAX_STEPS))
-    decide_batch = getattr(policy, "batch_decide", None)
-    decide_one = getattr(policy, "decide", policy)
     states = draw_rows(priors)
     beliefs = priors.copy()
     costs = np.zeros(n)
@@ -196,14 +182,10 @@ def _reference_simulate_batch(
         ys = draw_rows(b[states[idx]])
         unnorm = (beliefs[idx] @ p) * b[:, ys].T
         beliefs[idx] = unnorm / unnorm.sum(axis=1)[:, None]
-        if decide_batch is not None:
-            acts = np.asarray(decide_batch(beliefs[idx]))
-        else:
-            acts = np.array([decide_one(beliefs[i]) for i in idx])
+        stop = np.asarray(policy.stop_mask(beliefs[idx]))
         c_stop, c_cont = dp.stage_cost_vectors(
             spec, model_, beliefs[idx], original=not transformed
         )
-        stop = acts == dp.STOP
         costs[idx[stop]] += disc * c_stop[stop]
         costs[idx[~stop]] += disc * c_cont[~stop]
         tau[idx[stop]] = k
@@ -285,12 +267,12 @@ def test_batch_bit_identical_linear_policy(three_state_model, seed):
 
 
 def test_batch_bit_identical_plain_callable_discounted():
-    # no batch_decide, a 4-state Gaussian chain, and a derived step cap
+    # a per-belief predicate policy, a 4-state Gaussian chain, and a derived step cap
     spec = model.QuickestClassicalDelay(
         alpha=0.5, beta=2.0, d=1.0, rho=0.95, false_alarm=[0, 1, 1, 1]
     )
     priors = np.random.default_rng(3).dirichlet(np.ones(4), size=400)
-    policy = lambda pi: 1 if pi[0] > 0.6 else 2
+    policy = StopWhere(lambda pi: pi[0] > 0.6)
     for transformed in (True, False):
         new, ref = both_batches(FOUR_PHASE, spec, policy, priors, 9, transformed=transformed)
         assert_batches_equal(new, ref)
@@ -324,9 +306,8 @@ def test_batch_bit_identical_always_stop_and_censoring(geometric_model):
     new, ref = both_batches(geometric_model, spec, always_stop, priors, 1, max_steps=50)
     assert_batches_equal(new, ref)
     assert np.all(new.tau == 1)
-    never = type("Never", (), {"batch_decide": lambda self, pts: np.full(len(pts), 2)})()
-    mixed = lambda pi: 1 if pi[0] > 0.95 else 2
-    for policy in (never, mixed):
+    mixed = StopWhere(lambda pi: pi[0] > 0.95)
+    for policy in (never_stop, mixed):
         new, ref = both_batches(geometric_model, spec, policy, priors, 2, max_steps=4)
         assert_batches_equal(new, ref)
         assert new.censored.any()
@@ -459,7 +440,7 @@ def test_sample_trajectory_filters_with_its_bins(three_state_model):
     mdl = model.DetectionModel(three_state_model.transition, three_state_model.initial, obs)
     b = mdl.discrete_obs().matrix
     p = mdl.transition
-    policy = lambda pi: 1 if pi[0] > 0.9 else 2
+    policy = StopWhere(lambda pi: pi[0] > 0.9)
     traj = sim.sample_trajectory(mdl, policy, max_steps=300, rng=np.random.default_rng(13))
     assert traj.observations.max() < bins
     pi = traj.beliefs[0]
@@ -514,7 +495,7 @@ def test_stacked_policies_fork_at_step_one(geometric_model):
         alpha=0.0, beta=3.0, d=1.0, rho=1.0, false_alarm=[0, 1]
     )
     priors = np.tile([0.0, 1.0], (300, 1))
-    mixed = lambda pi: 1 if pi[0] > 0.95 else 2
+    mixed = StopWhere(lambda pi: pi[0] > 0.95)
     # stop regions: never_stop's (empty) inside mixed's inside always_stop's
     batch = assert_shared_paths(
         geometric_model, spec, (always_stop, never_stop, mixed, always_stop), 1, priors, 3,
@@ -558,10 +539,10 @@ class Intersection:
     """Stops exactly where every one of ``policies`` stops."""
 
     def __init__(self, *policies):
-        self.masks = [sim._batch_decider(p) for p in policies]
+        self.policies = policies
 
     def stop_mask(self, pts):
-        return np.all([mask(pts) for mask in self.masks], axis=0)
+        return np.all([p.stop_mask(pts) for p in self.policies], axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -581,7 +562,7 @@ def test_stacked_grid_linear_and_callable_policies(noisy_grid_policy, transforme
     m, spec, grid_policy = noisy_grid_policy
     priors = np.tile(m.initial, (500, 1))
     linear = pol.LinearThresholdPolicy(np.array([1.2, 0.4]))
-    callable_ = lambda pi: 1 if pi[0] > 0.6 else 2
+    callable_ = StopWhere(lambda pi: pi[0] > 0.6)
     inner = Intersection(grid_policy, linear, callable_)
     policies = [grid_policy, linear, callable_, grid_policy, inner, linear]
     batch = assert_shared_paths(m, spec, policies, 4, priors, 5, transformed=transformed)
@@ -595,36 +576,40 @@ def test_stacked_grid_linear_and_callable_policies(noisy_grid_policy, transforme
 def test_stop_masks_match_actions(noisy_grid_policy):
     m, spec, grid_policy = noisy_grid_policy
     linear = pol.LinearThresholdPolicy(np.array([1.0, 0.5]))
+    c, t = linear.coefficients()
     pts = np.random.default_rng(9).dirichlet(np.ones(3), size=400)
     # exact ties: linear's score is exactly 0 here, and these lie halfway
     # between grid points of different actions
     linear_ties = np.array([[0.5, 0.5, 0.0], [0.5, 0.25, 0.25], [0.5, 0.0, 0.5]])
-    assert [linear.score(pi) for pi in linear_ties] == [0.0] * 3
+    assert [float(pi @ c - t) for pi in linear_ties] == [0.0] * 3
     g = grid_policy.grid
     acts = grid_policy.actions
     pairs = [(i, j) for i in range(g.n_points) for j in g.neighbors[i] if acts[i] != acts[j]]
     grid_ties = np.array([(g.points[i] + g.points[j]) / 2 for i, j in pairs])
     assert len(grid_ties) > 0
-    for policy, ties in ((linear, linear_ties), (grid_policy, grid_ties)):
+    # each policy's rule, one belief at a time: a strictly negative score,
+    # and the action of the nearest grid point
+    rules = (
+        (linear, linear_ties, lambda pi: float(pi @ c - t) < 0.0),
+        (grid_policy, grid_ties, lambda pi: acts[g.nearest(pi[None])[0]] == dp.STOP),
+    )
+    for policy, ties, rule in rules:
         rows = np.concatenate([pts, ties])
-        mask = sim._batch_decider(policy)(rows)
+        mask = policy.stop_mask(rows)
         assert mask.dtype == bool and mask.any() and not mask.all()
-        assert np.array_equal(mask, policy.batch_decide(rows) == dp.STOP)
-        assert np.array_equal(mask, [policy.decide(pi) == dp.STOP for pi in rows])
+        # a stack of rows decides as each row alone does (sample_trajectory's call)
+        assert np.array_equal(mask, [policy.stop_mask(pi[None])[0] for pi in rows])
+        assert np.array_equal(mask, [rule(pi) for pi in rows])
     assert not linear.stop_mask(linear_ties).any()  # a score of exactly 0 continues
 
-    # duck-typed policies, one with only batch_decide and one with only
-    # decide, stacked with the built-in ones
-    class BatchOnly:
-        def batch_decide(self, pts):
-            return linear.batch_decide(pts)
-
-    class DecideOnly:
-        def decide(self, pi):
-            return grid_policy.decide(pi)
-
+    # per-belief predicate policies that ask the built-in ones, stacked with them
     priors = np.tile(m.initial, (100, 1))
-    policies = [grid_policy, BatchOnly(), linear, DecideOnly()]
+    policies = [
+        grid_policy,
+        StopWhere(lambda pi: linear.stop_mask(pi[None])[0]),
+        linear,
+        StopWhere(lambda pi: grid_policy.stop_mask(pi[None])[0]),
+    ]
     batch = sim.simulate_batch(m, spec, policies, priors, np.random.default_rng(10))
     assert_batches_equal(batch_row(batch, 0), batch_row(batch, 3))
     assert_batches_equal(batch_row(batch, 1), batch_row(batch, 2))
