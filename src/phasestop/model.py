@@ -252,6 +252,11 @@ def _check_nonneg(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
+def _check_finite(name: str, value: np.ndarray) -> None:
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite, got {value.tolist()}")
+
+
 class CostSpec:
     """A cost family: its parameters (the dataclass fields) and its behaviour.
 
@@ -466,7 +471,11 @@ class TransientDetection(_DetectionCost):
                 raise ValueError("variance penalty requires the default start-state false alarm")
 
     def _continue_terms(self, model, pts):
-        f = np.eye(model.n_states)[-1] if self.false_alarm is None else self.false_alarm
+        if self.false_alarm is None:
+            # f = e_X: f'pi is pi's last entry and P f is P's last column,
+            # copied because pts @ may sum a strided column in another order
+            return pts[:, -1], pts @ model.transition[:, -1].copy(), pts @ self.delays
+        f = self.false_alarm
         return pts @ f, pts @ (model.transition @ f), pts @ self.delays
 
     def _stop_cost(self, pts, fpi):
@@ -573,6 +582,7 @@ class SocialStopping(CostSpec):
         _check_nonneg("d", self.d)
         _check_nonneg("beta", self.beta)
         _check_prob("rho", self.rho)
+        _check_finite("local_costs", c)
         if c.ndim != 2:
             raise ValueError("local cost matrix must be 2-D (states x actions)")
 
@@ -628,6 +638,7 @@ class ConstrainedSocial(CostSpec):
         _check_nonneg("d", self.d)
         _check_nonneg("beta", self.beta)
         _check_prob("rho", self.rho)
+        _check_finite("local_costs", c)
         if self.rho >= 1.0:
             raise ValueError("constrained-social family requires rho < 1")
         if c.ndim != 2:
@@ -700,6 +711,7 @@ class Scheduling(CostSpec):
         _check_nonneg("alpha2", self.alpha2)
         _check_nonneg("c1", c1)
         _check_nonneg("c2", c2)
+        _check_finite("g", g)
         _check_prob("rho", self.rho)
         if self.confusion is not None:
             q = np.asarray(self.confusion, dtype=float)

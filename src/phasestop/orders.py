@@ -55,13 +55,21 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+def _minors(m: np.ndarray) -> np.ndarray:
+    """The 2x2 minors ``m[i,j] m[k,l] - m[i,l] m[k,j]`` over all rows
+    ``i < k`` and columns ``j < l`` of each matrix of the stack ``m``
+    (..., rows, cols), flattened to shape (..., minors)."""
+    i, k = _pairs(m.shape[-2])
+    j, l = _pairs(m.shape[-1])
+    a, b = m[..., i, :], m[..., k, :]
+    minors = a[..., j] * b[..., l] - a[..., l] * b[..., j]
+    return minors.reshape(*m.shape[:-2], i.size * j.size)
+
+
 def _min_minor(mat) -> float:
-    """Smallest 2x2 minor ``m[i,j] m[k,l] - m[i,l] m[k,j]`` over all rows
-    ``i < k`` and columns ``j < l`` (0 for a matrix with no 2x2 minor)."""
-    m = np.asarray(mat, dtype=float)
-    i, k = _pairs(m.shape[0])
-    j, l = _pairs(m.shape[1])
-    minors = m[i][:, j] * m[k][:, l] - m[i][:, l] * m[k][:, j]
+    """Smallest of the matrix's :func:`_minors` (0 for a matrix with no 2x2
+    minor)."""
+    minors = _minors(np.asarray(mat, dtype=float))
     return float(minors.min()) if minors.size else 0.0
 
 
@@ -171,14 +179,21 @@ def random_tp2_stochastic(
     Draws positive matrices, sorts rows by mean symbol index, and
     rejection-samples on the TP2 test; falls back to rows of discretized
     Gaussians with increasing means (always TP2) if rejection stalls.
+
+    All ``max_tries`` tries are drawn in one call and tested together.  When
+    one passes, the generator goes back to its state before the call and
+    redraws the tries up to the first that passed, so that it ends where
+    drawing and testing one try at a time would have ended.
     """
     idx = np.arange(cols)
-    for _ in range(max_tries):
-        m = rng.dirichlet(np.ones(cols), size=rows)
-        keys = m @ idx
-        m = m[np.argsort(keys)]
-        if is_tp2(m):
-            return m
+    start = rng.bit_generator.state
+    tries = rng.dirichlet(np.ones(cols), size=(max_tries, rows))
+    tries = np.take_along_axis(tries, np.argsort(tries @ idx, axis=1)[..., None], axis=1)
+    passed = np.flatnonzero(np.min(_minors(tries), axis=-1, initial=np.inf) >= -ORDER_TOL)
+    if passed.size:
+        rng.bit_generator.state = start
+        rng.dirichlet(np.ones(cols), size=(passed[0] + 1, rows))
+        return tries[passed[0]]
     centers = np.sort(rng.uniform(0, cols - 1, size=rows))
     scale = rng.uniform(0.5, 1.5) * cols / 4.0
     m = np.exp(-0.5 * ((idx[None, :] - centers[:, None]) / scale) ** 2)

@@ -12,10 +12,14 @@ is the number of entries at or below ``u``.  Every path draws this way, on
 tables built by :func:`_cdf`, which pins the entries at a row's total to
 1.0, so no draw picks a zero-probability column or one past the end.  The
 batch paths (:func:`simulate_batch`, :func:`sample_change_times`) turn each
-table into one sorted, flattened array of integer keys once per call
-(:func:`_draw_table`), and every batch draw, whichever row of the table
-each entry draws from, is one ``searchsorted`` on those keys
-(:func:`_draw_positions`).  A draw is a position in the flattened table,
+table once per call into a :class:`_DrawTable`: one sorted, flattened array
+of integer keys, and a guide table (Chen & Asau 1974; Devroye 1986,
+section III.2), built when a step first draws ``GUIDE_MIN_QUERIES`` or
+more rows.  A batch draw (:func:`_draw_positions`), whichever row of the
+table each entry draws from, reads its count from the guide bucket of its
+uniform.  A bucket that holds a key, and every draw of a shorter array, is
+counted by one ``searchsorted`` on the keys instead, which gives the same
+count.  A draw is a position in the flattened table,
 ``s * cols + j`` for column ``j`` of row ``s``, and the batch paths map
 positions to what they need through arrays built once per call: the chain
 table to the next state's row offset ``j << 54``, which the step carries in
@@ -31,6 +35,7 @@ one ``rng.random`` call of twice the active rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -131,39 +136,90 @@ class BatchResult:
 _GRID = 2.0**53
 _ROW_SHIFT = 54
 MAX_TABLE_ROWS = 511
+# a guide splits each row's uniforms into 32 buckets per column, rounded up
+# to a power of two, so that at most one bucket in 32 holds a key, unless
+# the table's guide would exceed 2**16 entries.  On a 2-core x86 host the
+# lookup beats one searchsorted from about 150-400 queries on fig3a's
+# tables, and building both of their guides costs about 0.25 ms, which
+# steps of 512 rows repay within about 15 steps
+GUIDE_BUCKETS_PER_COLUMN = 32
+GUIDE_MAX_ENTRIES = 1 << 16
+GUIDE_MIN_QUERIES = 512
 
 
-def _draw_table(cdf: np.ndarray) -> np.ndarray:
-    """The sorted ``int64`` search keys of the :func:`_cdf` table ``cdf``
-    (rows, cols) for :func:`_draw_positions`, flattened row by row: entry
-    ``(s, j)`` is ``ceil(cdf[s, j] * 2**53)`` offset by ``s << 54``.
+class _DrawTable:
+    """A :func:`_cdf` table ``cdf`` (rows, cols) prepared for
+    :func:`_draw_positions`.
+
+    ``keys`` are its sorted ``int64`` search keys, flattened row by row:
+    entry ``(s, j)`` is ``ceil(cdf[s, j] * 2**53)`` offset by ``s << 54``.
+    ``guide``, built on first use, answers most queries without a search.
     Raises ``ValueError`` for a table of more than 511 rows: up to 511,
     every key and every query of :func:`_draw_positions` stays below
-    ``2**63``."""
-    if cdf.shape[0] > MAX_TABLE_ROWS:
-        raise ValueError(f"a draw table has at most {MAX_TABLE_ROWS} rows, got {cdf.shape[0]}")
-    keys = np.ceil(cdf * _GRID).astype(np.int64)
-    keys += np.arange(cdf.shape[0], dtype=np.int64)[:, None] << _ROW_SHIFT
-    return keys.ravel()
+    ``2**63``.
+    """
+
+    def __init__(self, cdf: np.ndarray):
+        self.rows = rows = cdf.shape[0]
+        if rows > MAX_TABLE_ROWS:
+            raise ValueError(f"a draw table has at most {MAX_TABLE_ROWS} rows, got {rows}")
+        keys = np.ceil(cdf * _GRID).astype(np.int64)
+        keys += np.arange(rows, dtype=np.int64)[:, None] << _ROW_SHIFT
+        self.keys = keys.ravel()
+        # 2**bits buckets per row, and rows * 2**(bits + 1) guide entries
+        self.bits = min(
+            (GUIDE_BUCKETS_PER_COLUMN * cdf.shape[1] - 1).bit_length(),
+            (GUIDE_MAX_ENTRIES // rows).bit_length() - 2,
+        )
+        self.shift = 53 - self.bits
+
+    @cached_property
+    def guide(self) -> np.ndarray:
+        """The guide table of Chen & Asau (1974), indexed by ``query >> shift``.
+
+        Bucket ``b`` of row ``s`` holds the queries ``(s << 54) + k`` whose
+        top bits ``k >> shift`` are ``b``; as ``(s << 54) >> shift`` is
+        ``s << (bits + 1)``, the query's index is ``(s << (bits + 1)) + b``.
+        The entry is the draw position that every query of the bucket gets,
+        the count of keys at or below its smallest query, unless a key of
+        the row lies inside the bucket, above that query: then the count
+        varies within the bucket and the entry is -1.  So is every entry
+        ``b >= 2**bits``, which no uniform below 1 reaches.
+        """
+        width = 1 << self.shift
+        guide = np.full((self.rows, 2 << self.bits), -1, dtype=np.intp)
+        first = np.arange(0, 1 << 53, width, dtype=np.int64)
+        first = first + (np.arange(self.rows, dtype=np.int64)[:, None] << _ROW_SHIFT)
+        guide[:, : 1 << self.bits] = self.keys.searchsorted(first, side="right")
+        guide = guide.ravel()
+        inside = self.keys[(self.keys & (width - 1)) != 0]
+        guide[inside >> self.shift] = -1
+        return guide
 
 
-def _draw_positions(keys: np.ndarray, offsets: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _draw_positions(table: _DrawTable, offsets: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws: entry ``i`` draws from row ``s = offsets[i] >> 54``
-    of the table whose :func:`_draw_table` keys are ``keys``, with the
-    uniform ``u[i]``, giving the draw's position ``s * cols + j`` in the
-    flattened table, ``j`` being the number of entries of the row at or
-    below ``u[i]``.
+    of ``table`` with the uniform ``u[i]``, giving the draw's position
+    ``s * cols + j`` in the flattened table, ``j`` being the number of
+    entries of the row at or below ``u[i]``.
 
     Exact only for uniforms on the ``2**-53`` grid, as ``rng.random()``
     returns them: ``k = u * 2**53`` is then an integer, and a row's entry
     is at or below ``u`` exactly when its key is at or below
     ``offsets[i] + k``.  Every key of an earlier row lies below that query
     and every key of a later row above it, so one ``searchsorted`` over the
-    flattened table counts ``s * cols`` entries plus the draw.
+    flattened table counts ``s * cols`` entries plus the draw.  From
+    ``GUIDE_MIN_QUERIES`` queries on, the guide gives the count, and the
+    search runs only on the queries whose bucket holds a key.
     """
     query = (u * _GRID).astype(np.int64)
     query += offsets
-    return keys.searchsorted(query, side="right")
+    if query.size < GUIDE_MIN_QUERIES:
+        return table.keys.searchsorted(query, side="right")
+    pos = table.guide.take(query >> table.shift)
+    miss = np.flatnonzero(pos < 0)
+    pos[miss] = table.keys.searchsorted(query[miss], side="right")
+    return pos
 
 
 def _row_offsets(rows: int, cols: int) -> np.ndarray:
@@ -228,7 +284,7 @@ def simulate_batch(
             bound = _stage_cost_bound(spec, model)
             max_steps = int(np.ceil(np.log(TRUNCATION_TOL / max(bound, 1e-12)) / np.log(rho)))
             max_steps = max(1, min(max_steps, DETECTION_MAX_STEPS))
-    keys_p, keys_b = _draw_table(_cdf(p)), _draw_table(_cdf(b))
+    table_p, table_b = _DrawTable(_cdf(p)), _DrawTable(_cdf(b))
     # by draw position: the next state's row offset, and symbol y's likelihood per state
     next_off, lik = _row_offsets(*p.shape), np.tile(b.T, (b.shape[0], 1))
 
@@ -251,17 +307,19 @@ def simulate_batch(
         if rows.size == 0:
             break
         u = rng.random(2 * rows.size)  # the state moves' uniforms, then the symbols'
-        off = next_off[_draw_positions(keys_p, off, u[: rows.size])]
+        off = next_off[_draw_positions(table_p, off, u[: rows.size])]
         t0[(t0 < 0) & (off == 0)] = k
-        y_pos = _draw_positions(keys_b, off, u[rows.size :])
+        y_pos = _draw_positions(table_b, off, u[rows.size :])
         del u  # before the Bayes step allocates: no higher peak memory
-        beliefs, sigma, low = _bayes_step(beliefs @ p, lik[y_pos])
+        beliefs = beliefs @ p  # the prediction, dropping the old beliefs before the gather
+        beliefs, sigma, low = _bayes_step(beliefs, lik.take(y_pos, axis=0))
         if not (low > 0.0 and sigma.max() < np.inf):
             j = int(np.argmax(~((sigma > 0.0) & (sigma < np.inf))))
             raise ZeroProbabilityError(
                 f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
                 f"{sigma[j]} after observation {int(y_pos[j]) % b.shape[1]}"
             )
+        del y_pos, sigma  # before the policies allocate
         stop = alive & np.array([pol.stop_mask(beliefs) for pol in policies])
         if stop.any():
             c_stop, c_cont = stage_cost_vectors(spec, model, beliefs, original=not transformed)
@@ -271,10 +329,8 @@ def simulate_batch(
             tau[t, done], tau0[t, done] = k, t0[j]
             alive ^= stop  # stop lies inside alive
             keep = np.flatnonzero(alive.any(axis=0))
-            rows, off, beliefs, t0, acc, c_cont = (
-                rows[keep], off[keep], beliefs[keep], t0[keep], acc[keep], c_cont[keep]
-            )
-            alive = alive[:, keep]
+            rows, off, t0, acc, c_cont = rows[keep], off[keep], t0[keep], acc[keep], c_cont[keep]
+            beliefs, alive = beliefs.take(keep, axis=0), alive.take(keep, axis=1)
         else:  # no stop cost is read on this step
             c_cont = spec.continue_costs(model, beliefs, not transformed)
         acc += disc * c_cont
@@ -295,7 +351,7 @@ def sample_change_times(
     """First-hit times of the absorbing state for ``n`` independent chains
     (-1 when not absorbed within ``max_steps``)."""
     p = model.transition
-    keys_p, next_off = _draw_table(_cdf(p)), _row_offsets(*p.shape)
+    table_p, next_off = _DrawTable(_cdf(p)), _row_offsets(*p.shape)
     states = np.searchsorted(_cdf(as_belief(model.initial)), rng.random(n), side="right")
     times = np.where(states == 0, 0, -1)
     rows = np.flatnonzero(states != 0)
@@ -303,7 +359,7 @@ def sample_change_times(
     for k in range(1, max_steps + 1):
         if rows.size == 0:
             break
-        off = next_off[_draw_positions(keys_p, off, rng.random(rows.size))]
+        off = next_off[_draw_positions(table_p, off, rng.random(rows.size))]
         hit = off == 0
         times[rows[hit]] = k
         rows, off = rows[~hit], off[~hit]

@@ -638,6 +638,13 @@ NOT_FINITE = "model: transition matrix and initial belief entries must be finite
         ("simulate", {"policy": {"theta": [NAN]}}, "config.policy.theta: expected 1 finite numbers, got [nan]"),
         ("simulate", {"policy": {"theta": [0.3, 0.1]}},
          "config.policy.theta: expected 1 finite numbers, got [0.3, 0.1]"),
+        # cost arrays with no sign rule are checked for finite entries only
+        ("solve", {"cost": {**SCHEDULING_COST, "g": [0, NAN]}},
+         "config.cost: g must be finite, got [0.0, nan]"),
+        ("solve", {"cost": {**SOCIAL_COST, "local_costs": [[4.57, NAN], [2.57, 0.0]]}},
+         "config.cost: local_costs must be finite, got [[4.57, nan], [2.57, 0.0]]"),
+        ("solve", {"cost": {**CONSTRAINED_COST, "local_costs": [[2.0, float("inf")], [1.9, 0.9]]}},
+         "config.cost: local_costs must be finite, got [[2.0, inf], [1.9, 0.9]]"),
     ],
 )
 def test_numeric_fields_exit_2_with_their_path(tmp_path, capsys, command, patch, message):

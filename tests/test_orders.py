@@ -115,6 +115,38 @@ def test_tp2_check_slack_matches_row_pair_scan(shape):
         assert orders.is_tp2(m) == (check.slack >= -orders.ORDER_TOL)
 
 
+def _reference_random_tp2_stochastic(rows, cols, rng, max_tries=200):
+    """The rejection loop that draws and tests one try at a time; also
+    returns whether it fell back to the Gaussian rows."""
+    idx = np.arange(cols)
+    for _ in range(max_tries):
+        m = rng.dirichlet(np.ones(cols), size=rows)
+        keys = m @ idx
+        m = m[np.argsort(keys)]
+        if orders.is_tp2(m):
+            return m, False
+    centers = np.sort(rng.uniform(0, cols - 1, size=rows))
+    scale = rng.uniform(0.5, 1.5) * cols / 4.0
+    m = np.exp(-0.5 * ((idx[None, :] - centers[:, None]) / scale) ** 2)
+    m /= m.sum(axis=1, keepdims=True)
+    return m, True
+
+
+@pytest.mark.parametrize("shape, max_tries", [((3, 3), 30), ((4, 4), 10), ((3, 4), 3), ((4, 4), 0)])
+def test_random_tp2_stochastic_matches_the_one_try_loop(shape, max_tries):
+    # the same matrices and the same generator end state, fallbacks included
+    seed = 100 * shape[0] + 10 * shape[1] + max_tries
+    new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    fallbacks = 0
+    for _ in range(2000):
+        got = orders.random_tp2_stochastic(*shape, new, max_tries=max_tries)
+        want, fell_back = _reference_random_tp2_stochastic(*shape, ref, max_tries=max_tries)
+        assert np.array_equal(got, want)
+        assert new.bit_generator.state == ref.bit_generator.state
+        fallbacks += fell_back
+    assert 0 < fallbacks < 2000 if max_tries else fallbacks == 2000
+
+
 def test_matrix_order_examples():
     p1 = [[0.2, 0.8], [0.1, 0.9]]
     p2 = [[0.8, 0.2], [0.7, 0.3]]

@@ -324,9 +324,9 @@ def test_change_times_bit_identical(staged_model):
 GRID = 2.0**53
 
 
-def draw_positions(keys, states, u):
+def draw_positions(table, states, u):
     """``sim._draw_positions`` from the rows ``states`` of a draw table."""
-    return sim._draw_positions(keys, states << sim._ROW_SHIFT, u)
+    return sim._draw_positions(table, states << sim._ROW_SHIFT, u)
 
 
 def grid_uniforms_around(cdf):
@@ -340,16 +340,22 @@ def grid_uniforms_around(cdf):
     return np.unique(np.clip(k, 0, GRID - 1)) / GRID
 
 
+def shaped_pmf(cols, rng):
+    """Six random pmf rows over ``cols`` columns, five of them given shapes
+    that a draw must handle."""
+    pmf = rng.dirichlet(np.ones(cols), size=6)
+    pmf[0] = np.eye(cols)[0]  # an absorbing row: CDF entries all 1
+    pmf[1, 1] = 0.0  # a zero-probability column inside the row
+    pmf[2, 0] = 0.0  # and one at its start: the CDF starts at 0
+    pmf[3, -1] = 0.0  # and one at its end
+    pmf[4, :2] = [1e-300, 1e-17]  # entries off the grid, below its first step
+    return pmf / pmf.sum(axis=1, keepdims=True)
+
+
 def test_draw_rows_matches_searchsorted():
     for cols in (3, 7, 101):
         rng = np.random.default_rng(12 + cols)
-        pmf = rng.dirichlet(np.ones(cols), size=6)
-        pmf[0] = np.eye(cols)[0]  # an absorbing row: CDF entries all 1
-        pmf[1, 1] = 0.0  # a zero-probability column inside the row
-        pmf[2, 0] = 0.0  # and one at its start: the CDF starts at 0
-        pmf[3, -1] = 0.0  # and one at its end
-        pmf[4, :2] = [1e-300, 1e-17]  # entries off the grid, below its first step
-        pmf /= pmf.sum(axis=1, keepdims=True)
+        pmf = shaped_pmf(cols, rng)
         cdf = sim._cdf(pmf)
         assert (cdf == 1.0).sum() > len(cdf)  # entries pinned to 1.0 besides the last
         # the grid points at and around every entry of every row, then random
@@ -362,19 +368,58 @@ def test_draw_rows_matches_searchsorted():
         assert np.array_equal(u * GRID, np.floor(u * GRID))  # every uniform on the grid
         want = np.array([np.searchsorted(cdf[s], v, side="right") for s, v in zip(states, u)])
         assert pmf[states, want].min() > 0.0  # never a zero-probability column
-        got = draw_positions(sim._draw_table(cdf), states, u)
+        got = draw_positions(sim._DrawTable(cdf), states, u)
         assert got.dtype == np.intp and np.array_equal(got, states * cols + want), cols
 
 
 def test_draw_table_row_limit():
     cdf = sim._cdf(np.full((sim.MAX_TABLE_ROWS, 4), 0.25))
-    keys = sim._draw_table(cdf)
+    table = sim._DrawTable(cdf)
+    keys = table.keys
     assert keys.ndim == 1 and np.all(np.diff(keys) > 0)  # flat, sorted, rows apart
     top = np.array([sim.MAX_TABLE_ROWS - 1] * 3)
     u = np.array([0.0, 0.5, 1.0 - 2.0**-53])
-    assert list(draw_positions(keys, top, u) - top * 4) == [0, 2, 3]
+    assert list(draw_positions(table, top, u) - top * 4) == [0, 2, 3]
+    # a long array reads the guide, which stays within its bound: 511 rows
+    # of 2**13 entries would be 4.2 million
+    rows = np.arange(sim.MAX_TABLE_ROWS).repeat(3)
+    got = draw_positions(table, rows, np.tile(u, sim.MAX_TABLE_ROWS))
+    assert rows.size >= sim.GUIDE_MIN_QUERIES and "guide" in vars(table)
+    assert table.guide.size <= sim.GUIDE_MAX_ENTRIES
+    assert np.array_equal(got - rows * 4, np.tile([0, 2, 3], sim.MAX_TABLE_ROWS))
     with pytest.raises(ValueError, match="at most 511 rows"):
-        sim._draw_table(sim._cdf(np.full((sim.MAX_TABLE_ROWS + 1, 4), 0.25)))
+        sim._DrawTable(sim._cdf(np.full((sim.MAX_TABLE_ROWS + 1, 4), 0.25)))
+
+
+def test_guide_draws_match_searchsorted_at_bucket_edges(three_state_model):
+    # every bucket's first grid point b << shift and the one below it (on a
+    # 101-column table, b * 2**41 and b * 2**41 - 1) and the grid points
+    # around every entry, from every row of fig3a's observation table and of
+    # the shaped tables: one long array through the guide, and the same
+    # queries in arrays too short for it, must give per-row searchsorted
+    rng = np.random.default_rng(41)
+    tables = [three_state_model.discrete_obs().matrix] + [shaped_pmf(c, rng) for c in (3, 7, 101)]
+    for pmf in tables:
+        cdf = sim._cdf(pmf)
+        rows, cols = cdf.shape
+        table = sim._DrawTable(cdf)
+        edges = np.arange(1 << table.bits, dtype=np.int64) << table.shift
+        k = np.concatenate([edges, edges[1:] - 1]).astype(float)
+        u_row = np.unique(np.concatenate([k / GRID, grid_uniforms_around(cdf)]))
+        states, u = np.arange(rows).repeat(u_row.size), np.tile(u_row, rows)
+        want = np.concatenate([np.searchsorted(row, u_row, side="right") for row in cdf])
+        short = [
+            draw_positions(table, s, v)
+            for s, v in zip(np.array_split(states, 200), np.array_split(u, 200))
+        ]
+        assert max(map(len, short)) < sim.GUIDE_MIN_QUERIES and "guide" not in vars(table)
+        got = draw_positions(table, states, u)
+        assert got.dtype == np.intp and np.array_equal(got, states * cols + want), cols
+        assert np.array_equal(np.concatenate(short), got)
+        # both kinds of bucket were met: one count for the whole bucket, and -1
+        hits = table.guide[((u * GRID).astype(np.int64) + (states << sim._ROW_SHIFT)) >> table.shift]
+        assert (hits >= 0).any() and (hits < 0).any()
+        assert table.shift == 41 if cols == 101 else table.shift > 41
 
 
 class Uniforms:
@@ -397,8 +442,8 @@ def test_draws_at_the_ends_of_the_unit_interval(three_state_model):
     b = m.discrete_obs().matrix
     top = 1.0 - 2.0**-53
     assert np.cumsum(b[0])[-1] == top
-    keys = sim._draw_table(sim._cdf([[0.0, 0.5, 0.5]]))
-    assert list(draw_positions(keys, np.array([0, 0]), np.array([0.0, top]))) == [1, 2]
+    table = sim._DrawTable(sim._cdf([[0.0, 0.5, 0.5]]))
+    assert list(draw_positions(table, np.array([0, 0]), np.array([0.0, top]))) == [1, 2]
     # x_0 = 3, then u = 0 moves 3 -> 2 -> 1, and state 1 draws a symbol at u = top
     uniforms = [0.0, 0.0, 0.5, 0.0, top]
     traj = sim.sample_trajectory(m, never_stop, max_steps=2, rng=Uniforms(uniforms))
