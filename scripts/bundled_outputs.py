@@ -10,6 +10,11 @@ horizon, through ``solve`` and ``orders``, one converged solution with a
 genuine threshold.  The two simulation configs and the discounted one
 observe with variance 0.3, not fig3a's 0.01, so that the cost moves with the
 threshold and SPSA's two perturbed policies stop different trajectories.
+One more derived config replaces fig3a's model by a 4-phase change chain
+(m=20, horizon 200, Gaussian observations), through ``solve`` and
+``orders``: no bundled config has 4 states, and its stop region (833 of
+1 771 grid points) is neither empty nor the whole grid, so the 4-state
+successor, sweep, convexity and line-crossing code is compared too.
 
 Usage: ``PYTHONPATH=src python scripts/bundled_outputs.py OUT_DIR``
 
@@ -55,6 +60,17 @@ DERIVED = {
     "fig3a_discounted": (("solve", "orders"), True, {"cost": {
         "family": "quickest_predictive", "alpha": 0, "beta": 1.0, "d": 1, "rho": 0.9,
         "op_cost": 0.001,
+    }}),
+    # phase 4 drifts to 3, 3 to 2 (rarely back), 2 to the absorbing change state 1
+    "phase4": (("solve", "orders"), False, {"grid": {"m": 20}, "horizon": 200, "model": {
+        "transition": [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.29, 0.12, 0.59, 0.0],
+            [0.0, 0.03, 0.97, 0.0],
+            [0.0, 0.0, 0.07, 0.93],
+        ],
+        "initial": [0.0, 0.0, 0.0, 1.0],
+        "observation": {"gaussian": {"means": [0.0, 1.0, 1.0, 1.0], "variances": [0.015] * 4}},
     }}),
 }
 

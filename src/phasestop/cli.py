@@ -100,7 +100,7 @@ def _matrix(value, where: str) -> np.ndarray:
     return arr
 
 
-def parse_model(cfg: dict, where: str = "model", bins=DEFAULT_BINS) -> DetectionModel:
+def parse_model(cfg: dict, where: str = "config.model", bins=DEFAULT_BINS) -> DetectionModel:
     """Parse a model.  A Gaussian observation model is discretized here onto
     ``bins`` cells (the config's top-level ``bins``); no later layer does."""
     if isinstance(bins, bool) or not isinstance(bins, int) or bins < 3:
@@ -205,7 +205,9 @@ def _grid_for(cfg: dict, model: DetectionModel) -> dp.SimplexGrid:
     return dp.build_grid(model.n_states, m)
 
 
-def _model(cfg: dict, model_cfg: dict, where: str = "model", validate: bool = True) -> DetectionModel:
+def _model(
+    cfg: dict, model_cfg: dict, where: str = "config.model", validate: bool = True
+) -> DetectionModel:
     """Parse a model at the config's ``bins`` and, with ``validate``, check it
     under the config's ``validation`` tag."""
     model = parse_model(model_cfg, where, cfg.get("bins", DEFAULT_BINS))
@@ -216,7 +218,7 @@ def _model(cfg: dict, model_cfg: dict, where: str = "model", validate: bool = Tr
     except ValueError as exc:
         raise ConfigError(f"config.validation: {exc}") from None
     if problems:
-        raise ConfigError(f"config.{where}: " + "; ".join(problems))
+        raise ConfigError(f"{where}: " + "; ".join(problems))
     return model
 
 
@@ -329,7 +331,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, name: str) -> int:
                 f"config.models[{labels.index(label)}]"
             )
     models = [
-        _model(cfg, _need(e, "model", f"config.models[{k}]"), f"models[{k}].model")
+        _model(cfg, _need(e, "model", f"config.models[{k}]"), f"config.models[{k}].model")
         for k, e in enumerate(entries)
     ]
     for k, model in enumerate(models):

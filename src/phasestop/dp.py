@@ -8,17 +8,20 @@ from the spec's methods (:class:`~phasestop.model.CostSpec`): the stage
 costs, the offset, the zero-horizon value and each action's belief update.
 This module turns an update into the grid indices and sigma-weights of its
 successor beliefs (projected to the nearest grid point); stopping is an
-action with no successors.  The Bayes step comes from
-:mod:`phasestop.filters`.  Structural analysis helpers check connectedness,
-convexity, and single-crossing of the policy along vertex-anchored lines.
+action with no successors.  A row of successor indices holds a few grid
+points in runs, so each sweep gathers successor values by runs
+(``np.repeat`` of one value per run); the products and row sums see the
+same operands in the same order as ``(w * v[idx]).sum(axis=1)``, so every
+bit is unchanged.  The Bayes step comes from :mod:`phasestop.filters`.
+Structural analysis helpers check connectedness, convexity, and
+single-crossing of the policy along vertex-anchored lines.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -152,7 +155,8 @@ def build_grid(n_states: int, m: int) -> SimplexGrid:
     rank[tuple(head.T)] = np.arange(coords.shape[0])
     points = coords / float(m)
     # force exact unit sums (the divisions can lose a ulp in the row total)
-    for row in points:
+    for i in np.flatnonzero(points.sum(axis=1) != 1.0):
+        row = points[i]
         for _ in range(12):
             resid = 1.0 - row.sum()
             if resid == 0.0:
@@ -186,7 +190,8 @@ def build_grid(n_states: int, m: int) -> SimplexGrid:
             dst.append(rank[tuple(moved[:, :-1].T)])
     src, dst = np.concatenate(src), np.concatenate(dst)
     dst = dst[np.lexsort((dst, src))]
-    neighbors = tuple(np.split(dst, np.cumsum(np.bincount(src, minlength=len(coords)))[:-1]))
+    ends = np.cumsum(np.bincount(src, minlength=len(coords))).tolist()
+    neighbors = tuple(dst[a:b] for a, b in zip([0, *ends[:-1]], ends))
     return SimplexGrid(m=m, coords=coords, points=points, neighbors=neighbors, rank=rank)
 
 
@@ -264,22 +269,47 @@ DEFAULT_TOL = 1e-8
 DEFAULT_HORIZON_UNDISCOUNTED = 200
 
 
+def _runs(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, lengths)`` of the runs of equal entries in ``idx.ravel()``,
+    so that ``np.repeat(values, lengths)`` is ``idx.ravel()``."""
+    flat = idx.ravel()
+    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    return flat[starts], np.diff(starts, append=flat.size)
+
+
 def _bellman_setup(model, spec, grid, offset, interpolate):
     """The family's ``(disc, init, actions)``: ``actions`` lists ``(stage_cost,
-    idx, w)`` per action of ``spec.updates``, stop / mode 1 first; a stop
-    action has ``idx = w = None``."""
+    runs, w)`` per action of ``spec.updates``, stop / mode 1 first, where
+    ``runs`` is :func:`_runs` of the (N, S) successor indices and ``w`` their
+    (N, S) sigma-weights; a stop action has ``runs = w = None``."""
     costs = stage_cost_vectors(spec, model, grid.points)
-    actions = [
-        (c, None, None) if update is None else (c, *_successors(grid, *update, interpolate))
-        for c, update in zip(costs, spec.updates(model, grid.points))
-    ]
+    actions = []
+    for c, update in zip(costs, spec.updates(model, grid.points)):
+        if update is None:
+            actions.append((c, None, None))
+        else:
+            idx, w = _successors(grid, *update, interpolate)
+            actions.append((c, _runs(idx), w))
     return spec.rho, spec.initial_value(offset), actions
 
 
 def _q_values(actions, disc: float, v: np.ndarray) -> list[np.ndarray]:
-    # a stop action's value is its stage cost alone (adding disc * 0 would
-    # turn a -0.0 cost into +0.0)
-    return [c if idx is None else c + disc * (w * v[idx]).sum(axis=1) for c, idx, w in actions]
+    """Each action's value ``c + disc * sum_s w[:, s] * v[idx[:, s]]``.
+
+    A row of successor indices holds few distinct grid points, in runs, so
+    ``v[idx]`` is gathered as ``np.repeat(v[values], lengths)``: the same
+    operands, multiplied and summed in the same order, so the same bits as
+    ``(w * v[idx]).sum(axis=1)``.  A stop action's value is its stage cost
+    alone (adding ``disc * 0`` would turn a -0.0 cost into +0.0).
+    """
+    q = []
+    for c, runs, w in actions:
+        if runs is None:
+            q.append(c)
+            continue
+        succ = np.repeat(v[runs[0]], runs[1]).reshape(w.shape)
+        q.append(c + disc * np.multiply(succ, w, out=succ).sum(axis=1))
+    return q
 
 
 def value_iterate(
@@ -345,46 +375,56 @@ class RegionReport:
 
     @property
     def component_ids(self) -> np.ndarray:
-        n = (
-            max((max(c) for c in self.stop_components + self.continue_components), default=-1)
-            + 1
-        )
-        ids = np.full(n, -1, dtype=int)
-        for k, comp in enumerate(self.stop_components + self.continue_components):
-            for i in comp:
-                ids[i] = k
+        comps = self.stop_components + self.continue_components
+        sizes = [len(c) for c in comps]
+        members = np.fromiter(chain.from_iterable(comps), dtype=int, count=sum(sizes))
+        ids = np.full(members.max(initial=-1) + 1, -1, dtype=int)
+        ids[members] = np.repeat(np.arange(len(comps)), sizes)
         return ids
 
 
-def _components(indices: np.ndarray, neighbors) -> list[list[int]]:
-    unseen = set(int(i) for i in indices)
-    comps = []
-    while unseen:
-        start = min(unseen)
-        unseen.remove(start)
-        stack = [start]
-        comp = [start]
-        while stack:
-            u = stack.pop()
-            for vtx in neighbors[u]:
-                vtx = int(vtx)
-                if vtx in unseen:
-                    unseen.remove(vtx)
-                    stack.append(vtx)
-                    comp.append(vtx)
-        comps.append(sorted(comp))
-    return comps
+def _component_labels(policy: np.ndarray, grid: SimplexGrid) -> np.ndarray:
+    """Each grid point's label: the smallest index of its component, the
+    grid-connected points that share its action.
+
+    Min-label propagation over the neighbour pairs of equal action, with a
+    shortcut ``label[label]`` after each pass.  A label is always a point of
+    the same component and never grows, so at the fixed point every
+    component holds one label, its smallest index.
+    """
+    src = np.repeat(np.arange(grid.n_points), [len(nb) for nb in grid.neighbors])
+    dst = np.concatenate(grid.neighbors)
+    same = policy[src] == policy[dst]
+    src, dst = src[same], dst[same]
+    label = np.arange(grid.n_points)
+    while True:
+        nxt = label.copy()
+        np.minimum.at(nxt, src, label[dst])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
+
+
+def _components(indices: np.ndarray, label: np.ndarray) -> list[list[int]]:
+    """``indices`` (ascending) grouped by ``label``, ordered by label."""
+    members = indices[np.argsort(label[indices], kind="stable")]
+    lab = label[members]
+    starts = np.flatnonzero(lab[1:] != lab[:-1]) + 1
+    return [c.tolist() for c in np.split(members, starts)] if members.size else []
 
 
 def extract_regions(sol: GridSolution, grid: SimplexGrid) -> RegionReport:
-    """Stop/continue sets and their grid-connected components."""
+    """Stop/continue sets and their grid-connected components, each sorted
+    and listed by its smallest index."""
     stop = np.nonzero(sol.policy == STOP)[0]
     cont = np.nonzero(sol.policy == CONTINUE)[0]
+    label = _component_labels(sol.policy, grid)
     return RegionReport(
         stop_indices=stop,
         continue_indices=cont,
-        stop_components=_components(stop, grid.neighbors),
-        continue_components=_components(cont, grid.neighbors),
+        stop_components=_components(stop, label),
+        continue_components=_components(cont, label),
     )
 
 
@@ -454,14 +494,9 @@ def convexity_check(region, grid: SimplexGrid) -> list[tuple[int, int]]:
     return bad_pairs
 
 
-def vertex_chains(grid: SimplexGrid, vertex: int) -> list[np.ndarray]:
-    """Maximal grid-aligned lines toward the (1-based) vertex.
-
-    Points are grouped by the projective class of their remaining
-    coordinates (divided by their gcd); the chains come in ascending order
-    of that class, each ordered by increasing mass on the vertex and ending
-    at the vertex itself.
-    """
+def _chain_order(grid: SimplexGrid, vertex: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chains of :func:`vertex_chains`, concatenated, and the offset in
+    that order at which each chain ends (exclusive)."""
     axis = vertex - 1
     if not 0 <= axis < grid.n_states:
         raise ValueError("vertex out of range")
@@ -473,17 +508,31 @@ def vertex_chains(grid: SimplexGrid, vertex: int) -> list[np.ndarray]:
     # class keys ascending (first column primary), then mass on the vertex
     perm = np.lexsort((grid.coords[pts, axis], *keys.T[::-1]))
     keys = keys[perm]
-    starts = np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1
-    return [np.append(chain, vertex_idx) for chain in np.split(pts[perm], starts)]
+    ends = np.append(np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1, len(pts))
+    # the vertex closes each chain: insert it before each chain's end
+    order = np.insert(pts[perm], ends, vertex_idx)
+    return order, ends + np.arange(1, ends.size + 1)
+
+
+def vertex_chains(grid: SimplexGrid, vertex: int) -> list[np.ndarray]:
+    """Maximal grid-aligned lines toward the (1-based) vertex.
+
+    Points are grouped by the projective class of their remaining
+    coordinates (divided by their gcd); the chains come in ascending order
+    of that class, each ordered by increasing mass on the vertex and ending
+    at the vertex itself.
+    """
+    order, ends = _chain_order(grid, vertex)
+    return np.split(order, ends[:-1])
 
 
 def line_crossing_check(sol: GridSolution, grid: SimplexGrid, vertex: int) -> int:
     """Maximum number of policy switches along grid-aligned lines to a vertex."""
-    chains = vertex_chains(grid, vertex)
-    seq = sol.policy[np.concatenate(chains)]
-    chain_id = np.repeat(np.arange(len(chains)), [len(c) for c in chains])
+    order, ends = _chain_order(grid, vertex)
+    seq = sol.policy[order]
+    chain_id = np.repeat(np.arange(ends.size), np.diff(ends, prepend=0))
     switch = (seq[1:] != seq[:-1]) & (chain_id[1:] == chain_id[:-1])
-    return int(np.bincount(chain_id[1:][switch], minlength=len(chains)).max())
+    return int(np.bincount(chain_id[1:][switch], minlength=ends.size).max())
 
 
 @dataclass(frozen=True)
@@ -581,11 +630,9 @@ def solution_csv(sol: GridSolution, grid: SimplexGrid, regions: RegionReport | N
     """One row per grid point: barycentric coordinates, value, policy, component id."""
     if regions is None:
         regions = extract_regions(sol, grid)
-    ids = regions.component_ids
-    buf = io.StringIO()
     head = ",".join(f"c{k}" for k in range(grid.n_states))
-    buf.write(f"{head},value,policy,component\n")
-    for i in range(grid.n_points):
-        coords = ",".join(str(int(v)) for v in grid.coords[i])
-        buf.write(f"{coords},{sol.values[i]:.17g},{int(sol.policy[i])},{int(ids[i])}\n")
-    return buf.getvalue()
+    row = ",".join(["%d"] * grid.n_states + ["%.17g", "%d", "%d"]) + "\n"
+    cols = [*grid.coords.T.tolist(), sol.values.tolist(), sol.policy.tolist(),
+            regions.component_ids.tolist()]
+    body = (row * grid.n_points) % tuple(chain.from_iterable(zip(*cols)))
+    return f"{head},value,policy,component\n{body}"

@@ -463,7 +463,7 @@ def test_gaussian_observation_errors_exit_2(tmp_path, capsys):
     bad_model = {**GAUSS_MODEL, "observation": {"gaussian": {"means": [0, 1, 1], "variances": [0.25, 0, 0.25]}}}
     ref = write_config(tmp_path, "var", {"model": bad_model, "cost": GAUSS_COST})
     assert cli.main(["solve", "--config", ref, "--out", str(tmp_path)]) == 2
-    assert "model.observation.gaussian: variances must be strictly positive" in capsys.readouterr().err
+    assert "config.model.observation.gaussian: variances must be strictly positive" in capsys.readouterr().err
 
 
 THREE_SYMBOL_MODEL = {**SMALL_MODEL, "observation": {"discrete": [[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]]}}
@@ -495,7 +495,7 @@ def test_orders_rejects_observation_rows_that_do_not_match_the_states(tmp_path, 
     three_rows = {**SMALL_MODEL, "observation": {"discrete": [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]]}}
     ref = write_config(tmp_path, "rows", {"model": three_rows, "cost": SMALL_COST})
     assert cli.main(["orders", "--config", ref, "--out", str(tmp_path)]) == 2
-    assert "model: observation matrix row count does not match state count" in capsys.readouterr().err
+    assert "config.model: observation matrix row count does not match state count" in capsys.readouterr().err
     assert not list(tmp_path.glob("rows_*"))
 
 
@@ -524,7 +524,15 @@ NUMERIC_CONFIGS = {
 }
 NAN = float("nan")
 NAN_TRANSITION = {**SMALL_MODEL, "transition": [[1, 0], [0.3, NAN]]}
-NOT_FINITE = "model: transition matrix and initial belief entries must be finite"
+NOT_FINITE = "config.model: transition matrix and initial belief entries must be finite"
+
+
+def _case_id(value):
+    # the model messages gained their "config." prefix; their cases keep the
+    # ids they had, so that the test names stay the same
+    if isinstance(value, str) and value.startswith(("config.model:", "config.model.")):
+        return value.removeprefix("config.")
+    return None
 
 
 @pytest.mark.parametrize(
@@ -568,9 +576,9 @@ NOT_FINITE = "model: transition matrix and initial belief entries must be finite
         ("solve", {"cost": {**SMALL_COST, "family": ["quickest_classical"]}},
          "config.cost.family: unknown family ['quickest_classical']"),
         ("solve", {"model": {**SMALL_MODEL, "observation": "gaussian"}},
-         "model.observation: expected an object with 'discrete' or 'gaussian', got 'gaussian'"),
+         "config.model.observation: expected an object with 'discrete' or 'gaussian', got 'gaussian'"),
         ("solve", {"model": {**SMALL_MODEL, "observation": {"gaussian": {"means": "a"}}}},
-         "model.observation.gaussian.means: not a numeric array"),
+         "config.model.observation.gaussian.means: not a numeric array"),
         ("solve", {"cost": {**SMALL_COST, "rho": "x"}}, "config.cost.rho: expected a number, got 'x'"),
         ("solve", {"cost": {**SMALL_COST, "beta": None}}, "config.cost.beta: expected a number, got None"),
         ("spsa", {"cost": {**SMALL_COST, "false_alarm": 0.5}},
@@ -618,19 +626,19 @@ NOT_FINITE = "model: transition matrix and initial belief entries must be finite
          "config.gains: step, stability, and perturbation scales must be positive"),
         # a bad discrete observation matrix is a config error, as a Gaussian one is
         ("solve", {"model": {**SMALL_MODEL, "observation": {"discrete": [[0.9, 0.2], [0.2, 0.8]]}}},
-         "model.observation.discrete: observation matrix rows must sum to 1"),
+         "config.model.observation.discrete: observation matrix rows must sum to 1"),
         ("solve", {"model": {**SMALL_MODEL, "observation": {"discrete": [0.5, 0.5]}}},
-         "model.observation.discrete: observation matrix must be 2-D"),
+         "config.model.observation.discrete: observation matrix must be 2-D"),
         ("solve", {"model": {**SMALL_MODEL, "observation": {"discrete": [[1.1, -0.1], [0.2, 0.8]]}}},
-         "model.observation.discrete: observation probabilities must be non-negative"),
+         "config.model.observation.discrete: observation probabilities must be non-negative"),
         # NaN passes a plain comparison: unchecked, it runs into NaN values or a traceback
         ("solve", {"model": NAN_TRANSITION}, NOT_FINITE),
         ("orders", {"model": NAN_TRANSITION}, NOT_FINITE),
         ("simulate", {"model": {**SMALL_MODEL, "initial": [NAN, 1]}}, NOT_FINITE),
         ("solve", {"model": {**SMALL_MODEL, "observation": {"discrete": [[0.8, 0.2], [NAN, 0.8]]}}},
-         "model.observation.discrete: observation probabilities must be non-negative"),
+         "config.model.observation.discrete: observation probabilities must be non-negative"),
         ("solve", {"model": {**SMALL_MODEL, "observation": {"gaussian": {"means": [0, NAN], "variances": [1, 1]}}}},
-         "model.observation.gaussian: means must be finite"),
+         "config.model.observation.gaussian: means must be finite"),
         ("solve", {"cost": {**SMALL_COST, "alpha": NAN}},
          "config.cost: alpha must be finite and non-negative, got nan"),
         # simulate's threshold: a finite vector of X - 1 numbers
@@ -645,7 +653,11 @@ NOT_FINITE = "model: transition matrix and initial belief entries must be finite
          "config.cost: local_costs must be finite, got [[4.57, nan], [2.57, 0.0]]"),
         ("solve", {"cost": {**CONSTRAINED_COST, "local_costs": [[2.0, float("inf")], [1.9, 0.9]]}},
          "config.cost: local_costs must be finite, got [[2.0, inf], [1.9, 0.9]]"),
+        # a sweep entry's model is named by its full path, as the top-level model is
+        ("sweep", {"models": [{"label": "a", "model": NAN_TRANSITION}]},
+         "config.models[0].model: transition matrix and initial belief entries must be finite"),
     ],
+    ids=_case_id,
 )
 def test_numeric_fields_exit_2_with_their_path(tmp_path, capsys, command, patch, message):
     ref = write_config(tmp_path, "num", {**NUMERIC_CONFIGS[command], **patch})

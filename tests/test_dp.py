@@ -536,6 +536,21 @@ def _reference_vertex_chains(grid, vertex):
     return chains
 
 
+def _policy_solution(policy, values=None):
+    n = len(policy)
+    values = np.zeros(n) if values is None else values
+    return dp.GridSolution(values, values, np.asarray(policy), 0, 0.0, np.zeros(1))
+
+
+def _reference_line_crossings(policy, chains):
+    """The crossing count as computed from a list of chains: one
+    concatenation, chain ids by ``np.repeat``, switches counted per chain."""
+    seq = policy[np.concatenate(chains)]
+    chain_id = np.repeat(np.arange(len(chains)), [len(c) for c in chains])
+    switch = (seq[1:] != seq[:-1]) & (chain_id[1:] == chain_id[:-1])
+    return int(np.bincount(chain_id[1:][switch], minlength=len(chains)).max())
+
+
 @pytest.mark.parametrize("x,m", [(2, 9), (3, 1), (3, 12), (3, 20), (4, 2), (4, 10), (5, 6)])
 def test_vertex_chains_match_reference(x, m):
     g = dp.build_grid(x, m)
@@ -545,18 +560,16 @@ def test_vertex_chains_match_reference(x, m):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        for _ in range(5):
-            policy = rng.integers(1, 3, size=g.n_points)
-            sol = dp.GridSolution(
-                values=np.zeros(g.n_points),
-                values_original=np.zeros(g.n_points),
-                policy=policy,
-                sweeps=0,
-                sup_delta=0.0,
-                delta_history=np.zeros(1),
-            )
+        # random policies, then one action everywhere and a threshold in the
+        # first coordinate
+        policies = [rng.integers(1, 3, size=g.n_points) for _ in range(5)] + [
+            np.full(g.n_points, dp.STOP),
+            np.where(g.coords[:, 0] * 2 >= m, dp.STOP, dp.CONTINUE),
+        ]
+        for policy in policies:
+            sol = _policy_solution(policy)
             worst = max(int(np.sum(policy[c][1:] != policy[c][:-1])) for c in want)
-            assert dp.line_crossing_check(sol, g, vertex) == worst
+            assert dp.line_crossing_check(sol, g, vertex) == _reference_line_crossings(policy, want) == worst
 
 
 # Reference: the two-loop value iteration with one successor builder per
@@ -790,3 +803,145 @@ def test_fig3_thresholds_come_from_the_free_exit_horizon(name):
     assert np.all(converged.policy == dp.STOP)
     horizon = dp.value_iterate(mdl, spec, g, horizon=cfg["horizon"])
     assert cfg["horizon"] == 200 and np.any(horizon.policy == dp.CONTINUE)
+
+
+# Bit-identity of the solve path's array kernels against the per-point code
+# they replaced.
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _config_case(name):
+    cfg = cli.load_config(name)
+    mdl = cli.parse_model(cfg["model"], bins=cfg["bins"])
+    return mdl, cli.parse_cost(cfg["cost"]), cfg["grid"]["m"], {}
+
+
+@pytest.mark.parametrize("case", [
+    "fig3a", "fig3d", "classical-x2-interpolate", "social-selfish-interpolate",
+    "social-selfish-x2", "social-welfare-x2", "constrained-x3-horizon",
+])
+def test_run_gather_matches_the_fancy_index_gather(case):
+    mdl, spec, m, kwargs = _config_case(case) if case.startswith("fig") else BELLMAN_CASES[case]
+    interpolate = kwargs.get("interpolate", False)
+    g = dp.build_grid(mdl.n_states, m)
+    disc = spec.rho
+    solved = dp.value_iterate(mdl, spec, g, **kwargs).values
+    rng = np.random.default_rng(7)
+    signed_zeros = np.where(rng.random(g.n_points) < 0.5, -0.0, 0.0)
+    costs = dp.stage_cost_vectors(spec, mdl, g.points)
+    for c, update in zip(costs, spec.updates(mdl, g.points)):
+        if update is None:
+            continue
+        idx, w = dp._successors(g, *update, interpolate)
+        runs = dp._runs(idx)
+        assert np.array_equal(np.repeat(*runs), idx.ravel())
+        for v in (solved, rng.normal(size=g.n_points), signed_zeros):
+            (got,) = dp._q_values([(c, runs, w)], disc, v)
+            assert np.array_equal(_bits(got), _bits(c + disc * (w * v[idx]).sum(axis=1)))
+
+
+def _reference_components(indices, neighbors):
+    """Depth-first search from the smallest unseen index."""
+    unseen = set(int(i) for i in indices)
+    comps = []
+    while unseen:
+        start = min(unseen)
+        unseen.remove(start)
+        stack, comp = [start], [start]
+        while stack:
+            for vtx in neighbors[stack.pop()]:
+                vtx = int(vtx)
+                if vtx in unseen:
+                    unseen.remove(vtx)
+                    stack.append(vtx)
+                    comp.append(vtx)
+        comps.append(sorted(comp))
+    return comps
+
+
+@pytest.mark.parametrize("x,m", [(2, 30), (3, 1), (3, 15), (4, 8), (5, 5)])
+def test_extract_regions_matches_the_search(x, m):
+    g = dp.build_grid(x, m)
+    rng = np.random.default_rng(x * 10 + m)
+    coord_sum = g.coords[:, :-1].sum(axis=1)
+    policies = [
+        rng.integers(1, 3, size=g.n_points),  # fragmented
+        np.where(rng.random(g.n_points) < 0.1, dp.STOP, dp.CONTINUE),  # scattered stop points
+        np.where(coord_sum % 3 == 0, dp.STOP, dp.CONTINUE),  # stripes
+        np.where(g.coords[:, 0] * 2 >= m, dp.STOP, dp.CONTINUE),  # a threshold
+        np.full(g.n_points, dp.STOP),
+        np.full(g.n_points, dp.CONTINUE),
+    ]
+    for policy in policies:
+        reg = dp.extract_regions(_policy_solution(policy), g)
+        stop, cont = np.nonzero(policy == dp.STOP)[0], np.nonzero(policy == dp.CONTINUE)[0]
+        assert np.array_equal(reg.stop_indices, stop)
+        assert np.array_equal(reg.continue_indices, cont)
+        for got, want in ((reg.stop_components, _reference_components(stop, g.neighbors)),
+                          (reg.continue_components, _reference_components(cont, g.neighbors))):
+            assert got == want
+            assert all(type(i) is int for comp in got for i in comp)
+        ids = np.full(g.n_points, -1)
+        for k, comp in enumerate(reg.stop_components + reg.continue_components):
+            ids[comp] = k
+        assert np.array_equal(reg.component_ids, ids)
+
+
+def _reference_solution_csv(sol, grid, regions):
+    ids = regions.component_ids
+    lines = [",".join(f"c{k}" for k in range(grid.n_states)) + ",value,policy,component"]
+    for i in range(grid.n_points):
+        coords = ",".join(str(int(v)) for v in grid.coords[i])
+        lines.append(f"{coords},{sol.values[i]:.17g},{int(sol.policy[i])},{int(ids[i])}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("x,m", [(2, 20), (3, 10), (4, 5)])
+def test_solution_csv_matches_the_row_writer(x, m):
+    g = dp.build_grid(x, m)
+    rng = np.random.default_rng(m)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan,
+               0.1, -0.1, 1 / 3, -2.5e-17, 123456789.125]
+    values = rng.normal(scale=1e3, size=g.n_points)
+    values[: len(special)] = special
+    sol = _policy_solution(rng.integers(1, 3, size=g.n_points), values)
+    regions = dp.extract_regions(sol, g)
+    text = dp.solution_csv(sol, g, regions)
+    assert text == _reference_solution_csv(sol, g, regions)
+    assert dp.solution_csv(sol, g) == text
+
+
+def _reference_unit_sums(points):
+    """The unit-sum fix-up run on every row."""
+    points = points.copy()
+    for row in points:
+        for _ in range(12):
+            resid = 1.0 - row.sum()
+            if resid == 0.0:
+                break
+            best_j, best_err = -1, abs(resid)
+            for j in np.argsort(row):
+                if row[j] + resid < 0.0:
+                    continue
+                old = row[j]
+                row[j] = old + resid
+                err = abs(1.0 - row.sum())
+                if err == 0.0:
+                    break
+                row[j] = old
+                if err < best_err:
+                    best_j, best_err = j, err
+            else:
+                if best_j < 0:
+                    break
+                row[best_j] += resid
+    return points
+
+
+@pytest.mark.parametrize("x,m", [(2, 97), (3, 49), (4, 30), (5, 11), (6, 7)])
+def test_grid_unit_sums_match_the_fix_up_on_every_row(x, m):
+    g = dp.build_grid(x, m)
+    assert np.array_equal(_bits(g.points), _bits(_reference_unit_sums(g.coords / float(m))))

@@ -274,7 +274,8 @@ def test_filters_and_solver_share_the_bayes_step_and_the_social_rule():
         # broadcast action, zero for an action the rule never picks there
         probe = dataclasses.replace(grid, points=pts)
         _, _, actions = dp._bellman_setup(m, spec, probe, spec.offset(m, pts), False)
-        _, idx, w = actions[1]
+        _, (values, lengths), w = actions[1]
+        idx = np.repeat(values, lengths).reshape(w.shape)
         filtered, filtered_idx = np.zeros_like(w), idx.copy()
         for n, pi in enumerate(pts):
             for a in range(costs.shape[1]):
