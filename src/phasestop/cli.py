@@ -178,7 +178,10 @@ def load_config(ref: str) -> dict:
     """Load a config by path, or by bundled name (e.g. ``fig3a``)."""
     path = Path(ref)
     if path.exists():
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:  # a directory or a binary file, say
+            raise ConfigError(f"config {ref!r}: cannot read it ({exc})") from None
     else:
         candidate = resources.files("phasestop.configs").joinpath(f"{ref}.json")
         if not candidate.is_file():
@@ -194,10 +197,23 @@ def load_config(ref: str) -> dict:
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / name
-    target.write_text(text, newline="\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, newline="\n")
+    except OSError as exc:  # --out names a file, say
+        raise ConfigError(f"cannot write {exc.filename or target}: {exc.strerror}") from None
     return target
+
+
+def _write_json(out_dir: Path, name: str, obj) -> Path:
+    """Write ``obj`` as strict JSON: a non-finite number is an error, never
+    the ``NaN`` or ``Infinity`` that strict parsers reject."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    return _write(out_dir, name, text + "\n")
 
 
 def _grid_for(cfg: dict, model: DetectionModel) -> dp.SimplexGrid:
@@ -222,29 +238,9 @@ def _model(
     return model
 
 
-def _array_shapes(spec, model: DetectionModel):
-    """``(field, shape, expected shape, meaning)`` for each array field of
-    ``spec`` whose size depends on the model."""
-    x, y = model.n_states, model.obs.matrix.shape[1]
-    for key in ("false_alarm", "delays", "c1", "c2", "g"):
-        if getattr(spec, key, None) is not None:
-            yield key, getattr(spec, key).shape, (x,), "one entry per state"
-    if hasattr(spec, "local_costs"):
-        # constrained-social has one local action per symbol
-        shape = spec.local_costs.shape
-        if spec.family == "constrained_social":
-            yield "local_costs", shape, (x, y), "states x symbols"
-        else:
-            yield "local_costs", shape, (x, shape[1]), "one row per state"
-    if hasattr(spec, "obs_hi"):
-        shape = spec.obs_hi.matrix.shape
-        yield "obs_hi", shape, (x, shape[1]), "one row per state"
-        if spec.confusion is not None:
-            yield "confusion", spec.confusion.shape, (shape[1], y), "mode-2 symbols x mode-1 symbols"
-
-
 def _spec(cfg: dict, models: list, batch_command: str | None = None):
-    """Parse the cost spec and check it against the models it runs with.
+    """Parse the cost spec and check it against the models it runs with
+    (``spec.array_shapes``).
 
     ``batch_command`` names a command that runs the batch simulator, which
     supports the families in ``sim.BATCH_FAMILIES`` only.
@@ -256,7 +252,7 @@ def _spec(cfg: dict, models: list, batch_command: str | None = None):
             f"not {spec.family!r}"
         )
     for model in models:
-        for key, shape, want, meaning in _array_shapes(spec, model):
+        for key, shape, want, meaning in spec.array_shapes(model):
             if shape != want:
                 raise ConfigError(
                     f"config.cost.{key}: expected shape {want} ({meaning}), got {shape}"
@@ -280,10 +276,7 @@ def cmd_solve(cfg: dict, out_dir: Path, name: str) -> int:
         "toward_last_vertex": dp.line_crossing_check(sol, grid, model.n_states),
         "toward_first_vertex": dp.line_crossing_check(sol, grid, 1),
     }
-    try:
-        assumptions = orders.check_assumptions(model, spec).lines()
-    except ValueError:
-        assumptions = []
+    assumptions = orders.check_assumptions(model, spec).lines()
     _write(out_dir, f"{name}_solution.csv", dp.solution_csv(sol, grid, regions))
     report = {
         "grid_points": grid.n_points,
@@ -296,7 +289,7 @@ def cmd_solve(cfg: dict, out_dir: Path, name: str) -> int:
         "max_line_crossings": crossings,
         "assumptions": assumptions,
     }
-    _write(out_dir, f"{name}_report.json", json.dumps(report, indent=2) + "\n")
+    _write_json(out_dir, f"{name}_report.json", report)
     for line in assumptions:
         print(line)
     print(
@@ -324,8 +317,12 @@ def cmd_sweep(cfg: dict, out_dir: Path, name: str) -> int:
         raise ConfigError("config.models: expected a non-empty list of {label, model} objects")
     labels = [str(_need(e, "label", f"config.models[{k}]")) for k, e in enumerate(entries)]
     for k, label in enumerate(labels):
+        # each label names its solution file
+        if set(label) & set("/\\\0"):
+            raise ConfigError(
+                f"config.models[{k}].label: {label!r} names a file, so it cannot hold '/', '\\' or NUL"
+            )
         if label in labels[:k]:
-            # each label names its solution file
             raise ConfigError(
                 f"config.models[{k}].label: {label!r} is already the label of "
                 f"config.models[{labels.index(label)}]"
@@ -353,32 +350,21 @@ def cmd_sweep(cfg: dict, out_dir: Path, name: str) -> int:
         verdict = "ordered" if res.monotone else "ordering violated"
     slack = min(res.pointwise_min_slack) if res.pointwise_min_slack else 0.0
     print(f"{name}: verdict={verdict} min_pointwise_slack={slack:.3g}")
-    _write(
-        out_dir,
-        f"{name}_verdict.json",
-        json.dumps(
-            {
-                "labels": labels,
-                "premise_ordered": res.premise_ordered,
-                "pointwise_min_slack": res.pointwise_min_slack,
-                "verdict": verdict,
-            },
-            indent=2,
-        )
-        + "\n",
-    )
+    report = {
+        "labels": labels,
+        "premise_ordered": res.premise_ordered,
+        "pointwise_min_slack": res.pointwise_min_slack,
+        "verdict": verdict,
+    }
+    _write_json(out_dir, f"{name}_verdict.json", report)
     return 0
 
 
 def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
     model = _model(cfg, _need(cfg, "model", "config"))
     spec = _spec(cfg, [model], "spsa")
-    report = None
-    try:
-        report = orders.check_assumptions(model, spec)
-    except ValueError:
-        pass
-    if report is not None and not report.passed:
+    report = orders.check_assumptions(model, spec)
+    if not report.passed:
         print(
             "warning: threshold-structure assumptions failed "
             f"({', '.join(report.failed_names())}); optimizing anyway"
@@ -440,7 +426,7 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
         "evaluation_cost": None if np.isnan(score) else float(score),
         "feasible": bool(policy_mod.theta_is_mlr_increasing(result.final_theta)),
     }
-    _write(out_dir, f"{name}_policy.json", json.dumps(summary, indent=2) + "\n")
+    _write_json(out_dir, f"{name}_policy.json", summary)
     print(f"{name}: theta={summary['theta']} cost={summary['evaluation_cost']}")
     return 0
 
@@ -457,7 +443,7 @@ def _policy_from_config(cfg: dict, model: DetectionModel):
     if not isinstance(src["solution"], str):
         raise ConfigError(f"config.policy.solution: expected a file path, got {src['solution']!r}")
     path = Path(src["solution"])
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config.policy.solution: no such file {path}")
     with path.open() as fh:
         rows = list(csv.DictReader(fh))
@@ -520,25 +506,20 @@ def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
     summary = sim.decompose_from_times(
         batch.tau, batch.tau0, 0.0 if d is None else d, spec.beta, batch.censored
     )
-    criterion, stderr = (None, None) if d is None else (summary.criterion, summary.stderr)
+    criterion = None if d is None else summary.criterion
+    # one trajectory gives no standard error
+    stderr = None if d is None or summary.n < 2 else summary.stderr
     mean_cost = float(batch.costs.mean())
-    _write(
-        out_dir,
-        f"{name}_summary.json",
-        json.dumps(
-            {
-                "trajectories": summary.n,
-                "mean_delay": summary.mean_delay,
-                "false_alarm_rate": summary.false_alarm_rate,
-                "criterion": criterion,
-                "stderr": stderr,
-                "censored": summary.n_censored,
-                "mean_cost": mean_cost,
-            },
-            indent=2,
-        )
-        + "\n",
-    )
+    report = {
+        "trajectories": summary.n,
+        "mean_delay": summary.mean_delay,
+        "false_alarm_rate": summary.false_alarm_rate,
+        "criterion": criterion,
+        "stderr": stderr,
+        "censored": summary.n_censored,
+        "mean_cost": mean_cost,
+    }
+    _write_json(out_dir, f"{name}_summary.json", report)
     rec_rng = np.random.default_rng(seed + 1)
     for k in range(min(record, n)):
         traj = sim.sample_trajectory(model, pol, max_steps=max_steps, rng=rec_rng)
@@ -546,7 +527,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, name: str) -> int:
     head = (
         f"mean_cost={mean_cost:.6g}"
         if d is None
-        else f"criterion={criterion:.6g} (se {stderr:.2g})"
+        else f"criterion={criterion:.6g} (se {summary.stderr:.2g})"
     )
     print(
         f"{name}: {head} "

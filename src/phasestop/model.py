@@ -11,13 +11,14 @@ Conventions used throughout the package:
 
 Each cost family is one :class:`CostSpec` dataclass that holds its
 parameters together with its stage costs, value offset, belief updates and
-structural assumption checks; the solver, simulator, checkers and CLI call
-these methods and never test a spec's type.
+structural assumption checks, and the shapes its array fields must have on
+a given model (``array_shapes``); the solver, simulator, checkers and CLI
+call these methods and never test a spec's type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -136,27 +137,10 @@ class DetectionModel:
         return self.obs
 
 
-RADIUS_TOL, RADIUS_MAX_ITER = 1e-10, 10_000  # the power iteration's stopping rule
-
-
 def spectral_radius(mat: np.ndarray) -> float:
-    """Spectral radius of a non-negative matrix by power iteration."""
+    """Spectral radius: the largest eigenvalue modulus (0 for an empty matrix)."""
     m = np.asarray(mat, dtype=float)
-    if m.size == 0:
-        return 0.0
-    v = np.ones(m.shape[0])
-    lam = 0.0
-    for _ in range(RADIUS_MAX_ITER):
-        w = m @ v
-        norm = float(np.abs(w).sum())
-        if norm == 0.0:
-            return 0.0
-        lam_new = norm / float(np.abs(v).sum())
-        v = w / norm
-        if abs(lam_new - lam) < RADIUS_TOL:
-            return lam_new
-        lam = lam_new
-    return lam
+    return float(np.abs(np.linalg.eigvals(m)).max()) if m.size else 0.0
 
 
 VALIDATION_TAGS = ("strict", "relaxed", "general")
@@ -267,14 +251,25 @@ class CostSpec:
     values + offset.  ``updates(model, pts)`` lists ``(pred, liks)`` per
     action, stop / mode 1 first: the action's successors are the Bayes steps
     ``pred * lik`` for each likelihood row of ``liks``, and a stop action is
-    ``None``.  ``assumptions(model)`` lists the structural assumption checks
-    (:class:`~phasestop.orders.AssumptionCheck`).  By default continuing
-    predicts through the chain and corrects by the model's observation
-    matrix, discounted by ``rho``, from the zero-horizon value ``-offset``.
+    ``None``.  ``array_shapes(model)`` yields ``(field, shape, expected
+    shape, meaning)`` for each array field whose size depends on the model
+    (by default each 1-D array field, one entry per state); a spec fits the
+    model when every shape is the expected one.  ``assumptions(model)``
+    lists the structural assumption checks
+    (:class:`~phasestop.orders.AssumptionCheck`) and never raises on a model
+    the spec fits.  By default continuing predicts through the chain and
+    corrects by the model's observation matrix, discounted by ``rho``, from
+    the zero-horizon value ``-offset``.
     """
 
     def updates(self, model: DetectionModel, pts: np.ndarray) -> list:
         return [None, (pts @ model.transition, model.discrete_obs().matrix.T)]
+
+    def array_shapes(self, model: DetectionModel):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray) and value.ndim == 1:
+                yield f.name, value.shape, (model.n_states,), "one entry per state"
 
     def initial_value(self, offset: np.ndarray) -> np.ndarray:
         """The zero-horizon value, in transformed coordinates, from the offset
@@ -585,6 +580,12 @@ class SocialStopping(CostSpec):
         _check_finite("local_costs", c)
         if c.ndim != 2:
             raise ValueError("local cost matrix must be 2-D (states x actions)")
+        if c.shape[1] < 2:
+            raise ValueError(f"local_costs needs at least 2 local actions (columns), got {c.shape[1]}")
+
+    def array_shapes(self, model):
+        shape = self.local_costs.shape
+        yield "local_costs", shape, (model.n_states, shape[1]), "one row per state"
 
     def _welfare(self, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Expected myopic local cost: sum over symbols of min_a pi' (B_y o c_a)."""
@@ -611,12 +612,14 @@ class SocialStopping(CostSpec):
 
     def assumptions(self, model):
         c, b = self.local_costs, model.discrete_obs().matrix
+        # a non-square matrix is not symmetric
+        asymmetry = float(np.abs(b - b.T).max()) if b.shape[0] == b.shape[1] else np.inf
         return [
             _ineq("costdom-1", c[0, 1] - c[0, 0], "c(e1,1) < c(e1,2)", tol=-1e-12),
             _ineq("costdom-2", c[1, 0] - c[1, 1], "c(e2,2) < c(e2,1)", tol=-1e-12),
             _ineq("d-rho-beta", self.d - self.rho * self.beta, "d >= rho*beta"),
             _tp2_check("A2", b, "observation matrix TP2"),
-            _ineq("B-symmetric", -float(np.abs(b - b.T).max()), "observation matrix symmetric"),
+            _ineq("B-symmetric", -asymmetry, "observation matrix symmetric"),
         ]
 
 
@@ -643,6 +646,9 @@ class ConstrainedSocial(CostSpec):
             raise ValueError("constrained-social family requires rho < 1")
         if c.ndim != 2:
             raise ValueError("local cost matrix must be 2-D (states x actions)")
+
+    def array_shapes(self, model):
+        yield "local_costs", self.local_costs.shape, model.discrete_obs().matrix.shape, "states x symbols"
 
     def stage_costs(self, model, pts, original=False):
         c, p1 = self.local_costs, pts[:, 0]
@@ -718,6 +724,14 @@ class Scheduling(CostSpec):
             object.__setattr__(self, "confusion", q)
             if np.any(q < -SUM_TOL) or np.any(np.abs(q.sum(axis=1) - 1.0) > 1e-9):
                 raise ValueError("confusion matrix must be row-stochastic")
+
+    def array_shapes(self, model):
+        yield from super().array_shapes(model)
+        shape = self.obs_hi.matrix.shape
+        yield "obs_hi", shape, (model.n_states, shape[1]), "one row per state"
+        if self.confusion is not None:
+            want = (shape[1], model.discrete_obs().matrix.shape[1])
+            yield "confusion", self.confusion.shape, want, "mode-2 symbols x mode-1 symbols"
 
     def stage_costs(self, model, pts, original=False):
         q = pts @ model.transition

@@ -701,3 +701,134 @@ def test_numeric_fields_keep_the_values_they_accepted(tmp_path, command, text, n
         assert cli.main([command, "--config", ref, "--out", str(out)]) == 0
         outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert outs[0] == outs[1] != outs[2]
+
+
+def _fit_model(x, y):
+    """An absorbing chain on ``x`` states that drifts one phase down per step,
+    observed through ``y`` symbols whose likelihood ratios increase with the state."""
+    transition = np.eye(x)
+    for i in range(1, x):
+        transition[i, i - 1], transition[i, i] = 0.3, 0.7
+    obs = np.array([[(i + 1.0) ** k for k in range(y)] for i in range(x)])
+    return {
+        "transition": transition.tolist(),
+        "initial": [0.0] * (x - 1) + [1.0],
+        "observation": {"discrete": (obs / obs.sum(axis=1, keepdims=True)).tolist()},
+    }
+
+
+def _fit_cost(family, x, y, actions):
+    """A cost of ``family`` with every array sized for ``x`` states, ``y``
+    symbols and ``actions`` local actions."""
+    ones, ramp = [1.0] * x, np.linspace(1.0, 0.0, x)
+    local = (ramp[:, None] * np.arange(1.0, actions + 1.0)).tolist()
+    return {
+        "quickest_predictive": {"alpha": 0.5, "beta": 1.0, "d": 2.0, "rho": 0.9},
+        "quickest_classical": {"alpha": 0.0, "beta": 1.0, "d": 1.0, "rho": 0.9,
+                               "false_alarm": [0.0] + ones[1:]},
+        "transient": {"alpha": 0.0, "beta": 1.0, "delays": [0.0] + ones[1:], "rho": 0.9},
+        "risk_sensitive": {"risk": 0.1, "beta": 3.0, "d": 1.0},
+        "social_stopping": {"d": 1.8, "beta": 2.0, "rho": 0.9, "local_costs": local},
+        "constrained_social": {"d": 1.0, "beta": 2.0, "rho": 0.5, "local_costs": local},
+        "scheduling": {"alpha1": 2.5, "alpha2": 0.5, "c1": ones, "c2": ones, "g": ramp.tolist(),
+                       "rho": 0.8, "obs_hi": _fit_model(x, y)["observation"]["discrete"],
+                       "confusion": np.eye(y).tolist()},
+    }[family] | {"family": family}
+
+
+@pytest.mark.parametrize("family", sorted(cli._FAMILIES))
+def test_every_family_and_shape_exits_0_or_2_and_reports_its_assumptions(tmp_path, capsys, family):
+    # a cost family that accepts a model reports all its assumptions, in solve
+    # as in orders; a pair it does not fit exits 2 without a traceback
+    extra = {
+        "solve": {"grid": {"m": 4}},
+        "orders": {},
+        "spsa": {"priors": 5, "iterations": 1, "restarts": 1, "max_steps": 20},
+        "simulate": {"trajectories": 5, "max_steps": 20},
+    }
+    social = family in ("social_stopping", "constrained_social")
+    for x in (2, 3, 4):
+        for y in (2, 3):
+            for actions in (1, 2, 3) if social else (y,):
+                cfg = {"model": _fit_model(x, y), "cost": _fit_cost(family, x, y, actions),
+                       "policy": {"theta": [0.5] * (x - 1)}}
+                name = f"fit{x}{y}{actions}"
+                codes = {}
+                for command, fields in extra.items():
+                    ref = write_config(tmp_path, name, {**cfg, **fields})
+                    codes[command] = cli.main([command, "--config", ref, "--out", str(tmp_path)])
+                    assert codes[command] in (0, 2), (command, x, y, actions)
+                capsys.readouterr()
+                if codes["solve"] == codes["orders"] == 0:
+                    report = json.loads((tmp_path / f"{name}_report.json").read_text())
+                    lines = (tmp_path / f"{name}_orders.txt").read_text().splitlines()
+                    assert report["assumptions"] == lines, (x, y, actions)
+                    assert lines
+
+
+def test_social_stopping_needs_two_local_actions(tmp_path, capsys):
+    cost = {**SOCIAL_COST, "local_costs": [[4.57], [2.57]]}
+    ref = write_config(tmp_path, "one", {"model": STATIC_MODEL, "cost": cost, "validation": "general"})
+    for command in ("solve", "orders"):
+        assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
+        assert "error: config.cost: local_costs needs at least 2 local actions" in capsys.readouterr().err
+    assert not list(tmp_path.glob("one_*"))
+
+
+def test_a_config_that_is_not_a_text_file_exits_2(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for ref in (tmp_path, binary):
+        assert cli.main(["phdist", "--config", str(ref), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: config {str(ref)!r}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["phdist", "--config", "ph_example", "--out", str(taken)]) == 2
+    assert f"error: cannot write {taken}: " in capsys.readouterr().err
+
+
+def test_a_directory_as_the_policy_solution_exits_2(tmp_path, capsys):
+    cfg = {**NUMERIC_CONFIGS["simulate"], "policy": {"solution": str(tmp_path)}}
+    ref = write_config(tmp_path, "sol", cfg)
+    assert cli.main(["simulate", "--config", ref, "--out", str(tmp_path)]) == 2
+    assert f"error: config.policy.solution: no such file {tmp_path}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sol_*"))
+
+
+def test_sweep_label_that_is_not_a_file_name_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the labels were checked")
+
+    monkeypatch.setattr(cli.dp, "value_monotonicity_sweep", no_solve)
+    cfg = {**NUMERIC_CONFIGS["sweep"], "models": [{"label": "a", "model": SMALL_MODEL},
+                                                  {"label": "b/c", "model": SMALL_MODEL}]}
+    ref = write_config(tmp_path, "lab", cfg)
+    assert cli.main(["sweep", "--config", ref, "--out", str(tmp_path)]) == 2
+    assert "error: config.models[1].label: 'b/c' names a file" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_one_trajectory_summary_is_strict_json(tmp_path):
+    ref = write_config(tmp_path, "one", {**NUMERIC_CONFIGS["simulate"], "trajectories": 1})
+    assert cli.main(["simulate", "--config", ref, "--out", str(tmp_path)]) == 0
+    summary = _strict_json((tmp_path / "one_summary.json").read_text())
+    assert summary["trajectories"] == 1 and summary["stderr"] is None
+    assert summary["criterion"] is not None
+
+
+def test_a_non_finite_report_value_exits_2_instead_of_writing_it(tmp_path):
+    with pytest.raises(cli.ConfigError, match="x.json: Out of range float values"):
+        cli._write_json(tmp_path, "x.json", {"value": float("inf")})
+    assert not list(tmp_path.iterdir())
+    cli._write_json(tmp_path, "y.json", {"value": [0.5, None]})
+    assert (tmp_path / "y.json").read_text() == '{\n  "value": [\n    0.5,\n    null\n  ]\n}\n'

@@ -146,6 +146,29 @@ def test_spectral_radius_basics():
     assert model.spectral_radius(np.zeros((2, 2))) == 0.0
 
 
+@pytest.mark.parametrize("block", [[[0, 1], [0.5, 0]], [[0, 1], [0.01, 0]]])
+def test_spectral_radius_of_a_periodic_block(block):
+    # eigenvalues +-r of equal modulus: a power iteration oscillates on them
+    # (0.667 for the first block, 0.0198 for the second)
+    expected = np.abs(np.linalg.eigvals(block)).max()
+    assert model.spectral_radius(np.array(block)) == pytest.approx(expected, rel=1e-12)
+    assert expected == pytest.approx(np.sqrt(block[1][0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("closed", [[[0, 1], [1, 0]], [[0.5, 0.5], [0.5, 0.5]]])
+@pytest.mark.parametrize("tag", ["strict", "relaxed"])
+def test_a_closed_pre_change_class_is_not_transient(closed, tag):
+    # phases 2 and 3 never leave each other, so from them the change never
+    # comes; phase 4's slow exit kept a power iteration's radius below 1
+    p = np.zeros((4, 4))
+    p[0, 0] = 1.0
+    p[1:3, 1:3] = closed
+    p[3, 3], p[3, 0] = 0.999999, 0.000001
+    m = model.DetectionModel(p, [0, 0.5, 0.5, 0], model.DiscreteObs(np.full((4, 2), 0.5)))
+    problems = model.validate_model(m, tag)
+    assert len(problems) == 1 and problems[0].startswith("pre-change states not transient")
+
+
 def test_cost_spec_validation():
     with pytest.raises(ValueError):
         model.QuickestPredictiveDelay(alpha=-1, beta=1, d=1, rho=1)

@@ -252,3 +252,16 @@ def test_check_assumptions_reads_the_parsed_observation_matrix():
 
     assert slack == min_minor(51)
     assert slack != min_minor(101)
+
+
+def test_a_non_square_observation_matrix_fails_b_symmetric():
+    # fig4a's costs on 3 symbols: the other checks still report their slack
+    spec = model.SocialStopping(d=1.8, beta=2.0, rho=0.9, local_costs=[[4.57, 5.57], [2.57, 0.0]])
+    m = model.DetectionModel(
+        [[1, 0], [0, 1]], [0.5, 0.5], model.DiscreteObs([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]])
+    )
+    report = orders.check_assumptions(m, spec)
+    assert [c.name for c in report.checks] == ["costdom-1", "costdom-2", "d-rho-beta", "A2", "B-symmetric"]
+    assert report.failed_names() == ["B-symmetric"]
+    assert report["B-symmetric"].slack == -np.inf
+    assert "B-symmetric  FAIL slack=-inf" in report.lines()[-1]
