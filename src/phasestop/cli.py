@@ -240,7 +240,7 @@ def _model(
 
 def _spec(cfg: dict, models: list, batch_command: str | None = None):
     """Parse the cost spec and check it against the models it runs with
-    (``spec.array_shapes``).
+    (``spec.n_states`` and ``spec.array_shapes``).
 
     ``batch_command`` names a command that runs the batch simulator, which
     supports the families in ``sim.BATCH_FAMILIES`` only.
@@ -252,6 +252,11 @@ def _spec(cfg: dict, models: list, batch_command: str | None = None):
             f"not {spec.family!r}"
         )
     for model in models:
+        if spec.n_states not in (None, model.n_states):
+            raise ConfigError(
+                f"config.cost.family: {spec.family!r} is a {spec.n_states}-state family, "
+                f"but the model has {model.n_states} states"
+            )
         for key, shape, want, meaning in spec.array_shapes(model):
             if shape != want:
                 raise ConfigError(
@@ -260,16 +265,11 @@ def _spec(cfg: dict, models: list, batch_command: str | None = None):
     return spec
 
 
-def _solve_from_config(cfg: dict):
+def cmd_solve(cfg: dict, out_dir: Path, name: str) -> int:
     model = _model(cfg, _need(cfg, "model", "config"))
     spec = _spec(cfg, [model])
     grid = _grid_for(cfg, model)
     sol = dp.value_iterate(model, spec, grid, **_stopping_rule(cfg))
-    return model, spec, grid, sol
-
-
-def cmd_solve(cfg: dict, out_dir: Path, name: str) -> int:
-    model, spec, grid, sol = _solve_from_config(cfg)
     regions = dp.extract_regions(sol, grid)
     violations = dp.convexity_check(regions.stop_indices, grid)
     crossings = {
@@ -580,6 +580,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, Path(args.out), name)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:  # a solve whose cost overflows
+        print(f"error: config.cost: {exc}", file=sys.stderr)
         return 2
 
 

@@ -19,6 +19,7 @@ single-crossing of the policy along vertex-anchored lines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, combinations
@@ -312,6 +313,7 @@ def _q_values(actions, disc: float, v: np.ndarray) -> list[np.ndarray]:
     return q
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def value_iterate(
     model: DetectionModel,
     spec: CostSpec,
@@ -327,7 +329,8 @@ def value_iterate(
     ``tol`` (default 1e-8) or reaches 0, or after 10_000 sweeps.  The greedy
     policy picks the first action (stop / mode 1) on ties.  Raises
     ``ValueError`` before any sweep when ``horizon`` is not an integer >= 1
-    or ``tol`` is NaN or negative.
+    or ``tol`` is NaN or negative, and ``FloatingPointError``, not a
+    warning, when a stage cost, the offset or a value is not finite.
     """
     if horizon is not None and (
         isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1
@@ -339,6 +342,8 @@ def value_iterate(
         raise ValueError("grid dimension does not match the model")
     offset = spec.offset(model, grid.points)
     disc, v, actions = _bellman_setup(model, spec, grid, offset, interpolate)
+    if not (np.isfinite(offset).all() and all(np.isfinite(c).all() for c, _, _ in actions)):
+        raise FloatingPointError("a stage cost or the offset is not finite: the cost parameters overflow")
     if horizon is None and tol is None:
         if disc >= 1.0:
             horizon = DEFAULT_HORIZON_UNDISCOUNTED
@@ -349,6 +354,8 @@ def value_iterate(
     while True:
         v_new = reduce(np.minimum, _q_values(actions, disc, v))
         delta = float(np.max(np.abs(v_new - v)))
+        if not math.isfinite(delta):
+            raise FloatingPointError(f"a value is not finite after {sweeps + 1} sweeps")
         deltas.append(delta)
         v = v_new
         sweeps += 1
@@ -358,8 +365,11 @@ def value_iterate(
         if tol is not None and (delta < tol or delta == 0.0 or sweeps >= MAX_SWEEPS):
             break
     q1, q2 = _q_values(actions, disc, v)
+    original = v + offset
+    if not np.isfinite(original).all():
+        raise FloatingPointError("a value in original units is not finite")
     policy = np.where(q1 <= q2, STOP, CONTINUE)
-    return GridSolution(v, v + offset, policy, sweeps, deltas[-1], np.array(deltas))
+    return GridSolution(v, original, policy, sweeps, deltas[-1], np.array(deltas))
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,23 @@
-"""Belief-state recursions: the one Bayes step and the one social action rule.
+"""Belief-state recursions: the one Bayes step and the myopic social action rule.
 
 :func:`bayes_step` corrects a prediction by a likelihood for every belief
-recursion in the package: the one-belief HMM and social filters here
-(:func:`hmm_update`, :func:`social_update`), the grid solver's successors and
-the batch simulator (through :func:`_bayes_step`, which also returns the
-least normalisation).  Each caller forms its own prediction and handles a zero
-or NaN normalisation; the filters here raise :class:`ZeroProbabilityError`.
-:func:`social_scores` and :func:`social_likelihoods` are the myopic social
-action rule on a stack of beliefs, used by the social stopping cost family
-and, one belief at a time, by :func:`social_action_likelihood`.
-:func:`as_belief` validates one belief vector.
+recursion in the package: the HMM filter :func:`hmm_update` (which raises
+:class:`ZeroProbabilityError` on a zero or NaN normalisation), every cost
+family's ``updates``, the grid solver and the batch simulator (through
+:func:`_bayes_step`, which also returns the least normalisation).
+:func:`social_scores` and :func:`social_likelihoods`, the myopic social
+action rule on a stack of beliefs, give ``SocialStopping.updates``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .model import DetectionModel, DiscreteObs
+    from .model import DetectionModel
 
 SUM_TOL = 1e-12
 
@@ -90,66 +87,23 @@ def _bayes_step(pred, lik):
     return unnorm, sigma, low
 
 
-def _output(step, event: str, p: np.ndarray) -> FilterOutput:
-    """The :func:`bayes_step` result ``step`` from ``p``; a zero or NaN sigma
-    means ``event`` is impossible from ``p``."""
-    nxt, sigma = step
-    if not sigma > 0.0:
-        raise ZeroProbabilityError(f"{event} impossible from belief {p}")
-    return FilterOutput(nxt, float(sigma))
-
-
 def hmm_update(pi, y: int, model: DetectionModel) -> FilterOutput:
     """One Bayesian filter step: predict through the chain, correct by symbol
     ``y`` of the model's observation matrix."""
     p = as_belief(pi)
-    b = model.discrete_obs().matrix
-    return _output(bayes_step(model.transition.T @ p, b[:, y]), f"observation {y}", p)
+    nxt, sigma = bayes_step(model.transition.T @ p, model.discrete_obs().matrix[:, y])
+    if not sigma > 0.0:
+        raise ZeroProbabilityError(f"observation {y} impossible from belief {p}")
+    return FilterOutput(nxt, float(sigma))
 
 
 # ---------------------------------------------------------------------------
 # Social learning
 
 
-@dataclass(frozen=True)
-class SocialContext:
-    """Local-decision environment for social learning with a static state.
-
-    ``local_costs[i, a-1]`` is the cost of local action ``a`` (1-based) in
-    state ``i+1``; ``obs`` is the private observation matrix.  For the 2-state
-    2-action stopping setup the cascade/learning interval boundaries
-    ``eta1 >= eta2 >= eta3`` (values of the second belief component) are
-    computed on construction.
-    """
-
-    local_costs: np.ndarray
-    obs: DiscreteObs
-    eta1: float = field(init=False)
-    eta2: float = field(init=False)
-    eta3: float = field(init=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.local_costs, dtype=float)
-        object.__setattr__(self, "local_costs", c)
-        if c.shape[0] != self.obs.matrix.shape[0]:
-            raise ValueError("cost matrix and observation matrix disagree on state count")
-        if c.shape == (2, 2):
-            try:
-                e1, e2, e3 = social_fixed_points_from(c, self.obs.matrix)
-            except ValueError:
-                e1 = e2 = e3 = float("nan")
-        else:
-            e1 = e2 = e3 = float("nan")
-        object.__setattr__(self, "eta1", e1)
-        object.__setattr__(self, "eta2", e2)
-        object.__setattr__(self, "eta3", e3)
-
-    @property
-    def n_actions(self) -> int:
-        return self.local_costs.shape[1]
-
-
 def social_fixed_points_from(costs: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """The cascade and learning interval boundaries ``eta1 >= eta2 >= eta3``
+    (second belief component) of the 2-state, 2-action social rule."""
     delta1 = costs[0, 1] - costs[0, 0]
     delta2 = costs[1, 0] - costs[1, 1]
     dens = (
@@ -168,7 +122,8 @@ def social_fixed_points_from(costs: np.ndarray, b: np.ndarray) -> tuple[float, f
 def social_scores(costs: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Myopic local-action scores ``pi' (B_y o c)``, shape (Y, N, A): the
     expected cost of local action ``a + 1`` after privately updating belief
-    row ``n`` by symbol ``y``, times that update's normalisation."""
+    row ``n`` by symbol ``y``, times that update's normalisation; one belief
+    alone gets the bits of its row in a stack."""
     # NumPy sends a one-row product to BLAS gemv, which can round differently
     # from the rows of a taller (gemm) product; two rows keep one belief on gemm
     rows = np.vstack([pts, pts]) if pts.shape[0] == 1 else pts
@@ -185,19 +140,3 @@ def social_likelihoods(costs: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.
     for y in range(b.shape[1]):
         lik[chosen[y], rows] += b[:, y]
     return lik
-
-
-def social_action_likelihood(pi, a: int, ctx: SocialContext) -> np.ndarray:
-    """Per-state probability that an agent holding public belief ``pi``
-    broadcasts action ``a`` (zero for an action outside ``1..A``): the rule of
-    :func:`social_likelihoods` at one belief."""
-    p = as_belief(pi)
-    if not 1 <= a <= ctx.n_actions:
-        return np.zeros(p.size)
-    return social_likelihoods(ctx.local_costs, ctx.obs.matrix, p[None, :])[a - 1, 0]
-
-
-def social_update(pi, a: int, ctx: SocialContext) -> FilterOutput:
-    """Public-belief update after observing broadcast action ``a``."""
-    p = as_belief(pi)
-    return _output(bayes_step(p, social_action_likelihood(p, a, ctx)), f"action {a}", p)

@@ -254,13 +254,16 @@ class CostSpec:
     ``None``.  ``array_shapes(model)`` yields ``(field, shape, expected
     shape, meaning)`` for each array field whose size depends on the model
     (by default each 1-D array field, one entry per state); a spec fits the
-    model when every shape is the expected one.  ``assumptions(model)``
-    lists the structural assumption checks
+    model when every shape is the expected one and the model has the
+    family's ``n_states`` states (``None``: any number).
+    ``assumptions(model)`` lists the structural assumption checks
     (:class:`~phasestop.orders.AssumptionCheck`) and never raises on a model
     the spec fits.  By default continuing predicts through the chain and
     corrects by the model's observation matrix, discounted by ``rho``, from
     the zero-horizon value ``-offset``.
     """
+
+    n_states = None
 
     def updates(self, model: DetectionModel, pts: np.ndarray) -> list:
         return [None, (pts @ model.transition, model.discrete_obs().matrix.T)]
@@ -570,6 +573,7 @@ class SocialStopping(CostSpec):
     include_welfare: bool = False
 
     family = "social_stopping"
+    n_states = 2
 
     def __post_init__(self):
         c = np.asarray(self.local_costs, dtype=float)

@@ -19,6 +19,8 @@ if TYPE_CHECKING:
     from .model import CostSpec, DetectionModel
 
 ORDER_TOL = 1e-12
+MLR_RATIO_SCALE = 2.0
+TILT_TRIES = 500
 
 
 def mlr_geq(pi1, pi2) -> bool:
@@ -157,15 +159,14 @@ def check_assumptions(model: DetectionModel, spec: CostSpec) -> AssumptionReport
 # Random generators for property tests
 
 
-def random_mlr_pair(
-    n_states: int, rng: np.random.Generator, strength: float = 2.0
-) -> tuple[np.ndarray, np.ndarray]:
+def random_mlr_pair(n_states: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """A pair ``(hi, lo)`` with ``hi >= lo`` in the MLR order.
 
-    ``hi`` is ``lo`` reweighted by an increasing likelihood-ratio vector.
+    ``hi`` is ``lo`` reweighted by an increasing likelihood-ratio vector, the
+    cumulative sum of exponentials of mean ``MLR_RATIO_SCALE``.
     """
     lo = rng.dirichlet(np.ones(n_states))
-    ratio = np.cumsum(rng.exponential(strength, size=n_states))
+    ratio = np.cumsum(rng.exponential(MLR_RATIO_SCALE, size=n_states))
     hi = lo * ratio
     hi /= hi.sum()
     return hi, lo
@@ -201,21 +202,20 @@ def random_tp2_stochastic(
     return m
 
 
-def random_ordered_matrix_pair(
-    n_states: int, rng: np.random.Generator, max_tries: int = 500
-) -> tuple[np.ndarray, np.ndarray]:
+def random_ordered_matrix_pair(n_states: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Random pair ``(P1, P2)`` with ``P1 >= P2`` in the transition order.
 
     Mixes two constructions: identical-row (iid) matrices built from an
     MLR-ordered pair of distributions, and an exponential tilt of a common
-    base matrix.
+    base matrix, tried up to ``TILT_TRIES`` times before falling back to the
+    first construction.
     """
     if rng.random() < 0.5:
         hi, lo = random_mlr_pair(n_states, rng)
         p1 = np.tile(hi, (n_states, 1))
         p2 = np.tile(lo, (n_states, 1))
         return p1, p2
-    for _ in range(max_tries):
+    for _ in range(TILT_TRIES):
         base = rng.dirichlet(np.ones(n_states), size=n_states)
         t = rng.uniform(2.0, 12.0)
         tilt = t ** np.arange(n_states)

@@ -137,7 +137,6 @@ def sample_cost(
     spec: CostSpec,
     priors: np.ndarray,
     rng: np.random.Generator,
-    transformed: bool = True,
     max_steps: int | None = None,
 ) -> float | list[float]:
     """Average discounted sample-path cost of a policy over the given priors,
@@ -146,9 +145,7 @@ def sample_cost(
     A list of policies is simulated in one :func:`~phasestop.sim.simulate_batch`
     call, on shared sample paths, and gives a list of costs.
     """
-    res = simulate_batch(
-        model, spec, policy, priors, rng, max_steps=max_steps, transformed=transformed
-    )
+    res = simulate_batch(model, spec, policy, priors, rng, max_steps=max_steps)
     if res.costs.ndim == 2:  # a list of policies, one row each
         return [float(c.mean()) for c in res.costs]
     return float(res.costs.mean())

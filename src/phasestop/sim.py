@@ -80,11 +80,10 @@ def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
 def sample_trajectory(
     model: DetectionModel,
     policy,
+    rng: np.random.Generator,
     max_steps: int = DETECTION_MAX_STEPS,
-    rng: np.random.Generator | None = None,
 ) -> Trajectory:
     """Simulate one chain/observation/belief/decision path until ``policy.stop_mask`` stops."""
-    rng = rng if rng is not None else np.random.default_rng()
     cdf_p = _cdf(model.transition)
     cdf_b = _cdf(model.discrete_obs().matrix)
     pi = as_belief(model.initial)
@@ -280,6 +279,8 @@ def simulate_batch(
     if max_steps is None:
         if rho >= 1.0:
             max_steps = 500
+        elif rho == 0.0:  # every step after the first is discounted to 0
+            max_steps = 1
         else:
             bound = _stage_cost_bound(spec, model)
             max_steps = int(np.ceil(np.log(TRUNCATION_TOL / max(bound, 1e-12)) / np.log(rho)))

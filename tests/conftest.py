@@ -47,22 +47,44 @@ def staged_model():
     return make
 
 
+class SocialCase:
+    """A social stopping cost ``spec`` on a static 2-state model ``m``, with
+    the boundaries ``eta1 >= eta2 >= eta3`` (second belief component) of the
+    cascade and learning intervals of its myopic action rule."""
+
+    def __init__(self, spec, m):
+        self.spec, self.model = spec, m
+        self.eta1, self.eta2, self.eta3 = filters.social_fixed_points_from(spec.local_costs, m.obs.matrix)
+
+    def step(self, pi, a):
+        """``(next belief, sigma)`` after broadcast action ``a`` (1-based) from
+        belief ``pi``: the Bayes step on the prediction and likelihoods of
+        ``spec.updates``, the solver's own update.  A zero sigma means ``a``
+        is impossible from ``pi``."""
+        pred, liks = self.spec.updates(self.model, np.asarray(pi, dtype=float)[None])[1]
+        return filters.bayes_step(pred[0], liks[a - 1, 0])
+
+    def update(self, pi, a):
+        """The next belief after broadcast action ``a``, which must be possible from ``pi``."""
+        nxt, sigma = self.step(pi, a)
+        assert sigma > 0.0, f"action {a} impossible from belief {pi}"
+        return nxt
+
+
 @pytest.fixture(scope="session")
-def social_context_a():
+def social_context_a(identity_model_2):
     """Selfish-agent stopping instance with a known double threshold."""
-    return filters.SocialContext(
-        np.array([[4.57, 5.57], [2.57, 0.0]]),
-        model.DiscreteObs([[0.9, 0.1], [0.1, 0.9]]),
-    )
+    spec = model.SocialStopping(d=1.8, beta=2.0, rho=0.9, local_costs=[[4.57, 5.57], [2.57, 0.0]])
+    return SocialCase(spec, identity_model_2)
 
 
 @pytest.fixture(scope="session")
-def social_context_b():
+def social_context_b(identity_model_2):
     """Welfare-extended stopping instance (same channel)."""
-    return filters.SocialContext(
-        np.array([[2.1, 3.1], [3.1, 0.53]]),
-        model.DiscreteObs([[0.9, 0.1], [0.1, 0.9]]),
+    spec = model.SocialStopping(
+        d=1.0, beta=20.0, rho=0.9, local_costs=[[2.1, 3.1], [3.1, 0.53]], include_welfare=True
     )
+    return SocialCase(spec, identity_model_2)
 
 
 @pytest.fixture(scope="session")

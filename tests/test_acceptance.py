@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import SocialCase
 from phasestop import dp, filters, model, orders, policy as pol, sim
 
 _TERMINAL = None
@@ -73,7 +74,7 @@ def social_instances():
         ),
     }.items():
         sol = dp.value_iterate(m, spec, grid, tol=1e-10)
-        ctx = filters.SocialContext(spec.local_costs, b)
+        ctx = SocialCase(spec, m)
         cases[key] = (spec, sol, ctx)
     return m, grid, cases
 
@@ -167,20 +168,20 @@ def test_criterion_04_double_threshold(social_instances):
         # cascade regions are exact fixed points
         worst = 0.0
         for pi2 in np.linspace(ctx.eta1 + 1e-6, 1.0, 40):
-            out = filters.social_update([1 - pi2, pi2], 2, ctx)
-            worst = max(worst, float(np.abs(out.next_belief[1] - pi2)))
+            out = ctx.update([1 - pi2, pi2], 2)
+            worst = max(worst, float(np.abs(out[1] - pi2)))
         for pi2 in np.linspace(0.0, max(ctx.eta3 - 1e-6, 0.0), 40):
-            out = filters.social_update([1 - pi2, pi2], 1, ctx)
-            worst = max(worst, float(np.abs(out.next_belief[1] - pi2)))
+            out = ctx.update([1 - pi2, pi2], 1)
+            worst = max(worst, float(np.abs(out[1] - pi2)))
         if worst >= 1e-12:
             problems.append(f"{key}: cascade deviation {worst:.2e}")
         # boundary-limit identities (evaluated a hair inside the learning side
         # of each boundary; the indifference points themselves are tie cases)
         vec = lambda x: np.array([1 - x, x])
-        t11 = filters.social_update(vec(ctx.eta1 - 1e-13), 1, ctx).next_belief[1]
-        t32 = filters.social_update(vec(ctx.eta3 + 1e-13), 2, ctx).next_belief[1]
-        t22 = filters.social_update(vec(ctx.eta2), 2, ctx).next_belief[1]
-        t21 = filters.social_update(vec(ctx.eta2), 1, ctx).next_belief[1]
+        t11 = ctx.update(vec(ctx.eta1 - 1e-13), 1)[1]
+        t32 = ctx.update(vec(ctx.eta3 + 1e-13), 2)[1]
+        t22 = ctx.update(vec(ctx.eta2), 2)[1]
+        t21 = ctx.update(vec(ctx.eta2), 1)[1]
         gaps = [
             abs(t11 - ctx.eta2), abs(t32 - ctx.eta2),
             abs(t22 - ctx.eta1), abs(t21 - ctx.eta3),

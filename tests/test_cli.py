@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -773,6 +774,30 @@ def test_social_stopping_needs_two_local_actions(tmp_path, capsys):
         assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
         assert "error: config.cost: local_costs needs at least 2 local actions" in capsys.readouterr().err
     assert not list(tmp_path.glob("one_*"))
+
+
+@pytest.mark.parametrize("x", [3, 4])
+def test_social_stopping_is_a_two_state_family(tmp_path, capsys, x):
+    local = np.linspace([4.57, 5.57], [2.57, 0.0], x).tolist()  # one row per state
+    cfg = {"model": _fit_model(x, 2), "cost": {**SOCIAL_COST, "local_costs": local}}
+    ref = write_config(tmp_path, "many", cfg)
+    for command in ("solve", "orders"):
+        assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
+        want = f"error: config.cost.family: 'social_stopping' is a 2-state family, but the model has {x} states"
+        assert want in capsys.readouterr().err
+    assert not list(tmp_path.glob("many_*"))
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_a_cost_that_overflows_exits_2_before_writing(tmp_path, capsys, command):
+    cost = {"family": "quickest_predictive", "alpha": 1e308, "beta": 1e308, "d": 1e308, "rho": 0.9}
+    model = {"model": SMALL_MODEL} if command == "solve" else {"models": [{"label": "a", "model": SMALL_MODEL}]}
+    ref = write_config(tmp_path, "huge", {**model, "cost": cost, "grid": {"m": 10}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow is an exit 2, not a warning
+        assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
+    assert "error: config.cost: a stage cost or the offset is not finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("huge_*"))
 
 
 def test_a_config_that_is_not_a_text_file_exits_2(tmp_path, capsys):

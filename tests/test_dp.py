@@ -470,17 +470,14 @@ def test_constrained_social_stop_set_structure(identity_model_2):
             assert dp.convexity_check(piece, g) == []
 
 
-def test_social_value_concave_per_interval(identity_model_2, social_context_a):
+def test_social_value_concave_per_interval(social_context_a):
     # interpolated successor lookup: under nearest-point projection the
     # composite of the piecewise-linear value with the projected update dents
     # by O(slope/m) where successors cross a kink, masking the exact
     # per-interval concavity
-    spec = model.SocialStopping(
-        d=1.8, beta=2.0, rho=0.9, local_costs=social_context_a.local_costs
-    )
-    g = dp.build_grid(2, 499)
-    sol = dp.value_iterate(identity_model_2, spec, g, tol=1e-10, interpolate=True)
     ctx = social_context_a
+    g = dp.build_grid(2, 499)
+    sol = dp.value_iterate(ctx.model, ctx.spec, g, tol=1e-10, interpolate=True)
     pi2 = g.points[:, 1]
     bounds = [0.0, ctx.eta3, ctx.eta2, ctx.eta1, 1.0]
     for lo, hi in zip(bounds[:-1], bounds[1:]):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import SocialCase
 from phasestop import filters, model, orders
 
 
@@ -108,53 +109,50 @@ def test_social_fixed_points_values(social_context_a):
 
 
 def test_social_fixed_points_symmetric_costs():
-    ctx = filters.SocialContext(
-        np.array([[0.0, 1.0], [1.0, 0.0]]),
-        model.DiscreteObs([[0.8, 0.2], [0.2, 0.8]]),
+    _, eta2, _ = filters.social_fixed_points_from(
+        np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.8, 0.2], [0.2, 0.8]])
     )
-    assert ctx.eta2 == pytest.approx(0.5, abs=1e-14)
+    assert eta2 == pytest.approx(0.5, abs=1e-14)
 
 
-def _local_action(pi, y, ctx):
+def _local_action(pi, y, costs, b):
     """The myopic local action (1-based) after privately updating ``pi`` by ``y``."""
     pts = np.asarray(pi, dtype=float)[None]
-    return int(filters.social_scores(ctx.local_costs, ctx.obs.matrix, pts)[y, 0].argmin()) + 1
+    return int(filters.social_scores(costs, b, pts)[y, 0].argmin()) + 1
 
 
 def test_social_local_action_cases(social_context_a):
-    ctx = social_context_a
+    costs, b = social_context_a.spec.local_costs, social_context_a.model.obs.matrix
     # with the public belief split evenly, a bad-state signal favors action 1:
     # private beliefs (0.9, 0.1): costs 4.370 vs 5.013
-    assert _local_action([0.5, 0.5], 0, ctx) == 1
-    assert _local_action([0.5, 0.5], 1, ctx) == 2
+    assert _local_action([0.5, 0.5], 0, costs, b) == 1
+    assert _local_action([0.5, 0.5], 1, costs, b) == 2
     # degenerate public belief pins the action regardless of the signal
     for y in (0, 1):
-        assert _local_action([1.0, 0.0], y, ctx) == 1
+        assert _local_action([1.0, 0.0], y, costs, b) == 1
     # pointwise-dominating column always wins
-    dom = filters.SocialContext(
-        np.array([[1.0, 2.0], [0.5, 1.5]]), ctx.obs
-    )
+    dom = np.array([[1.0, 2.0], [0.5, 1.5]])
     for y in (0, 1):
-        assert _local_action([0.5, 0.5], y, dom) == 1
+        assert _local_action([0.5, 0.5], y, dom, b) == 1
 
 
 def test_social_action_likelihood_cascade_and_learning(social_context_a):
-    ctx = social_context_a
+    spec, m = social_context_a.spec, social_context_a.model
+
+    def lik(pi, a):  # the likelihood of broadcast action a (1-based) at belief pi
+        return spec.updates(m, np.asarray(pi, dtype=float)[None])[1][1][a - 1, 0]
+
     hi = np.array([1 - 0.9, 0.9])  # inside the upper cascade interval
-    assert np.allclose(filters.social_action_likelihood(hi, 2, ctx), [1, 1])
-    assert np.allclose(filters.social_action_likelihood(hi, 1, ctx), [0, 0])
+    assert np.allclose(lik(hi, 2), [1, 1])
+    assert np.allclose(lik(hi, 1), [0, 0])
     mid = np.array([1 - 0.5, 0.5])  # learning region: likelihood equals the channel
-    lik1 = filters.social_action_likelihood(mid, 1, ctx)
-    lik2 = filters.social_action_likelihood(mid, 2, ctx)
-    assert np.allclose(lik1, ctx.obs.matrix[:, 0])
-    assert np.allclose(lik2, ctx.obs.matrix[:, 1])
+    assert np.allclose(lik(mid, 1), m.obs.matrix[:, 0])
+    assert np.allclose(lik(mid, 2), m.obs.matrix[:, 1])
     # rows sum to one across actions for any public belief
     rng = np.random.default_rng(2)
     for _ in range(50):
         pi = rng.dirichlet([1, 1])
-        total = sum(
-            filters.social_action_likelihood(pi, a, ctx) for a in (1, 2)
-        )
+        total = sum(lik(pi, a) for a in (1, 2))
         assert np.allclose(total, [1, 1])
 
 
@@ -162,18 +160,17 @@ def test_social_update_cascade_is_exact_fixed_point(social_context_a, social_con
     for ctx in (social_context_a, social_context_b):
         for pi2 in np.linspace(ctx.eta1 * 1.001 + 1e-9, 1.0, 25):
             pi = np.array([1 - pi2, pi2])
-            out = filters.social_update(pi, 2, ctx)
-            assert np.array_equal(out.next_belief, pi)
+            assert np.array_equal(ctx.update(pi, 2), pi)
         for pi2 in np.linspace(0.0, ctx.eta3 * 0.999, 25):
             pi = np.array([1 - pi2, pi2])
-            out = filters.social_update(pi, 1, ctx)
-            assert np.array_equal(out.next_belief, pi)
+            assert np.array_equal(ctx.update(pi, 1), pi)
 
 
 def test_social_update_impossible_action(social_context_a):
-    ctx = social_context_a
-    with pytest.raises(filters.ZeroProbabilityError):
-        filters.social_update([0.05, 0.95], 1, ctx)  # cascade on action 2
+    # cascade on action 2: action 1 has probability zero, a branch the solver
+    # sends to grid point 0
+    _, sigma = social_context_a.step([0.05, 0.95], 1)
+    assert sigma == 0.0
 
 
 def _interior(ctx, eta, side):
@@ -192,17 +189,17 @@ def test_social_fixed_point_cycle(social_context_a, social_context_b):
         vec = lambda x: np.array([1 - x, x])
         e1v = _interior(ctx, ctx.eta1, "down")
         e3v = _interior(ctx, ctx.eta3, "up")
-        t11 = filters.social_update(vec(e1v), 1, ctx).next_belief[1]
-        t32 = filters.social_update(vec(e3v), 2, ctx).next_belief[1]
-        t22 = filters.social_update(vec(ctx.eta2), 2, ctx).next_belief[1]
-        t21 = filters.social_update(vec(ctx.eta2), 1, ctx).next_belief[1]
+        t11 = ctx.update(vec(e1v), 1)[1]
+        t32 = ctx.update(vec(e3v), 2)[1]
+        t22 = ctx.update(vec(ctx.eta2), 2)[1]
+        t21 = ctx.update(vec(ctx.eta2), 1)[1]
         assert t11 == pytest.approx(ctx.eta2, abs=1e-10)
         assert t32 == pytest.approx(ctx.eta2, abs=1e-10)
         assert t22 == pytest.approx(ctx.eta1, abs=1e-10)
         assert t21 == pytest.approx(ctx.eta3, abs=1e-10)
         # composed cycle fixed points
-        cyc1 = filters.social_update(vec(t11), 2, ctx).next_belief[1]
-        cyc3 = filters.social_update(vec(t32), 1, ctx).next_belief[1]
+        cyc1 = ctx.update(vec(t11), 2)[1]
+        cyc3 = ctx.update(vec(t32), 1)[1]
         assert cyc1 == pytest.approx(ctx.eta1, abs=1e-10)
         assert cyc3 == pytest.approx(ctx.eta3, abs=1e-10)
 
@@ -213,15 +210,15 @@ def test_social_interval_transport(social_context_a):
     for _ in range(200):
         pi2 = rng.uniform(ctx.eta2 * 1.001, ctx.eta1 * 0.999)  # interval 2
         pi = np.array([1 - pi2, pi2])
-        up = filters.social_update(pi, 2, ctx).next_belief[1]
-        down = filters.social_update(pi, 1, ctx).next_belief[1]
+        up = ctx.update(pi, 2)[1]
+        down = ctx.update(pi, 1)[1]
         assert up > ctx.eta1  # interval 1
         assert ctx.eta3 < down <= ctx.eta2  # interval 3
     for _ in range(200):
         pi2 = rng.uniform(ctx.eta3 * 1.001, ctx.eta2 * 0.999)  # interval 3
         pi = np.array([1 - pi2, pi2])
-        up = filters.social_update(pi, 2, ctx).next_belief[1]
-        down = filters.social_update(pi, 1, ctx).next_belief[1]
+        up = ctx.update(pi, 2)[1]
+        down = ctx.update(pi, 1)[1]
         assert ctx.eta2 < up <= ctx.eta1  # interval 2
         assert down <= ctx.eta3  # interval 4
 
@@ -265,8 +262,8 @@ def test_filters_and_solver_share_the_bayes_step_and_the_social_rule():
     for name in ("fig4a", "fig4c"):
         cfg = cli.load_config(name)
         m, spec = cli.parse_model(cfg["model"]), cli.parse_cost(cfg["cost"])
-        b, costs = m.obs.matrix, spec.local_costs
-        ctx = filters.SocialContext(costs, m.obs)
+        costs = spec.local_costs
+        ctx = SocialCase(spec, m)
         grid = dp.build_grid(2, cfg["grid"]["m"])
         near = np.concatenate([_ulps_around(e) for e in (ctx.eta1, ctx.eta2, ctx.eta3)])
         pts = np.vstack([grid.points, np.stack([1.0 - near, near], axis=1)])
@@ -279,23 +276,12 @@ def test_filters_and_solver_share_the_bayes_step_and_the_social_rule():
         filtered, filtered_idx = np.zeros_like(w), idx.copy()
         for n, pi in enumerate(pts):
             for a in range(costs.shape[1]):
-                try:
-                    out = filters.social_update(pi, a + 1, ctx)
-                except filters.ZeroProbabilityError:
-                    continue
-                filtered[n, a] = out.norm
-                filtered_idx[n, a] = grid.nearest(out.next_belief)[0]
+                nxt, sigma = ctx.step(pi, a + 1)
+                if sigma > 0.0:
+                    filtered[n, a] = sigma
+                    filtered_idx[n, a] = grid.nearest(nxt)[0]
         mismatched = ((filtered != w) | (filtered_idx != idx)).any(axis=1)
         assert mismatched.sum() == 0, (name, pts[mismatched][:3])
-        # the one-belief helpers are rows of the batched rule
-        liks = filters.social_likelihoods(costs, b, pts)
-        for n, pi in enumerate(pts):
-            for a in range(costs.shape[1]):
-                assert np.array_equal(filters.social_action_likelihood(pi, a + 1, ctx), liks[a, n])
-                nxt, sigma = filters.bayes_step(pi, liks[a, n])
-                if sigma > 0.0:
-                    out = filters.social_update(pi, a + 1, ctx)
-                    assert np.array_equal(out.next_belief, nxt) and out.norm == sigma
 
     # one belief gets the scores of its row in a stack, at any state count
     rng = np.random.default_rng(5)

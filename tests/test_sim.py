@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,7 +90,7 @@ def test_batch_matches_trajectory_distribution(geometric_model):
     )
     rng = np.random.default_rng(7)
     taus = np.array(
-        [sim.sample_trajectory(geometric_model, policy, 500, rng).tau for _ in range(4000)]
+        [sim.sample_trajectory(geometric_model, policy, rng, 500).tau for _ in range(4000)]
     )
     assert abs(batch.tau.mean() - taus.mean()) < 0.3
     assert abs(np.median(batch.tau) - np.median(taus)) <= 1
@@ -102,6 +104,17 @@ def test_batch_rejects_other_families(identity_model_2):
         sim.simulate_batch(
             identity_model_2, spec, None, np.array([[0.5, 0.5]]), np.random.default_rng(0)
         )
+
+
+def test_zero_discount_runs_one_step_without_a_log_of_zero(geometric_model):
+    # at rho = 0 every step after the first is discounted to 0, so the default
+    # truncation is one step, reached without taking log(0)
+    spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=0.0)
+    priors = np.tile(geometric_model.initial, (50, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = sim.simulate_batch(geometric_model, spec, never_stop, priors, np.random.default_rng(0))
+    assert (batch.tau == 1).all() and batch.censored.all()
 
 
 def test_decompose_from_times_edge_cases(geometric_model):
