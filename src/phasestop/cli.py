@@ -27,6 +27,7 @@ from .model import (
     DetectionModel,
     DiscreteObs,
     GaussianObs,
+    ParameterError,
     discretize_gaussian,
     ph_pmf,
     validate_model,
@@ -129,47 +130,20 @@ def parse_model(cfg: dict, where: str = "config.model", bins=DEFAULT_BINS) -> De
 # each family's config fields are its dataclass fields
 _FAMILIES = {cls.family: (cls, [f.name for f in dataclasses.fields(cls)]) for cls in FAMILIES}
 
-# array fields and their dimension (their sizes are checked against the
-# models in _spec); every other field but the include_welfare flag is a number
-_ARRAY_FIELDS = {
-    "false_alarm": 1, "delays": 1, "c1": 1, "c2": 1, "g": 1,
-    "local_costs": 2, "confusion": 2, "obs_hi": 2,
-}
-
 
 def parse_cost(cfg: dict, where: str = "config.cost") -> object:
-    """Parse a cost spec.  An array field set to ``null`` takes the family's default."""
+    """Parse a cost spec; the family converts and checks its own fields."""
     family = _need(cfg, "family", where)
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(f"{where}.family: unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
     cls, fields = _FAMILIES[family]
-    kwargs = {}
-    for key in fields:
-        if key not in cfg:
-            continue
-        value = cfg[key]
-        if key in _ARRAY_FIELDS:
-            if value is None:
-                continue
-            value = _matrix(value, f"{where}.{key}")
-            if value.ndim != _ARRAY_FIELDS[key]:
-                noun = "a vector" if _ARRAY_FIELDS[key] == 1 else "a matrix"
-                raise ConfigError(f"{where}.{key}: expected {noun}, got {cfg[key]!r}")
-            if key == "obs_hi":
-                try:
-                    value = DiscreteObs(value)
-                except ValueError as exc:
-                    raise ConfigError(f"{where}.obs_hi: {exc}") from None
-        elif key != "include_welfare":
-            value = _number(cfg, key, None, float, where)
-        elif not isinstance(value, bool):
-            raise ConfigError(f"{where}.include_welfare: expected true or false, got {value!r}")
-        kwargs[key] = value
     unknown = set(cfg) - set(fields) - {"family"}
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)} for family {family!r}")
     try:
-        return cls(**kwargs)
+        return cls(**{k: cfg[k] for k in fields if k in cfg})
+    except ParameterError as exc:  # its message starts with the field's name
+        raise ConfigError(f"{where}.{exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -391,6 +365,11 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
             model, spec, init, 0, params, priors, rng, max_steps=max_steps
         )
         score = float("nan")
+    elif "init_phi" in cfg:
+        raise ConfigError(
+            f"config.init_phi: only iterations 0 reads it (restarts draw their own starts), "
+            f"but iterations is {iterations}"
+        )
     else:
         result, score = policy_mod.optimize_with_restarts(
             model,
@@ -581,7 +560,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:  # a solve whose cost overflows
+    except FloatingPointError as exc:  # a cost that overflows in a solve or a simulation
         print(f"error: config.cost: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,10 @@ Each cost family is one :class:`CostSpec` dataclass that holds its
 parameters together with its stage costs, value offset, belief updates and
 structural assumption checks, and the shapes its array fields must have on
 a given model (``array_shapes``); the solver, simulator, checkers and CLI
-call these methods and never test a spec's type.
+call these methods and never test a spec's type.  Each field's annotation
+names its parameter's kind (``Rate``, ``Vector``, ...), and building a
+family converts and checks every field by its kind, so a config and a
+Python caller pass the same checks and the CLI names no family field.
 """
 
 from __future__ import annotations
@@ -226,23 +229,62 @@ def ph_pmf(model: DetectionModel, k_max: int, tag: str = "relaxed") -> PhDistrib
 # ---------------------------------------------------------------------------
 # Cost families
 
-def _check_prob(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+class ParameterError(ValueError):
+    """A cost parameter of the wrong kind; the message starts with the field's name."""
 
 
-def _check_nonneg(name: str, value) -> None:
-    if not (np.all(np.asarray(value, dtype=float) >= 0) and np.isfinite(value).all()):
-        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+# A cost parameter's kind is its field's annotation: one of these aliases,
+# ``bool`` or ``DiscreteObs``, with ``| None`` where the default is None.
+Rate = Discount = float
+Vector = Signed = Matrix = np.ndarray
+
+# each kind's rank, the rule its entries keep and what breaking it reads; a
+# flag has no rank, and a DiscreteObs is a matrix that DiscreteObs checks
+_KINDS = {
+    "bool": (None, None, None),
+    "Rate": (0, lambda x: np.isfinite(x).all() and (x >= 0).all(), "must be finite and non-negative"),
+    "Discount": (0, lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]"),
+    "Vector": (1, lambda x: np.isfinite(x).all() and (x >= 0).all(), "must be finite and non-negative"),
+    "Signed": (1, lambda x: np.isfinite(x).all(), "must be finite"),
+    "Matrix": (2, lambda x: np.isfinite(x).all(), "must be finite"),
+    "DiscreteObs": (2, None, None),
+}
+_NOUNS = ("a number", "a vector", "a matrix")
 
 
-def _check_finite(name: str, value: np.ndarray) -> None:
-    if not np.isfinite(value).all():
-        raise ValueError(f"{name} must be finite, got {value.tolist()}")
+def _convert(name: str, kind: str, value):
+    """``value`` as a cost parameter of ``kind``, checked: a
+    :class:`ParameterError` when it is not of the kind, and a ``ValueError``
+    when it breaks the kind's rule."""
+    rank, rule, broken = _KINDS[kind]
+    if rank is None:
+        if not isinstance(value, bool):
+            raise ParameterError(f"{name}: expected true or false, got {value!r}")
+        return value
+    if isinstance(value, DiscreteObs) and kind == "DiscreteObs":
+        return value
+    try:  # true, false and null are not numbers
+        x = None if isinstance(value, bool) or value is None else np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None or x.ndim != rank:
+        raise ParameterError(f"{name}: expected {_NOUNS[rank]}, got {value!r}")
+    if rule is None:
+        try:
+            return DiscreteObs(x)
+        except ValueError as exc:
+            raise ParameterError(f"{name}: {exc}") from None
+    if not rule(x):
+        raise ValueError(f"{name} {broken}, got {x.tolist()}")
+    return float(x) if rank == 0 else x
 
 
 class CostSpec:
     """A cost family: its parameters (the dataclass fields) and its behaviour.
+
+    Each field's annotation names its kind (a key of ``_KINDS``), and
+    construction converts and checks every field by it, so a family's own
+    ``__post_init__`` holds only the rules beyond its fields' kinds.
 
     On a stack of belief rows ``pts``, ``stage_costs(model, pts, original)``
     gives the (stop, continue) costs (the mode-1 and mode-2 costs for
@@ -264,6 +306,13 @@ class CostSpec:
     """
 
     n_states = None
+
+    def __post_init__(self):
+        """Convert and check each field by its kind; one whose default is None keeps None."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value is None and f.default is None):
+                object.__setattr__(self, f.name, _convert(f.name, f.type.split(" | ")[0], value))
 
     def updates(self, model: DetectionModel, pts: np.ndarray) -> list:
         return [None, (pts @ model.transition, model.discrete_obs().matrix.T)]
@@ -338,20 +387,13 @@ class QuickestPredictiveDelay(_DetectionCost):
     per-measurement operational cost.
     """
 
-    alpha: float
-    beta: float
-    d: float
-    rho: float = 1.0
-    op_cost: float = 0.0
+    alpha: Rate
+    beta: Rate
+    d: Rate
+    rho: Discount = 1.0
+    op_cost: Rate = 0.0
 
     family = "quickest_predictive"
-
-    def __post_init__(self):
-        _check_nonneg("alpha", self.alpha)
-        _check_nonneg("beta", self.beta)
-        _check_nonneg("d", self.d)
-        _check_nonneg("op_cost", self.op_cost)
-        _check_prob("rho", self.rho)
 
     def _continue_terms(self, model, pts):
         q1 = pts @ model.transition[:, 0]
@@ -380,23 +422,17 @@ class QuickestClassicalDelay(_DetectionCost):
     entry must be zero (no penalty for stopping after the change).
     """
 
-    alpha: float
-    beta: float
-    d: float
-    rho: float
-    false_alarm: np.ndarray
+    alpha: Rate
+    beta: Rate
+    d: Rate
+    rho: Discount
+    false_alarm: Vector
 
     family = "quickest_classical"
 
     def __post_init__(self):
-        f = np.asarray(self.false_alarm, dtype=float)
-        object.__setattr__(self, "false_alarm", f)
-        _check_nonneg("alpha", self.alpha)
-        _check_nonneg("beta", self.beta)
-        _check_nonneg("d", self.d)
-        _check_prob("rho", self.rho)
-        _check_nonneg("false_alarm", f)
-        if f[0] != 0.0:
+        super().__post_init__()
+        if not (self.false_alarm.size and self.false_alarm[0] == 0.0):
             raise ValueError("false-alarm vector must have first entry 0")
 
     def _continue_terms(self, model, pts):
@@ -444,27 +480,21 @@ class TransientDetection(_DetectionCost):
     the only false alarm the variance penalty (``alpha > 0``) allows.
     """
 
-    alpha: float
-    beta: float
-    delays: np.ndarray
-    rho: float
-    false_alarm: np.ndarray | None = None
+    alpha: Rate
+    beta: Rate
+    delays: Vector
+    rho: Discount
+    false_alarm: Vector | None = None
 
     family = "transient"
 
     def __post_init__(self):
-        d = np.asarray(self.delays, dtype=float)
-        object.__setattr__(self, "delays", d)
-        _check_nonneg("alpha", self.alpha)
-        _check_nonneg("beta", self.beta)
-        _check_nonneg("delays", d)
-        _check_prob("rho", self.rho)
+        super().__post_init__()
         if self.false_alarm is not None:
-            f = np.asarray(self.false_alarm, dtype=float)
-            object.__setattr__(self, "false_alarm", f)
-            _check_nonneg("false_alarm", f)
-            if f[0] != 0.0:
+            if not (self.false_alarm.size and self.false_alarm[0] == 0.0):
                 raise ValueError("false-alarm vector must have first entry 0")
+            if self.alpha > 0:
+                raise ValueError("variance penalty requires the default start-state false alarm")
             if self.alpha > 0:
                 raise ValueError("variance penalty requires the default start-state false alarm")
 
@@ -504,17 +534,12 @@ class RiskSensitive(CostSpec):
     the zero-horizon value is the forced-stop factor, which is the offset.
     """
 
-    risk: float
-    beta: float
-    d: float
+    risk: Rate
+    beta: Rate
+    d: Rate
 
     family = "risk_sensitive"
     rho = 1.0
-
-    def __post_init__(self):
-        _check_nonneg("risk", self.risk)
-        _check_nonneg("beta", self.beta)
-        _check_nonneg("d", self.d)
 
     def scalings(self, transition: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stopping-cost vector and belief-recursion scaling vector.
@@ -566,26 +591,20 @@ class SocialStopping(CostSpec):
     next agent broadcasts under the myopic social rule; the state is static.
     """
 
-    d: float
-    beta: float
-    rho: float
-    local_costs: np.ndarray
+    d: Rate
+    beta: Rate
+    rho: Discount
+    local_costs: Matrix
     include_welfare: bool = False
 
     family = "social_stopping"
     n_states = 2
 
     def __post_init__(self):
-        c = np.asarray(self.local_costs, dtype=float)
-        object.__setattr__(self, "local_costs", c)
-        _check_nonneg("d", self.d)
-        _check_nonneg("beta", self.beta)
-        _check_prob("rho", self.rho)
-        _check_finite("local_costs", c)
-        if c.ndim != 2:
-            raise ValueError("local cost matrix must be 2-D (states x actions)")
-        if c.shape[1] < 2:
-            raise ValueError(f"local_costs needs at least 2 local actions (columns), got {c.shape[1]}")
+        super().__post_init__()
+        columns = self.local_costs.shape[1]
+        if columns < 2:
+            raise ValueError(f"local_costs needs at least 2 local actions (columns), got {columns}")
 
     def array_shapes(self, model):
         shape = self.local_costs.shape
@@ -631,25 +650,18 @@ class SocialStopping(CostSpec):
 class ConstrainedSocial(CostSpec):
     """Constrained-social stopping: continue reveals the observation, stop herds."""
 
-    local_costs: np.ndarray
-    d: float
-    beta: float
-    rho: float
+    local_costs: Matrix
+    d: Rate
+    beta: Rate
+    rho: Discount
 
     family = "constrained_social"
     offset = SocialStopping.offset
 
     def __post_init__(self):
-        c = np.asarray(self.local_costs, dtype=float)
-        object.__setattr__(self, "local_costs", c)
-        _check_nonneg("d", self.d)
-        _check_nonneg("beta", self.beta)
-        _check_prob("rho", self.rho)
-        _check_finite("local_costs", c)
+        super().__post_init__()
         if self.rho >= 1.0:
             raise ValueError("constrained-social family requires rho < 1")
-        if c.ndim != 2:
-            raise ValueError("local cost matrix must be 2-D (states x actions)")
 
     def array_shapes(self, model):
         yield "local_costs", self.local_costs.shape, model.discrete_obs().matrix.shape, "states x symbols"
@@ -699,35 +711,22 @@ class Scheduling(CostSpec):
     stop action: both modes continue, and the offset is zero.
     """
 
-    alpha1: float
-    alpha2: float
-    c1: np.ndarray
-    c2: np.ndarray
-    g: np.ndarray
-    rho: float
+    alpha1: Rate
+    alpha2: Rate
+    c1: Vector
+    c2: Vector
+    g: Signed
+    rho: Discount
     obs_hi: DiscreteObs
-    confusion: np.ndarray | None = None
+    confusion: Matrix | None = None
 
     family = "scheduling"
 
     def __post_init__(self):
-        c1 = np.asarray(self.c1, dtype=float)
-        c2 = np.asarray(self.c2, dtype=float)
-        g = np.asarray(self.g, dtype=float)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "g", g)
-        _check_nonneg("alpha1", self.alpha1)
-        _check_nonneg("alpha2", self.alpha2)
-        _check_nonneg("c1", c1)
-        _check_nonneg("c2", c2)
-        _check_finite("g", g)
-        _check_prob("rho", self.rho)
-        if self.confusion is not None:
-            q = np.asarray(self.confusion, dtype=float)
-            object.__setattr__(self, "confusion", q)
-            if np.any(q < -SUM_TOL) or np.any(np.abs(q.sum(axis=1) - 1.0) > 1e-9):
-                raise ValueError("confusion matrix must be row-stochastic")
+        super().__post_init__()
+        q = self.confusion
+        if q is not None and (np.any(q < -SUM_TOL) or np.any(np.abs(q.sum(axis=1) - 1.0) > 1e-9)):
+            raise ValueError("confusion matrix must be row-stochastic")
 
     def array_shapes(self, model):
         yield from super().array_shapes(model)

@@ -234,6 +234,7 @@ def _stage_cost_bound(spec: CostSpec, model: DetectionModel) -> float:
     return bound + spec.alpha + 1e-12
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_batch(
     model: DetectionModel,
     spec: CostSpec,
@@ -251,7 +252,9 @@ def simulate_batch(
     The step loop works on the still-active rows only, in ascending row
     order.  Raises :class:`~phasestop.filters.ZeroProbabilityError` when a
     row's filter normalisation is zero or not finite (a NaN prior, or a
-    belief that underflowed away from the true state).
+    belief that underflowed away from the true state), and
+    ``FloatingPointError``, not a warning, when the stage-cost bound or a
+    returned cost is not finite (cost parameters that overflow).
 
     ``policy`` may also be a list of T policies, giving (T, n) arrays.  The
     policies share one sample path per row (chain, symbols, beliefs), as only
@@ -283,6 +286,8 @@ def simulate_batch(
             max_steps = 1
         else:
             bound = _stage_cost_bound(spec, model)
+            if not np.isfinite(bound):
+                raise FloatingPointError("the stage-cost bound is not finite: the cost parameters overflow")
             max_steps = int(np.ceil(np.log(TRUNCATION_TOL / max(bound, 1e-12)) / np.log(rho)))
             max_steps = max(1, min(max_steps, DETECTION_MAX_STEPS))
     table_p, table_b = _DrawTable(_cdf(p)), _DrawTable(_cdf(b))
@@ -338,6 +343,8 @@ def simulate_batch(
         disc *= rho
     t, j = np.nonzero(alive)
     costs[t, rows[j]], tau0[t, rows[j]], censored[t, rows[j]] = acc[j], t0[j], True
+    if not np.isfinite(costs).all():
+        raise FloatingPointError("a simulated cost is not finite: the cost parameters overflow")
     if not stacked:
         return BatchResult(costs=costs[0], tau=tau[0], tau0=tau0[0], censored=censored[0])
     return BatchResult(costs=costs, tau=tau, tau0=tau0, censored=censored)

@@ -657,6 +657,12 @@ def _case_id(value):
         # a sweep entry's model is named by its full path, as the top-level model is
         ("sweep", {"models": [{"label": "a", "model": NAN_TRANSITION}]},
          "config.models[0].model: transition matrix and initial belief entries must be finite"),
+        # NaN passes the row-stochastic test's comparisons
+        ("orders", {"cost": {**SCHEDULING_COST, "confusion": [[0.8, 0.2], [NAN, 0.8]]}},
+         "config.cost: confusion must be finite, got [[0.8, 0.2], [nan, 0.8]]"),
+        # only a run of 0 iterations starts from init_phi: restarts draw their own starts
+        ("spsa", {"init_phi": "abc"}, "config.init_phi: only iterations 0 reads it"),
+        ("spsa", {"init_phi": [0.4]}, "config.init_phi: only iterations 0 reads it"),
     ],
     ids=_case_id,
 )
@@ -797,6 +803,21 @@ def test_a_cost_that_overflows_exits_2_before_writing(tmp_path, capsys, command)
         warnings.simplefilter("error")  # an overflow is an exit 2, not a warning
         assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
     assert "error: config.cost: a stage cost or the offset is not finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("huge_*"))
+
+
+@pytest.mark.parametrize("rho", [0.9, 1.0])
+@pytest.mark.parametrize("command", ["spsa", "simulate"])
+def test_a_cost_that_overflows_in_simulation_exits_2_before_writing(tmp_path, capsys, command, rho):
+    # at rho = 0.9 spsa sizes its truncation from the stage-cost bound, which overflows
+    cost = {"family": "quickest_predictive", "alpha": 1e308, "beta": 1e308, "d": 1e308, "rho": rho}
+    cfg = {**NUMERIC_CONFIGS[command], "cost": cost}
+    cfg.pop("max_steps", None)
+    ref = write_config(tmp_path, "huge", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow is an exit 2, not a warning
+        assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
+    assert "error: config.cost: " in capsys.readouterr().err
     assert not list(tmp_path.glob("huge_*"))
 
 

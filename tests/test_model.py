@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,72 @@ def test_cost_spec_validation():
             obs_hi=model.DiscreteObs([[0.9, 0.1], [0.1, 0.9]]),
             confusion=[[0.8, 0.1], [0.2, 0.8]],
         )
+
+
+# one valid parameter set per family, every field given
+VALID_COSTS = {
+    model.QuickestPredictiveDelay: dict(alpha=0.5, beta=1, d=1, rho=0.9, op_cost=0.1),
+    model.QuickestClassicalDelay: dict(alpha=0, beta=1, d=1, rho=0.9, false_alarm=[0, 1]),
+    model.TransientDetection: dict(alpha=0, beta=1, delays=[0, 1], rho=0.9, false_alarm=[0, 1]),
+    model.RiskSensitive: dict(risk=0.1, beta=1, d=1),
+    model.SocialStopping: dict(d=1.8, beta=2, rho=0.9, local_costs=[[4.57, 5.57], [2.57, 0]], include_welfare=True),
+    model.ConstrainedSocial: dict(local_costs=[[2, 1], [1.9, 0.9]], d=1, beta=2, rho=0.5),
+    model.Scheduling: dict(
+        alpha1=2.5, alpha2=0.5, c1=[0.1, 0.15], c2=[0.5, 0.65], g=[0, 1], rho=0.8,
+        obs_hi=[[0.9, 0.1], [0.1, 0.9]], confusion=[[0.8, 0.2], [0.2, 0.8]],
+    ),
+}
+NAN = float("nan")
+# values of the wrong kind, by the kind they are given for
+WRONG_KIND = {
+    "Rate": [True, [1.0], "abc", None],
+    "Discount": [False, [0.5], None],
+    "Vector": [0.5, [[0.0, 1.0]], "abc"],
+    "Signed": [0.5, [[0.0, 1.0]], [0.0, NAN]],
+    "Matrix": [[0.5, 0.5], 1.0, [[0.5, NAN], [0.5, 0.5]]],
+    "DiscreteObs": [[0.5, 0.5], [[0.5, NAN], [0.5, 0.5]]],
+    "bool": [1, "yes", None],
+}
+
+
+def _kind(f):
+    return f.type.split(" | ")[0]
+
+
+def test_every_cost_field_declares_a_kind_the_converter_knows():
+    assert set(VALID_COSTS) == set(model.FAMILIES)
+    for cls in model.FAMILIES:
+        assert set(VALID_COSTS[cls]) == {f.name for f in dataclasses.fields(cls)}
+        for f in dataclasses.fields(cls):
+            assert _kind(f) in model._KINDS and _kind(f) in WRONG_KIND, (cls.family, f.name, f.type)
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [
+        (cls, f.name, value)
+        for cls in model.FAMILIES
+        for f in dataclasses.fields(cls)
+        for value in WRONG_KIND[_kind(f)]
+    ],
+    ids=lambda v: v.family if isinstance(v, type) else None,
+)
+def test_a_cost_field_of_the_wrong_kind_is_a_value_error_naming_it(cls, name, value):
+    # Python callers get the checks a config gets: no IndexError on a scalar
+    # false-alarm vector, no AxisError on a vector confusion matrix, and no
+    # spec holding a matrix where a vector belongs
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        cls(**{**VALID_COSTS[cls], name: value})
+
+
+def test_cost_fields_are_converted_to_their_kind():
+    spec = model.Scheduling(**VALID_COSTS[model.Scheduling])
+    assert isinstance(spec.obs_hi, model.DiscreteObs) and spec.obs_hi.matrix.dtype == float
+    assert type(spec.alpha1) is float and spec.c1.dtype == float and spec.confusion.shape == (2, 2)
+    # a field whose default is None keeps None; a required one does not take it
+    assert model.TransientDetection(**{**VALID_COSTS[model.TransientDetection], "false_alarm": None}).false_alarm is None
+    with pytest.raises(model.ParameterError, match="^false_alarm: expected a vector, got None$"):
+        model.QuickestClassicalDelay(**{**VALID_COSTS[model.QuickestClassicalDelay], "false_alarm": None})
 
 
 def test_risk_scalings():
