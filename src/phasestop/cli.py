@@ -217,7 +217,8 @@ def _spec(cfg: dict, models: list, batch_command: str | None = None):
     (``spec.n_states`` and ``spec.array_shapes``).
 
     ``batch_command`` names a command that runs the batch simulator, which
-    supports the families in ``sim.BATCH_FAMILIES`` only.
+    supports the families in ``sim.BATCH_FAMILIES`` only, on models of at
+    most ``sim.MAX_TABLE_ROWS`` states.
     """
     spec = parse_cost(_need(cfg, "cost", "config"))
     if batch_command is not None and spec.family not in sim.BATCH_FAMILIES:
@@ -226,6 +227,11 @@ def _spec(cfg: dict, models: list, batch_command: str | None = None):
             f"not {spec.family!r}"
         )
     for model in models:
+        if batch_command is not None and model.n_states > sim.MAX_TABLE_ROWS:
+            raise ConfigError(
+                f"config.model: {batch_command} simulates at most {sim.MAX_TABLE_ROWS} states, "
+                f"but the model has {model.n_states}"
+            )
         if spec.n_states not in (None, model.n_states):
             raise ConfigError(
                 f"config.cost.family: {spec.family!r} is a {spec.n_states}-state family, "
@@ -257,8 +263,8 @@ def cmd_solve(cfg: dict, out_dir: Path, name: str) -> int:
         "sweeps": sol.sweeps,
         "sup_delta": sol.sup_delta,
         "stop_points": int(len(regions.stop_indices)),
-        "stop_components": len(regions.stop_components),
-        "continue_components": len(regions.continue_components),
+        "stop_components": regions.n_stop_components,
+        "continue_components": regions.n_continue_components,
         "convexity_violations": len(violations),
         "max_line_crossings": crossings,
         "assumptions": assumptions,
@@ -424,10 +430,17 @@ def _policy_from_config(cfg: dict, model: DetectionModel):
     path = Path(src["solution"])
     if not path.is_file():
         raise ConfigError(f"config.policy.solution: no such file {path}")
-    with path.open() as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with path.open(encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"config.policy.solution: cannot read {path} ({exc})") from None
     if not rows:
         raise ConfigError("config.policy.solution: empty solution file")
+    # DictReader puts extra fields under the key None and fills missing ones with None
+    ragged = [k for k, r in enumerate(rows, 1) if None in r or None in r.values()]
+    if ragged:
+        raise ConfigError(f"config.policy.solution: data row {ragged[0]} has extra or missing fields")
     coord_keys = sorted(
         (k for k in rows[0] if k.startswith("c") and k[1:].isdigit()),
         key=lambda k: int(k[1:]),

@@ -53,7 +53,7 @@ class SimplexGrid:
     m: int
     coords: np.ndarray  # (N, X) integer barycentric coordinates
     points: np.ndarray  # (N, X) belief vectors
-    neighbors: tuple  # per-point arrays of indices at barycentric L1 distance 2
+    edges: np.ndarray  # (2, E) index pairs at barycentric L1 distance 2, both directions
     rank: np.ndarray = field(repr=False)  # (m+1,)*(X-1) composition -> index
 
     @property
@@ -189,11 +189,8 @@ def build_grid(n_states: int, m: int) -> SimplexGrid:
             moved[:, b] += 1
             src.append(i)
             dst.append(rank[tuple(moved[:, :-1].T)])
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    dst = dst[np.lexsort((dst, src))]
-    ends = np.cumsum(np.bincount(src, minlength=len(coords))).tolist()
-    neighbors = tuple(dst[a:b] for a, b in zip([0, *ends[:-1]], ends))
-    return SimplexGrid(m=m, coords=coords, points=points, neighbors=neighbors, rank=rank)
+    edges = np.stack([np.concatenate(src), np.concatenate(dst)])
+    return SimplexGrid(m=m, coords=coords, points=points, edges=edges, rank=rank)
 
 
 # ---------------------------------------------------------------------------
@@ -378,32 +375,26 @@ def value_iterate(
 
 @dataclass
 class RegionReport:
+    """Stop/continue sets; ``component_ids`` numbers each point's component,
+    stop components first, each in order of its smallest index."""
+
     stop_indices: np.ndarray
     continue_indices: np.ndarray
-    stop_components: list
-    continue_components: list
-
-    @property
-    def component_ids(self) -> np.ndarray:
-        comps = self.stop_components + self.continue_components
-        sizes = [len(c) for c in comps]
-        members = np.fromiter(chain.from_iterable(comps), dtype=int, count=sum(sizes))
-        ids = np.full(members.max(initial=-1) + 1, -1, dtype=int)
-        ids[members] = np.repeat(np.arange(len(comps)), sizes)
-        return ids
+    component_ids: np.ndarray
+    n_stop_components: int
+    n_continue_components: int
 
 
 def _component_labels(policy: np.ndarray, grid: SimplexGrid) -> np.ndarray:
     """Each grid point's label: the smallest index of its component, the
     grid-connected points that share its action.
 
-    Min-label propagation over the neighbour pairs of equal action, with a
+    Min-label propagation over the grid edges of equal action, with a
     shortcut ``label[label]`` after each pass.  A label is always a point of
     the same component and never grows, so at the fixed point every
     component holds one label, its smallest index.
     """
-    src = np.repeat(np.arange(grid.n_points), [len(nb) for nb in grid.neighbors])
-    dst = np.concatenate(grid.neighbors)
+    src, dst = grid.edges
     same = policy[src] == policy[dst]
     src, dst = src[same], dst[same]
     label = np.arange(grid.n_points)
@@ -416,25 +407,19 @@ def _component_labels(policy: np.ndarray, grid: SimplexGrid) -> np.ndarray:
         label = nxt
 
 
-def _components(indices: np.ndarray, label: np.ndarray) -> list[list[int]]:
-    """``indices`` (ascending) grouped by ``label``, ordered by label."""
-    members = indices[np.argsort(label[indices], kind="stable")]
-    lab = label[members]
-    starts = np.flatnonzero(lab[1:] != lab[:-1]) + 1
-    return [c.tolist() for c in np.split(members, starts)] if members.size else []
-
-
 def extract_regions(sol: GridSolution, grid: SimplexGrid) -> RegionReport:
-    """Stop/continue sets and their grid-connected components, each sorted
-    and listed by its smallest index."""
-    stop = np.nonzero(sol.policy == STOP)[0]
-    cont = np.nonzero(sol.policy == CONTINUE)[0]
+    """Stop/continue sets and the component id of every grid point."""
+    stop = sol.policy == STOP
     label = _component_labels(sol.policy, grid)
+    # stop labels sort below continue labels, each in order of smallest index
+    keys, ids = np.unique(np.where(stop, label, label + grid.n_points), return_inverse=True)
+    n_stop = int(np.count_nonzero(keys < grid.n_points))
     return RegionReport(
-        stop_indices=stop,
-        continue_indices=cont,
-        stop_components=_components(stop, label),
-        continue_components=_components(cont, label),
+        stop_indices=np.flatnonzero(stop),
+        continue_indices=np.flatnonzero(sol.policy == CONTINUE),
+        component_ids=ids,
+        n_stop_components=n_stop,
+        n_continue_components=keys.size - n_stop,
     )
 
 
@@ -459,7 +444,7 @@ def _half_roundings(x: int) -> np.ndarray:
 CONVEXITY_CHUNK = 1 << 16  # pairs per block; bounds the check's memory
 
 
-def convexity_check(region, grid: SimplexGrid) -> list[tuple[int, int]]:
+def convexity_check(region, grid: SimplexGrid) -> np.ndarray:
     """Pairs of region points whose midpoint projects outside the region.
 
     The midpoint of lattice points ``a`` and ``b`` is ``s / 2`` with
@@ -467,12 +452,11 @@ def convexity_check(region, grid: SimplexGrid) -> list[tuple[int, int]]:
     half of the q odd coordinates of ``s`` rounded up: the C(q, q/2) choices
     tie at squared distance q/4 and every other grid point is farther.  A
     pair counts as violating when none of these points is in the region.
-    Pairs ``(i, j)``, ``i < j``, are listed in lexicographic order.
+    Returns the pairs ``(i, j)``, ``i < j``, as the rows of a (K, 2) index
+    array in lexicographic order.
     """
-    region = np.asarray(sorted(int(i) for i in region), dtype=int)
+    region = np.sort(np.asarray(region, dtype=int))
     r = region.size
-    if r < 2:
-        return []
     coords = grid.coords[region]
     flat = grid._flat(coords)
     parity = (coords & 1) @ (1 << np.arange(grid.n_states))
@@ -490,7 +474,7 @@ def convexity_check(region, grid: SimplexGrid) -> list[tuple[int, int]]:
     for up in np.moveaxis(grid._flat(ups), 1, 0):
         ok |= inside[half + up[:, None]]
     ok = ok.ravel()
-    bad_pairs: list[tuple[int, int]] = []
+    bad_pairs = [np.empty((0, 2), dtype=int)]
     lo = 0
     while lo < r - 1:  # rows lo..hi-1 against the columns after lo
         hi = min(r - 1, lo + max(1, CONVEXITY_CHUNK // (r - lo)))
@@ -499,9 +483,9 @@ def convexity_check(region, grid: SimplexGrid) -> list[tuple[int, int]]:
         key = code * (2 * size) + flat[lo:hi, None] + flat[None, cols]
         upper = np.arange(lo + 1, r)[None, :] > np.arange(lo, hi)[:, None]
         i, j = np.nonzero(upper & ~ok[key])
-        bad_pairs.extend(zip(region[lo + i].tolist(), region[lo + 1 + j].tolist()))
+        bad_pairs.append(np.stack([region[lo + i], region[lo + 1 + j]], axis=1))
         lo = hi
-    return bad_pairs
+    return np.concatenate(bad_pairs)
 
 
 def _chain_order(grid: SimplexGrid, vertex: int) -> tuple[np.ndarray, np.ndarray]:

@@ -495,8 +495,6 @@ class TransientDetection(_DetectionCost):
                 raise ValueError("false-alarm vector must have first entry 0")
             if self.alpha > 0:
                 raise ValueError("variance penalty requires the default start-state false alarm")
-            if self.alpha > 0:
-                raise ValueError("variance penalty requires the default start-state false alarm")
 
     def _continue_terms(self, model, pts):
         if self.false_alarm is None:

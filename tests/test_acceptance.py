@@ -92,11 +92,11 @@ def test_criterion_01_threshold_structure(fig3):
         viol = dp.convexity_check(reg.stop_indices, grid)
         cross3 = dp.line_crossing_check(sol, grid, 3)
         cross1 = dp.line_crossing_check(sol, grid, 1)
-        if len(reg.stop_components) != 1:
-            problems.append(f"{key}: stop set has {len(reg.stop_components)} components")
-        if len(reg.continue_components) != 1:
-            problems.append(f"{key}: continue set has {len(reg.continue_components)} components")
-        if viol:
+        if reg.n_stop_components != 1:
+            problems.append(f"{key}: stop set has {reg.n_stop_components} components")
+        if reg.n_continue_components != 1:
+            problems.append(f"{key}: continue set has {reg.n_continue_components} components")
+        if len(viol):
             problems.append(f"{key}: {len(viol)} convexity violations")
         if cross3 > 1 or cross1 > 1:
             problems.append(f"{key}: crossings {cross3}/{cross1}")
@@ -116,11 +116,11 @@ def test_criterion_02_disconnected_negative_case(fig3):
     spec, sol = sols["d"]
     rep = orders.check_assumptions(m, spec)
     reg = dp.extract_regions(sol, grid)
-    ok = (not rep["S-Ex1"].passed) and len(reg.stop_components) >= 2
+    ok = (not rep["S-Ex1"].passed) and reg.n_stop_components >= 2
     report(
         "02 negative case (fig3 d)",
         ok,
-        f"S-Ex1 slack={rep['S-Ex1'].slack:.3g}, stop components={len(reg.stop_components)}",
+        f"S-Ex1 slack={rep['S-Ex1'].slack:.3g}, stop components={reg.n_stop_components}",
     )
 
 
@@ -162,7 +162,7 @@ def test_criterion_04_double_threshold(social_instances):
     problems = []
     for key, (spec, sol, ctx) in cases.items():
         reg = dp.extract_regions(sol, grid)
-        intervals = len(reg.stop_components)
+        intervals = reg.n_stop_components
         if not 2 <= intervals <= 3:
             problems.append(f"{key}: {intervals} stop intervals")
         # cascade regions are exact fixed points
@@ -474,7 +474,7 @@ def test_criterion_12_risk_sensitive_consistency():
     reg3 = dp.extract_regions(sol3, grid3)
     viol = dp.convexity_check(reg3.stop_indices, grid3)
     nontrivial = 0 < len(reg3.stop_indices) < grid3.n_points
-    ok = gap < 1e-3 and not viol and nontrivial and len(reg3.stop_components) == 1
+    ok = gap < 1e-3 and len(viol) == 0 and nontrivial and reg3.n_stop_components == 1
     report(
         "12 risk-sensitive consistency",
         ok,

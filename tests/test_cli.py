@@ -226,6 +226,18 @@ def _negative_row(lines):
     lines[1] = "-1,11," + lines[1].split(",", 2)[2]
 
 
+def _extra_field_first_row(lines):
+    lines[1] += ",0"
+
+
+def _missing_field_later_row(lines):
+    lines[6] = lines[6].rsplit(",", 1)[0]  # no component column
+
+
+def _latin1_header(lines):
+    lines[0] = lines[0].replace("value", "val\xe9")  # one byte, not UTF-8
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -234,6 +246,9 @@ def _negative_row(lines):
         (_off_grid_row, "(2, 9) is not on the grid"),
         (_negative_row, "(-1, 11) is not on the grid"),
         (_bad_action_row, "policy entries must be 1 or 2, got [3]"),
+        (_extra_field_first_row, "data row 1 has extra or missing fields"),
+        (_missing_field_later_row, "data row 6 has extra or missing fields"),
+        (_latin1_header, "cannot read"),
     ],
 )
 def test_simulate_rejects_bad_solution_csv(tmp_path, capsys, edit, message):
@@ -243,7 +258,7 @@ def test_simulate_rejects_bad_solution_csv(tmp_path, capsys, edit, message):
     csv_path = tmp_path / "base_solution.csv"
     lines = csv_path.read_text().splitlines()
     edit(lines)
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
     sim_cfg = {
         "model": SMALL_MODEL,
         "cost": SMALL_COST,
@@ -657,6 +672,10 @@ def _case_id(value):
         # a sweep entry's model is named by its full path, as the top-level model is
         ("sweep", {"models": [{"label": "a", "model": NAN_TRANSITION}]},
          "config.models[0].model: transition matrix and initial belief entries must be finite"),
+        ("orders", {"cost": {**SCHEDULING_COST, "confusion": [[0.8, 0.1], [0.2, 0.8]]}},
+         "config.cost: confusion matrix must be row-stochastic"),
+        ("orders", {"cost": {**SCHEDULING_COST, "confusion": [[1.1, -0.1], [0.2, 0.8]]}},
+         "config.cost: confusion matrix must be row-stochastic"),
         # NaN passes the row-stochastic test's comparisons
         ("orders", {"cost": {**SCHEDULING_COST, "confusion": [[0.8, 0.2], [NAN, 0.8]]}},
          "config.cost: confusion must be finite, got [[0.8, 0.2], [nan, 0.8]]"),
@@ -671,6 +690,22 @@ def test_numeric_fields_exit_2_with_their_path(tmp_path, capsys, command, patch,
     assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("num_*"))
+
+
+@pytest.mark.parametrize("command", ["spsa", "simulate"])
+def test_batch_commands_reject_more_states_than_the_draw_tables_hold(tmp_path, capsys, command):
+    x = sim.MAX_TABLE_ROWS + 1
+    transition = np.eye(x, k=-1)
+    transition[0, 0] = 1.0
+    obs = np.full((x, 2), [0.2, 0.8])
+    obs[0] = [0.8, 0.2]
+    big = {"transition": transition.tolist(), "initial": np.eye(x)[-1].tolist(),
+           "observation": {"discrete": obs.tolist()}}
+    ref = write_config(tmp_path, "big", {**NUMERIC_CONFIGS[command], "model": big})
+    assert cli.main([command, "--config", ref, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: config.model: {command} simulates at most {x - 1} states, but the model has {x}" in err
+    assert not list(tmp_path.glob("big_*"))
 
 
 @pytest.mark.parametrize("command", ["solve", "orders", "sweep", "spsa", "simulate"])

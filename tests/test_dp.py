@@ -44,12 +44,14 @@ def test_build_grid_three_state_count_and_adjacency():
     g = dp.build_grid(3, 20)
     assert g.n_points == 231
     assert np.all(g.points.sum(axis=1) == 1.0)
-    for i in range(g.n_points):
-        for j in g.neighbors[i]:
-            assert i in g.neighbors[j]
-            assert np.abs(g.coords[i] - g.coords[j]).sum() == 2
+    src, dst = g.edges
+    pairs = set(zip(src.tolist(), dst.tolist()))
+    assert len(pairs) == src.size
+    for i, j in pairs:
+        assert (j, i) in pairs
+        assert np.abs(g.coords[i] - g.coords[j]).sum() == 2
     center = g.index_of((7, 7, 6))
-    assert len(g.neighbors[center]) == 6
+    assert np.count_nonzero(src == center) == 6
 
 
 def test_nearest_projection_two_state():
@@ -174,8 +176,8 @@ def test_rank_table_round_trip(x, m):
     assert [g.index_of(tuple(c)) for c in g.coords] == list(range(g.n_points))
     assert np.count_nonzero(g.rank >= 0) == g.n_points
     l1 = np.abs(g.coords[:, None, :] - g.coords[None, :, :]).sum(axis=2)
-    for i in range(g.n_points):
-        assert np.array_equal(g.neighbors[i], np.nonzero(l1[i] == 2)[0])
+    by_source = g.edges[:, np.lexsort(g.edges[::-1])]
+    assert np.array_equal(by_source, np.nonzero(l1 == 2))
     for bad in ([m + 1] + [0] * (x - 2) + [-1], [m] + [0] * (x - 2) + [1], [0] * x):
         with pytest.raises(ValueError):
             g.index_of(bad)
@@ -309,20 +311,20 @@ def test_extract_regions_all_stop():
     g = dp.build_grid(2, 10)
     sol = dp.value_iterate(m, spec, g, tol=1e-12)
     reg = dp.extract_regions(sol, g)
-    assert len(reg.stop_components) == 1
+    assert reg.n_stop_components == 1
     assert len(reg.continue_indices) == 0
 
 
 def test_convexity_check_trivial_and_punctured():
     g = dp.build_grid(3, 12)
-    assert dp.convexity_check([g.index_of((4, 4, 4))], g) == []
+    assert dp.convexity_check([g.index_of((4, 4, 4))], g).shape == (0, 2)
     disc = [
         g.index_of((a, b, 12 - a - b))
         for a in range(13)
         for b in range(13 - a)
         if a >= 6
     ]
-    assert dp.convexity_check(disc, g) == []
+    assert dp.convexity_check(disc, g).shape == (0, 2)
     hole = g.index_of((9, 1, 2))
     punctured = [i for i in disc if i != hole]
     assert len(dp.convexity_check(punctured, g)) > 0
@@ -343,7 +345,8 @@ def test_convexity_check_matches_brute_force(x, m):
             half = np.nonzero(g.points @ w > 0.0)[0]
             region = np.setdiff1d(half, rng.choice(g.n_points, 2))
         got = dp.convexity_check(region, g)
-        assert got == brute_convexity(region, g)
+        assert got.dtype.kind == "i" and got.shape == (len(got), 2)
+        assert [tuple(p) for p in got.tolist()] == brute_convexity(region, g)
         found += len(got)
     assert found > 0
 
@@ -460,14 +463,14 @@ def test_constrained_social_stop_set_structure(identity_model_2):
     g = dp.build_grid(2, 500)
     sol = dp.value_iterate(identity_model_2, spec, g, tol=1e-11)
     reg = dp.extract_regions(sol, g)
-    assert len(reg.stop_components) <= c.shape[1]
-    assert len(reg.stop_components) == 1  # also connected
+    assert reg.n_stop_components <= c.shape[1]
+    assert reg.n_stop_components == 1  # also connected
     scores = g.points @ c  # (N, A) myopic herding costs
     cell = np.argmin(scores, axis=1)
     for a in range(c.shape[1]):
         piece = [int(i) for i in reg.stop_indices if cell[i] == a]
         if piece:
-            assert dp.convexity_check(piece, g) == []
+            assert dp.convexity_check(piece, g).shape == (0, 2)
 
 
 def test_social_value_concave_per_interval(social_context_a):
@@ -840,8 +843,11 @@ def test_run_gather_matches_the_fancy_index_gather(case):
             assert np.array_equal(_bits(got), _bits(c + disc * (w * v[idx]).sum(axis=1)))
 
 
-def _reference_components(indices, neighbors):
+def _reference_components(indices, edges):
     """Depth-first search from the smallest unseen index."""
+    neighbors = {}
+    for i, j in edges.T.tolist():
+        neighbors.setdefault(i, []).append(j)
     unseen = set(int(i) for i in indices)
     comps = []
     while unseen:
@@ -849,8 +855,7 @@ def _reference_components(indices, neighbors):
         unseen.remove(start)
         stack, comp = [start], [start]
         while stack:
-            for vtx in neighbors[stack.pop()]:
-                vtx = int(vtx)
+            for vtx in neighbors.get(stack.pop(), []):
                 if vtx in unseen:
                     unseen.remove(vtx)
                     stack.append(vtx)
@@ -877,12 +882,13 @@ def test_extract_regions_matches_the_search(x, m):
         stop, cont = np.nonzero(policy == dp.STOP)[0], np.nonzero(policy == dp.CONTINUE)[0]
         assert np.array_equal(reg.stop_indices, stop)
         assert np.array_equal(reg.continue_indices, cont)
-        for got, want in ((reg.stop_components, _reference_components(stop, g.neighbors)),
-                          (reg.continue_components, _reference_components(cont, g.neighbors))):
-            assert got == want
-            assert all(type(i) is int for comp in got for i in comp)
+        stop_comps = _reference_components(stop, g.edges)
+        cont_comps = _reference_components(cont, g.edges)
+        counts = (reg.n_stop_components, reg.n_continue_components)
+        assert counts == (len(stop_comps), len(cont_comps))
+        assert all(type(n) is int for n in counts)  # the solve report's JSON counts
         ids = np.full(g.n_points, -1)
-        for k, comp in enumerate(reg.stop_components + reg.continue_components):
+        for k, comp in enumerate(stop_comps + cont_comps):
             ids[comp] = k
         assert np.array_equal(reg.component_ids, ids)
 

@@ -186,17 +186,19 @@ def test_cost_spec_validation():
         model.QuickestClassicalDelay(alpha=0, beta=1, d=1, rho=0.9, false_alarm=[0.5, 1])
     with pytest.raises(ValueError):
         model.ConstrainedSocial(local_costs=[[1, 2], [0.5, 0.2]], d=1, beta=1, rho=1.0)
-    with pytest.raises(ValueError):
-        model.Scheduling(
-            alpha1=1,
-            alpha2=1,
-            c1=[0, 0],
-            c2=[1, 1],
-            g=[0, 1],
-            rho=0.9,
-            obs_hi=model.DiscreteObs([[0.9, 0.1], [0.1, 0.9]]),
-            confusion=[[0.8, 0.1], [0.2, 0.8]],
-        )
+    # a row summing to 0.9, and a row summing to 1 through a negative entry
+    for confusion in ([[0.8, 0.1], [0.2, 0.8]], [[1.1, -0.1], [0.2, 0.8]]):
+        with pytest.raises(ValueError, match="confusion matrix must be row-stochastic"):
+            model.Scheduling(
+                alpha1=1,
+                alpha2=1,
+                c1=[0, 0],
+                c2=[1, 1],
+                g=[0, 1],
+                rho=0.9,
+                obs_hi=model.DiscreteObs([[0.9, 0.1], [0.1, 0.9]]),
+                confusion=confusion,
+            )
 
 
 # one valid parameter set per family, every field given

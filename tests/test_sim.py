@@ -642,8 +642,8 @@ def test_stop_masks_match_actions(noisy_grid_policy):
     assert [float(pi @ c - t) for pi in linear_ties] == [0.0] * 3
     g = grid_policy.grid
     acts = grid_policy.actions
-    pairs = [(i, j) for i in range(g.n_points) for j in g.neighbors[i] if acts[i] != acts[j]]
-    grid_ties = np.array([(g.points[i] + g.points[j]) / 2 for i, j in pairs])
+    src, dst = g.edges[:, acts[g.edges[0]] != acts[g.edges[1]]]
+    grid_ties = (g.points[src] + g.points[dst]) / 2
     assert len(grid_ties) > 0
     # each policy's rule, one belief at a time: a strictly negative score,
     # and the action of the nearest grid point
