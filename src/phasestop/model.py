@@ -345,29 +345,19 @@ class _DetectionCost(CostSpec):
     cost, by default ``alpha`` times the variance of the post-change indicator
     plus ``beta f'pi``.  The offset is ``(alpha + beta) f'pi``.
 
-    :meth:`continue_costs` prices the continue action alone, bit for bit
-    ``stage_costs(...)[1]``, for a caller that reads the stop cost only where
-    a policy stops (the batch simulator).
+    The batch simulator prices both actions in one call on the stacked
+    beliefs of a block of steps, after running them, and reads the stop cost
+    only where a policy stopped.
     """
 
-    def _continue(self, model, pts, original):
-        """``f'pi`` and the continue cost, transformed unless ``original``."""
-        fpi, fppi, c2_bar = self._continue_terms(model, pts)
-        if original:
-            return fpi, c2_bar
-        ab = self.alpha + self.beta
-        return fpi, c2_bar - ab * fpi + self.rho * ab * fppi
-
-    def continue_costs(self, model, pts, original=False):
-        """The continue costs alone: ``stage_costs(model, pts, original)[1]``."""
-        return self._continue(model, pts, original)[1]
-
     def stage_costs(self, model, pts, original=False):
-        fpi, c2 = self._continue(model, pts, original)
+        fpi, fppi, c2 = self._continue_terms(model, pts)
         c1 = self._stop_cost(pts, fpi)
-        if not original:
-            c1 = c1 - (self.alpha + self.beta) * fpi
-        return c1, c2
+        if original:
+            return c1, c2
+        ab = self.alpha + self.beta
+        ab_fpi = ab * fpi
+        return c1 - ab_fpi, c2 - ab_fpi + self.rho * ab * fppi
 
     def _stop_cost(self, pts, fpi):
         p1 = pts[:, 0]

@@ -48,6 +48,8 @@ DETECTION_MAX_STEPS = 10_000
 BATCH_FAMILIES = ("quickest_predictive", "quickest_classical", "transient")
 # a discounted batch runs until the largest stage cost, discounted, falls below this
 TRUNCATION_TOL = 1e-8
+# a batch prices its stage costs once its recorded steps hold this many rows
+BLOCK_ROW_STEPS = 4096
 
 
 @dataclass
@@ -234,6 +236,40 @@ def _stage_cost_bound(spec: CostSpec, model: DetectionModel) -> float:
     return bound + spec.alpha + 1e-12
 
 
+def _price_steps(spec, model, original, steps, acc, costs):
+    """Charge recorded batch steps to ``costs``, in order, and return the
+    running costs ``acc`` after them.
+
+    A step is ``(disc, beliefs, stops, keep)``: its discount, the beliefs of
+    the rows it ran (those of ``acc``), and, when some policy stopped, the
+    policies ``t``, positions ``j`` and trajectories of the stops and the
+    positions still running.  The steps of more than one row are priced by
+    one :func:`~phasestop.dp.stage_cost_vectors` call on their stacked
+    beliefs; a one-row step is priced alone, as NumPy's one-row
+    matrix-vector product rounds differently from the same row inside a
+    taller one.  Then, step by step, each stop costs ``acc + disc * stop
+    cost``, and each row still running adds ``disc * continue cost`` to
+    ``acc``.
+    """
+    wide = [step[1] for step in steps if step[1].shape[0] > 1]
+    if wide:
+        stacked = wide[0] if len(wide) == 1 else np.concatenate(wide)
+        c_stop, c_cont = stage_cost_vectors(spec, model, stacked, original=original)
+    start = 0
+    for disc, beliefs, stops, keep in steps:
+        if beliefs.shape[0] == 1:
+            c1, c2 = stage_cost_vectors(spec, model, beliefs, original=original)
+        else:
+            end = start + beliefs.shape[0]
+            c1, c2, start = c_stop[start:end], c_cont[start:end], end
+        if stops is not None:
+            t, j, done = stops
+            costs[t, done] = acc[j] + disc * c1[j]
+            acc, c2 = acc[keep], c2[keep]
+        acc += disc * c2
+    return acc
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_batch(
     model: DetectionModel,
@@ -262,8 +298,10 @@ def simulate_batch(
     policy still runs, and every policy decides on all of them.  A policy
     whose stop region lies inside every other's thus matches its solo run
     bit for bit, generator end state included, and nested stop regions give
-    stop steps ordered row by row.  The step prices continuing on every row
-    it runs, and stopping only on the steps where some policy stops.
+    stop steps ordered row by row.  The step loop computes no cost: it
+    records each step's beliefs and stops, and :func:`_price_steps` charges
+    them once the recorded steps hold ``BLOCK_ROW_STEPS`` rows, and at the
+    end, with the operands and order of a per-step charge.
     """
     if spec.family not in BATCH_FAMILIES:
         raise ValueError(
@@ -302,13 +340,15 @@ def simulate_batch(
 
     # the rows some policy still runs, ascending, with their state's row
     # offset, belief, tau0, running cost (the same for every policy still
-    # running the row) and which policies still run them
+    # running the row, and behind the loop by the steps not yet priced) and
+    # which policies still run them
     rows = np.arange(n)
     # the prior table has a row per trajectory: count its entries at or below u
     off = (_cdf(priors) <= rng.random(n)[:, None]).sum(axis=1) << _ROW_SHIFT
     beliefs, t0, acc = priors.copy(), np.where(off == 0, 0, -1), np.zeros(n)
     alive = np.ones(shape, dtype=bool)
     disc = 1.0
+    steps, recorded = [], 0  # the steps not yet priced, and their rows
     for k in range(1, max_steps + 1):
         if rows.size == 0:
             break
@@ -327,20 +367,24 @@ def simulate_batch(
             )
         del y_pos, sigma  # before the policies allocate
         stop = alive & np.array([pol.stop_mask(beliefs) for pol in policies])
+        stops = keep = None
         if stop.any():
-            c_stop, c_cont = stage_cost_vectors(spec, model, beliefs, original=not transformed)
             t, j = np.nonzero(stop)
             done = rows[j]
-            costs[t, done] = acc[j] + disc * c_stop[j]
             tau[t, done], tau0[t, done] = k, t0[j]
+            stops = t, j, done
             alive ^= stop  # stop lies inside alive
             keep = np.flatnonzero(alive.any(axis=0))
-            rows, off, t0, acc, c_cont = rows[keep], off[keep], t0[keep], acc[keep], c_cont[keep]
-            beliefs, alive = beliefs.take(keep, axis=0), alive.take(keep, axis=1)
-        else:  # no stop cost is read on this step
-            c_cont = spec.continue_costs(model, beliefs, not transformed)
-        acc += disc * c_cont
+            rows, off, t0, alive = rows[keep], off[keep], t0[keep], alive.take(keep, axis=1)
+        steps.append((disc, beliefs, stops, keep))
+        recorded += beliefs.shape[0]
+        if recorded >= BLOCK_ROW_STEPS:  # before the compacted beliefs allocate
+            acc = _price_steps(spec, model, not transformed, steps, acc, costs)
+            steps, recorded = [], 0
+        if keep is not None:
+            beliefs = beliefs.take(keep, axis=0)
         disc *= rho
+    acc = _price_steps(spec, model, not transformed, steps, acc, costs)
     t, j = np.nonzero(alive)
     costs[t, rows[j]], tau0[t, rows[j]], censored[t, rows[j]] = acc[j], t0[j], True
     if not np.isfinite(costs).all():

@@ -307,7 +307,7 @@ def test_batch_bit_identical_transient(staged_model, false_alarm):
     for transformed in (True, False):
         new, ref = both_batches(m, spec, linear, priors, 12, transformed=transformed)
         assert_batches_equal(new, ref)
-    # at least 10 steps on which no row stops, priced by the continue costs alone
+    # at least 10 steps on which no row stops, so no stop cost is charged
     assert new.tau.max() - np.unique(new.tau).size >= 10
 
 
@@ -324,6 +324,53 @@ def test_batch_bit_identical_always_stop_and_censoring(geometric_model):
         new, ref = both_batches(geometric_model, spec, policy, priors, 2, max_steps=4)
         assert_batches_equal(new, ref)
         assert new.censored.any()
+
+
+FIVE_PHASE = model.DetectionModel(
+    [[1, 0, 0, 0, 0], [0.2, 0.8, 0, 0, 0], [0, 0.1, 0.9, 0, 0], [0, 0, 0.05, 0.95, 0],
+     [0, 0, 0, 0.03, 0.97]],
+    [0, 0, 0, 0, 1],
+    model.discretize_gaussian(model.GaussianObs([0.0, 0.5, 1.0, 1.5, 2.0], [1.0] * 5), 21),
+)
+
+
+def test_batch_bit_identical_across_price_blocks(three_state_model, geometric_model):
+    # costs are priced per block of recorded steps, a one-row step alone:
+    # (a) 300 rows whose row-steps fill several blocks, some censored
+    spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
+    priors = np.random.default_rng(0).dirichlet(np.ones(3), size=300)
+    linear = pol.LinearThresholdPolicy([1.0, 0.05])
+    for transformed in (True, False):
+        new, ref = both_batches(
+            three_state_model, spec, linear, priors, 40, max_steps=500, transformed=transformed
+        )
+        assert_batches_equal(new, ref)
+    assert new.tau.sum() >= 3 * sim.BLOCK_ROW_STEPS and new.censored.any()
+    # (b) a one-row batch: every step is priced alone
+    new, ref = both_batches(three_state_model, spec, linear, priors[:1], 41, max_steps=500)
+    assert_batches_equal(new, ref)
+    # (c) two states with a long run to a tiny threshold, and a 5-state chain
+    # with a false-alarm vector that ends in a long one-row tail
+    classical = model.QuickestClassicalDelay(
+        alpha=0.5, beta=2.0, d=1.0, rho=0.99, false_alarm=[0, 1]
+    )
+    priors = np.tile([0.0, 1.0], (60, 1))
+    tiny = pol.LinearThresholdPolicy([1e-30])
+    new, ref = both_batches(geometric_model, classical, tiny, priors, 0)
+    assert_batches_equal(new, ref)
+    assert new.tau.max() > 50
+    classical = model.QuickestClassicalDelay(
+        alpha=0.5, beta=2.0, d=1.0, rho=0.98, false_alarm=[0, 1, 1.5, 2, 2.5]
+    )
+    priors = np.random.default_rng(0).dirichlet(np.ones(5), size=80)
+    linear = pol.LinearThresholdPolicy([1.0, 1.0, 1.0, 0.1])
+    for transformed in (True, False):
+        new, ref = both_batches(
+            FIVE_PHASE, classical, linear, priors, 0, max_steps=500, transformed=transformed
+        )
+        assert_batches_equal(new, ref)
+    tau = np.sort(new.tau)
+    assert tau[-1] - tau[-2] >= 20  # one row runs alone after the second-last stop
 
 
 def test_change_times_bit_identical(staged_model):
