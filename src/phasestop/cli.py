@@ -320,7 +320,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, name: str) -> int:
             )
     spec = _spec(cfg, models)
     grid = _grid_for(cfg, models[0])
-    res = dp.value_monotonicity_sweep(models, spec, grid, labels=labels, **_stopping_rule(cfg))
+    res = dp.value_monotonicity_sweep(models, spec, grid, **_stopping_rule(cfg))
     for label, sol in zip(labels, res.solutions):
         _write(out_dir, f"{name}_{label}_solution.csv", dp.solution_csv(sol, grid))
     if not res.comparable:

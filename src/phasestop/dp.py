@@ -27,7 +27,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .filters import _row_sum, bayes_step
-from .model import CostSpec, DetectionModel, DiscreteObs, Scheduling
+from .model import CostSpec, DetectionModel
 from .orders import matrix_order_geq
 
 STOP, CONTINUE = 1, 2
@@ -546,37 +546,11 @@ class GridPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Scheduling helpers
-
-
-def myopic_policy(spec: Scheduling, model: DetectionModel, pi) -> int:
-    """Mode 2 exactly when its expected stage cost is strictly cheaper."""
-    if not isinstance(spec, Scheduling):
-        raise ValueError("myopic policy is defined for the scheduling family")
-    c1, c2 = stage_cost_vectors(spec, model, pi)
-    return CONTINUE if c2[0] < c1[0] else STOP
-
-
-def blackwell_degrade(obs_hi, confusion) -> DiscreteObs:
-    """Degrade an observation matrix through a stochastic confusion matrix."""
-    b2 = obs_hi.matrix if isinstance(obs_hi, DiscreteObs) else np.asarray(obs_hi, dtype=float)
-    q = np.asarray(confusion, dtype=float)
-    if np.any(q < 0) or np.any(np.abs(q.sum(axis=1) - 1.0) > 1e-12):
-        raise ValueError("confusion matrix must be row-stochastic")
-    prod = b2 @ q
-    rows = prod.sum(axis=1)
-    if np.any(np.abs(rows - 1.0) > 1e-12):
-        raise ValueError("degraded matrix rows must sum to 1")
-    return DiscreteObs(prod / rows[:, None])
-
-
-# ---------------------------------------------------------------------------
 # Parametrized sweeps
 
 
 @dataclass
 class SweepResult:
-    labels: list
     solutions: list
     premise_ordered: list  # consecutive transition-order verdicts
     pointwise_min_slack: list  # min over grid of V[k+1] - V[k]
@@ -593,11 +567,9 @@ def value_monotonicity_sweep(
     grid: SimplexGrid,
     horizon: int | None = None,
     tol: float | None = None,
-    labels: list | None = None,
 ) -> SweepResult:
     """Solve per model (given in dominance-descending order) and verify that
     the optimal expected cost increases pointwise down the family."""
-    labels = labels if labels is not None else list(range(len(models)))
     sols = [value_iterate(m, spec, grid, horizon=horizon, tol=tol) for m in models]
     ordered = [
         matrix_order_geq(models[k].transition, models[k + 1].transition)
@@ -608,7 +580,6 @@ def value_monotonicity_sweep(
         for k in range(len(models) - 1)
     ]
     return SweepResult(
-        labels=list(labels),
         solutions=sols,
         premise_ordered=ordered,
         pointwise_min_slack=slacks,

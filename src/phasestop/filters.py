@@ -11,7 +11,6 @@ action rule on a stack of beliefs, give ``SocialStopping.updates``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,12 +40,6 @@ def as_belief(probs) -> np.ndarray:
 
 class ZeroProbabilityError(ValueError):
     """Raised when an update conditions on a probability-zero event."""
-
-
-@dataclass(frozen=True)
-class FilterOutput:
-    next_belief: np.ndarray
-    norm: float
 
 
 def _row_sum(a: np.ndarray):
@@ -87,36 +80,18 @@ def _bayes_step(pred, lik):
     return unnorm, sigma, low
 
 
-def hmm_update(pi, y: int, model: DetectionModel) -> FilterOutput:
+def hmm_update(pi, y: int, model: DetectionModel) -> tuple[np.ndarray, float]:
     """One Bayesian filter step: predict through the chain, correct by symbol
-    ``y`` of the model's observation matrix."""
+    ``y`` of the model's observation matrix; ``(belief, norm)``."""
     p = as_belief(pi)
     nxt, sigma = bayes_step(model.transition.T @ p, model.discrete_obs().matrix[:, y])
     if not sigma > 0.0:
         raise ZeroProbabilityError(f"observation {y} impossible from belief {p}")
-    return FilterOutput(nxt, float(sigma))
+    return nxt, float(sigma)
 
 
 # ---------------------------------------------------------------------------
 # Social learning
-
-
-def social_fixed_points_from(costs: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-    """The cascade and learning interval boundaries ``eta1 >= eta2 >= eta3``
-    (second belief component) of the 2-state, 2-action social rule."""
-    delta1 = costs[0, 1] - costs[0, 0]
-    delta2 = costs[1, 0] - costs[1, 1]
-    dens = (
-        delta1 * b[0, 0] + delta2 * b[1, 0],
-        delta1 + delta2,
-        delta1 * b[0, 1] + delta2 * b[1, 1],
-    )
-    if any(abs(d) < 1e-300 for d in dens):
-        raise ValueError("degenerate local costs: zero denominator in interval bounds")
-    eta1 = delta1 * b[0, 0] / dens[0]
-    eta2 = delta1 / dens[1]
-    eta3 = delta1 * b[0, 1] / dens[2]
-    return float(eta1), float(eta2), float(eta3)
 
 
 def social_scores(costs: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -29,14 +29,6 @@ from .filters import SUM_TOL, as_belief, social_likelihoods, social_scores
 from .orders import _ineq, _tp2_check
 
 
-def dirichlet_uniform_sample(n_states: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a belief uniformly from the simplex via normalized unit exponentials."""
-    if n_states < 2:
-        raise ValueError("need at least two states")
-    x = rng.exponential(1.0, size=n_states)
-    return x / x.sum()
-
-
 # ---------------------------------------------------------------------------
 # Observation models
 

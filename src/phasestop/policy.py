@@ -82,51 +82,6 @@ def phi_to_theta(phi) -> np.ndarray:
     return theta
 
 
-def line_monotonicity_violations(
-    theta,
-    rng: np.random.Generator | None = None,
-    n_lines: int = 0,
-    tol: float = 1e-12,
-) -> list[str]:
-    """Witnesses that the threshold score fails to be monotone on some
-    vertex-anchored line, or that the first vertex is not in the stop set.
-
-    The lines checked run from each vertex, plus ``n_lines`` random ones drawn
-    from ``rng``.  Feasible coefficients produce no witnesses; every
-    infeasible vector produces at least one.
-    """
-    t = np.asarray(theta, dtype=float)
-    pol = LinearThresholdPolicy(t)
-    x = pol.n_states
-    c, intercept = pol.coefficients()
-    out: list[str] = []
-    if intercept <= tol:
-        out.append("first vertex not in the stopping set (intercept <= 0)")
-
-    eye = np.eye(x)
-    bases_hi = list(eye[: x - 1])
-    bases_lo = list(eye[1:])
-    if rng is not None and n_lines > 0:
-        for _ in range(n_lines):
-            w = rng.dirichlet(np.ones(x - 1))
-            base = np.insert(w, x - 1, 0.0)
-            bases_hi.append(base)
-            base = np.insert(rng.dirichlet(np.ones(x - 1)), 0, 0.0)
-            bases_lo.append(base)
-
-    # toward the last vertex the score must be non-decreasing
-    for base in bases_hi:
-        slope = c[x - 1] - float(base @ c)
-        if slope < -tol:
-            out.append(f"score decreases toward e_{x} on the line from {base}")
-    # toward the first vertex the score must be non-increasing
-    for base in bases_lo:
-        slope = c[0] - float(base @ c)
-        if slope > tol:
-            out.append(f"score increases toward e_1 on the line from {base}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Simulated policy cost
 

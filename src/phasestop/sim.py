@@ -101,7 +101,7 @@ def sample_trajectory(
         if tau0 is None and x == 0:
             tau0 = k
         y = _draw(rng, cdf_b[x])
-        pi = hmm_update(pi, y, model).next_belief
+        pi, _ = hmm_update(pi, y, model)
         u = STOP if policy.stop_mask(pi[None])[0] else CONTINUE
         states.append(x + 1)
         observations.append(y)

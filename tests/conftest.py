@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from phasestop import dp, filters, model
 
 
@@ -54,7 +55,7 @@ class SocialCase:
 
     def __init__(self, spec, m):
         self.spec, self.model = spec, m
-        self.eta1, self.eta2, self.eta3 = filters.social_fixed_points_from(spec.local_costs, m.obs.matrix)
+        self.eta1, self.eta2, self.eta3 = oracles.social_fixed_points_from(spec.local_costs, m.obs.matrix)
 
     def step(self, pi, a):
         """``(next belief, sigma)`` after broadcast action ``a`` (1-based) from

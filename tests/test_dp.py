@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from phasestop import cli, dp, filters, model, orders
+import oracles
+from phasestop import cli, dp, model
 
 
 def brute_nearest(grid, pts):
@@ -381,21 +382,23 @@ def test_myopic_policy_cases(geometric_model):
         g=[0, 1], rho=0.9, obs_hi=obs_hi,
     )
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        pi = rng.dirichlet([1, 1])
-        assert dp.myopic_policy(equal, geometric_model, pi) == 1
-        assert dp.myopic_policy(cheap2, geometric_model, pi) == 2
+    pts = np.array([rng.dirichlet([1, 1]) for _ in range(50)])
+    # the myopic mode: 2 exactly where its expected stage cost is strictly cheaper
+    c1, c2 = dp.stage_cost_vectors(equal, geometric_model, pts)
+    assert not np.any(c2 < c1)
+    c1, c2 = dp.stage_cost_vectors(cheap2, geometric_model, pts)
+    assert np.all(c2 < c1)
 
 
 def test_blackwell_degrade():
     b2 = model.DiscreteObs([[0.9, 0.1], [0.1, 0.9]])
-    assert np.allclose(dp.blackwell_degrade(b2, np.eye(2)).matrix, b2.matrix)
-    garbled = dp.blackwell_degrade(b2, [[0.5, 0.5], [0.5, 0.5]])
+    assert np.allclose(oracles.blackwell_degrade(b2, np.eye(2)).matrix, b2.matrix)
+    garbled = oracles.blackwell_degrade(b2, [[0.5, 0.5], [0.5, 0.5]])
     assert np.allclose(garbled.matrix, 0.5)
-    mixed = dp.blackwell_degrade(b2, [[0.8, 0.2], [0.2, 0.8]])
+    mixed = oracles.blackwell_degrade(b2, [[0.8, 0.2], [0.2, 0.8]])
     assert np.allclose(mixed.matrix, [[0.74, 0.26], [0.26, 0.74]])
     with pytest.raises(ValueError):
-        dp.blackwell_degrade(b2, [[0.7, 0.2], [0.2, 0.8]])
+        oracles.blackwell_degrade(b2, [[0.7, 0.2], [0.2, 0.8]])
 
 
 def test_value_monotonicity_sweep_single_and_pair():

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import SocialCase
-from phasestop import filters, model, orders
+from phasestop import filters, model
 
 
 def test_hmm_update_hand_example():
     m = model.DetectionModel(
         [[1, 0], [0.5, 0.5]], [0, 1], model.DiscreteObs([[0.8, 0.2], [0.2, 0.8]])
     )
-    out = filters.hmm_update([0.5, 0.5], 0, m)
+    nxt, norm = filters.hmm_update([0.5, 0.5], 0, m)
     # predicted (0.75, 0.25); unnormalized (0.6, 0.05)
-    assert out.norm == pytest.approx(0.65, abs=1e-15)
-    assert np.allclose(out.next_belief, [12 / 13, 1 / 13], atol=1e-14)
+    assert norm == pytest.approx(0.65, abs=1e-15)
+    assert np.allclose(nxt, [12 / 13, 1 / 13], atol=1e-14)
 
 
 def test_hmm_update_absorbing_fixed_point():
@@ -20,17 +21,17 @@ def test_hmm_update_absorbing_fixed_point():
         [[1, 0], [0.5, 0.5]], [0, 1], model.DiscreteObs([[0.8, 0.2], [0.2, 0.8]])
     )
     for y in (0, 1):
-        out = filters.hmm_update([1.0, 0.0], y, m)
-        assert np.allclose(out.next_belief, [1, 0], atol=1e-15)
+        nxt, _ = filters.hmm_update([1.0, 0.0], y, m)
+        assert np.allclose(nxt, [1, 0], atol=1e-15)
 
 
 def test_hmm_update_uninformative():
     m = model.DetectionModel(
         np.eye(3), [0.2, 0.3, 0.5], model.DiscreteObs(np.full((3, 4), 0.25))
     )
-    out = filters.hmm_update([0.2, 0.3, 0.5], 2, m)
-    assert np.allclose(out.next_belief, [0.2, 0.3, 0.5], atol=1e-15)
-    assert out.norm == pytest.approx(0.25)
+    nxt, norm = filters.hmm_update([0.2, 0.3, 0.5], 2, m)
+    assert np.allclose(nxt, [0.2, 0.3, 0.5], atol=1e-15)
+    assert norm == pytest.approx(0.25)
 
 
 def test_hmm_update_impossible_observation():
@@ -44,17 +45,17 @@ def test_hmm_update_impossible_observation():
 def test_filter_preserves_mlr_in_belief_and_symbol():
     rng = np.random.default_rng(17)
     for _ in range(500):
-        p = orders.random_tp2_stochastic(3, 3, rng, max_tries=30)
-        b = orders.random_tp2_stochastic(3, int(rng.integers(2, 5)), rng, max_tries=30)
+        p = oracles.random_tp2_stochastic(3, 3, rng, max_tries=30)
+        b = oracles.random_tp2_stochastic(3, int(rng.integers(2, 5)), rng, max_tries=30)
         m = model.DetectionModel(p, np.full(3, 1 / 3), model.DiscreteObs(b))
-        hi, lo = orders.random_mlr_pair(3, rng)
+        hi, lo = oracles.random_mlr_pair(3, rng)
         prev_hi = None
         for y in range(b.shape[1]):
-            a = filters.hmm_update(hi, y, m).next_belief
-            c = filters.hmm_update(lo, y, m).next_belief
-            assert orders.mlr_geq(a, c)
+            a, _ = filters.hmm_update(hi, y, m)
+            c, _ = filters.hmm_update(lo, y, m)
+            assert oracles.mlr_geq(a, c)
             if prev_hi is not None:
-                assert orders.mlr_geq(a, prev_hi)
+                assert oracles.mlr_geq(a, prev_hi)
             prev_hi = a
 
 
@@ -72,9 +73,9 @@ def test_risk_update_reduces_to_plain_filter_at_zero():
     )
     spec = model.RiskSensitive(risk=0.0, beta=2.0, d=1.0)
     nxt, sigma = _risk_step(spec, m, [0.4, 0.6], 1)
-    b = filters.hmm_update([0.4, 0.6], 1, m)
-    assert np.allclose(nxt, b.next_belief, atol=1e-15)
-    assert sigma == pytest.approx(b.norm, abs=1e-15)
+    b, norm = filters.hmm_update([0.4, 0.6], 1, m)
+    assert np.allclose(nxt, b, atol=1e-15)
+    assert sigma == pytest.approx(norm, abs=1e-15)
 
 
 def test_risk_update_hand_example():
@@ -109,7 +110,7 @@ def test_social_fixed_points_values(social_context_a):
 
 
 def test_social_fixed_points_symmetric_costs():
-    _, eta2, _ = filters.social_fixed_points_from(
+    _, eta2, _ = oracles.social_fixed_points_from(
         np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.8, 0.2], [0.2, 0.8]])
     )
     assert eta2 == pytest.approx(0.5, abs=1e-14)
@@ -303,9 +304,9 @@ def test_filters_and_solver_share_the_bayes_step_and_the_social_rule():
         for n, pi in enumerate(beliefs):
             nxt, sigma = filters.bayes_step(preds[n], b[:, y])
             assert np.array_equal(stacked[n], nxt) and sigmas[n] == sigma
-            out = filters.hmm_update(pi, y, m)
+            out, norm = filters.hmm_update(pi, y, m)
             nxt, sigma = filters.bayes_step(p.T @ pi, b[:, y])
-            assert np.array_equal(out.next_belief, nxt) and out.norm == sigma
+            assert np.array_equal(out, nxt) and norm == sigma
 
 
 def test_bayes_step_leaves_a_zero_or_nan_row_undivided():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from phasestop import model
 
 
@@ -103,11 +104,9 @@ def test_discretize_identical_states_give_identical_rows():
 
 
 def test_discretize_equal_variance_rows_are_tp2():
-    from phasestop import orders
-
     obs = model.GaussianObs([0.0, 1.0], [0.01, 0.01])
     disc = model.discretize_gaussian(obs, bins=101)
-    assert orders.is_tp2(disc.matrix)
+    assert oracles.is_tp2(disc.matrix)
 
 
 def test_discretize_rejects_bad_inputs():
@@ -128,13 +127,13 @@ def test_discretize_rejects_bad_inputs():
 
 def test_dirichlet_sampler_means_and_determinism():
     rng = np.random.default_rng(123)
-    draws = np.array([model.dirichlet_uniform_sample(3, rng) for _ in range(100_000)])
+    draws = np.array([oracles.dirichlet_uniform_sample(3, rng) for _ in range(100_000)])
     assert np.max(np.abs(draws.mean(axis=0) - 1.0 / 3.0)) < 0.01
     draws2 = np.array(
-        [model.dirichlet_uniform_sample(2, np.random.default_rng(7)) for _ in range(3)]
+        [oracles.dirichlet_uniform_sample(2, np.random.default_rng(7)) for _ in range(3)]
     )
     draws3 = np.array(
-        [model.dirichlet_uniform_sample(2, np.random.default_rng(7)) for _ in range(3)]
+        [oracles.dirichlet_uniform_sample(2, np.random.default_rng(7)) for _ in range(3)]
     )
     assert np.array_equal(draws2, draws3)
     assert abs(draws.sum(axis=1).max() - 1.0) < 1e-12

@@ -1,92 +1,71 @@
-import itertools
-
 import numpy as np
 import pytest
 
+import oracles
 from phasestop import model, orders
 
 
-def brute_force_mlr(a, b, tol=1e-12):
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    return all(
-        a[i] * b[j] <= b[i] * a[j] + tol
-        for i in range(a.size)
-        for j in range(i + 1, a.size)
-    )
-
-
-def brute_force_tp2(mat, tol=1e-12):
-    m = np.asarray(mat, float)
-    rows, cols = m.shape
-    for r1, r2 in itertools.combinations(range(rows), 2):
-        for c1, c2 in itertools.combinations(range(cols), 2):
-            if m[r1, c1] * m[r2, c2] - m[r1, c2] * m[r2, c1] < -tol:
-                return False
-    return True
-
-
 def test_mlr_examples():
-    assert orders.mlr_geq([0, 0, 1], [1, 0, 0])  # vertices: greatest vs least
+    assert oracles.mlr_geq([0, 0, 1], [1, 0, 0])  # vertices: greatest vs least
     pi = [0.2, 0.5, 0.3]
-    assert orders.mlr_geq(pi, pi)
+    assert oracles.mlr_geq(pi, pi)
     # likelihood ratio (0.5, 0.75, 2.5) is increasing
-    assert orders.mlr_geq([0.2, 0.3, 0.5], [0.4, 0.4, 0.2])
-    assert not orders.mlr_geq([0.4, 0.4, 0.2], [0.2, 0.3, 0.5])
+    assert oracles.mlr_geq([0.2, 0.3, 0.5], [0.4, 0.4, 0.2])
+    assert not oracles.mlr_geq([0.4, 0.4, 0.2], [0.2, 0.3, 0.5])
     with pytest.raises(ValueError):
-        orders.mlr_geq([0.5, 0.5], [0.2, 0.3, 0.5])
+        oracles.mlr_geq([0.5, 0.5], [0.2, 0.3, 0.5])
 
 
 def test_fosd_examples():
-    assert orders.fosd_geq([0.1, 0.4, 0.5], [0.3, 0.3, 0.4])
-    assert not orders.fosd_geq([0.5, 0.5], [0.4, 0.6])
-    assert orders.fosd_geq([0.4, 0.6], [0.5, 0.5])
+    assert oracles.fosd_geq([0.1, 0.4, 0.5], [0.3, 0.3, 0.4])
+    assert not oracles.fosd_geq([0.5, 0.5], [0.4, 0.6])
+    assert oracles.fosd_geq([0.4, 0.6], [0.5, 0.5])
 
 
 def test_mlr_implies_fosd_randomized():
     rng = np.random.default_rng(11)
     for _ in range(2000):
         x = int(rng.integers(2, 6))
-        hi, lo = orders.random_mlr_pair(x, rng)
-        assert orders.mlr_geq(hi, lo)
-        assert orders.fosd_geq(hi, lo)
+        hi, lo = oracles.random_mlr_pair(x, rng)
+        assert oracles.mlr_geq(hi, lo)
+        assert oracles.fosd_geq(hi, lo)
 
 
 def test_mlr_partial_order_properties():
     rng = np.random.default_rng(5)
     for _ in range(300):
         x = int(rng.integers(2, 5))
-        a, b = orders.random_mlr_pair(x, rng)
+        a, b = oracles.random_mlr_pair(x, rng)
         c = b * np.cumsum(rng.exponential(1.0, x))
         c /= c.sum()
         # transitivity on a constructed chain c >= b, a >= b
-        assert orders.mlr_geq(c, b)
-        mid, low = orders.random_mlr_pair(x, rng)
+        assert oracles.mlr_geq(c, b)
+        mid, low = oracles.random_mlr_pair(x, rng)
         top = mid * np.cumsum(rng.exponential(1.0, x))
         top /= top.sum()
-        assert orders.mlr_geq(top, mid) and orders.mlr_geq(mid, low)
-        assert orders.mlr_geq(top, low)
+        assert oracles.mlr_geq(top, mid) and oracles.mlr_geq(mid, low)
+        assert oracles.mlr_geq(top, low)
 
 
 def test_is_tp2_examples(staged_model):
-    assert orders.is_tp2(np.eye(3))
-    assert orders.is_tp2(staged_model(0.2).transition)
-    assert not orders.is_tp2(staged_model(0.78).transition)
+    assert oracles.is_tp2(np.eye(3))
+    assert oracles.is_tp2(staged_model(0.2).transition)
+    assert not oracles.is_tp2(staged_model(0.78).transition)
     # tridiagonal with P_ii P_{i+1,i+1} < P_{i,i+1} P_{i+1,i}
     bad = np.array([[0.5, 0.5, 0.0], [0.6, 0.1, 0.3], [0.0, 0.5, 0.5]])
-    assert not orders.is_tp2(bad)
+    assert not oracles.is_tp2(bad)
     with pytest.raises(ValueError):
-        orders.is_tp2([[0.5, -0.1], [0.2, 0.4]])
+        oracles.is_tp2([[0.5, -0.1], [0.2, 0.4]])
 
 
 def test_is_tp2_matches_brute_force():
     rng = np.random.default_rng(21)
     for k in range(1000):
         if k % 3 == 0:
-            m = orders.random_tp2_stochastic(4, 4, rng, max_tries=10)
+            m = oracles.random_tp2_stochastic(4, 4, rng, max_tries=10)
         else:
             m = rng.random((4, 4))
-        assert orders.is_tp2(m) == brute_force_tp2(m)
-
+        assert oracles.is_tp2(m) == oracles.brute_force_tp2(m)
 
 
 def _reference_tp2_slack(m):
@@ -107,12 +86,12 @@ def test_tp2_check_slack_matches_row_pair_scan(shape):
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     for k in range(50):
         if k % 2 and min(shape) > 1:
-            m = orders.random_tp2_stochastic(*shape, rng, max_tries=5)
+            m = oracles.random_tp2_stochastic(*shape, rng, max_tries=5)
         else:
             m = rng.random(shape)
         check = orders._tp2_check("A", m, "")
         assert check.slack == _reference_tp2_slack(m)
-        assert orders.is_tp2(m) == (check.slack >= -orders.ORDER_TOL)
+        assert oracles.is_tp2(m) == (check.slack >= -orders.ORDER_TOL)
 
 
 def _reference_random_tp2_stochastic(rows, cols, rng, max_tries=200):
@@ -123,7 +102,7 @@ def _reference_random_tp2_stochastic(rows, cols, rng, max_tries=200):
         m = rng.dirichlet(np.ones(cols), size=rows)
         keys = m @ idx
         m = m[np.argsort(keys)]
-        if orders.is_tp2(m):
+        if oracles.is_tp2(m):
             return m, False
     centers = np.sort(rng.uniform(0, cols - 1, size=rows))
     scale = rng.uniform(0.5, 1.5) * cols / 4.0
@@ -139,7 +118,7 @@ def test_random_tp2_stochastic_matches_the_one_try_loop(shape, max_tries):
     new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     fallbacks = 0
     for _ in range(2000):
-        got = orders.random_tp2_stochastic(*shape, new, max_tries=max_tries)
+        got = oracles.random_tp2_stochastic(*shape, new, max_tries=max_tries)
         want, fell_back = _reference_random_tp2_stochastic(*shape, ref, max_tries=max_tries)
         assert np.array_equal(got, want)
         assert new.bit_generator.state == ref.bit_generator.state
@@ -172,17 +151,41 @@ def test_matrix_order_implies_mlr_of_predictions():
     rng = np.random.default_rng(33)
     for _ in range(1000):
         x = int(rng.integers(2, 5))
-        p1, p2 = orders.random_ordered_matrix_pair(x, rng)
+        p1, p2 = oracles.random_ordered_matrix_pair(x, rng)
         assert orders.matrix_order_geq(p1, p2)
         pi = rng.dirichlet(np.ones(x))
-        assert orders.mlr_geq(p1.T @ pi, p2.T @ pi)
+        assert oracles.mlr_geq(p1.T @ pi, p2.T @ pi)
+
+
+def test_matrix_order_matches_the_column_pair_loop():
+    def loop(a, b):
+        n = a.shape[1]
+        for j in range(n - 1):
+            for l in range(j + 1, n):
+                if np.any(np.outer(a[:, j], b[:, l]) > np.outer(b[:, j], a[:, l]) + orders.ORDER_TOL):
+                    return False
+        return True
+
+    rng = np.random.default_rng(8)
+    verdicts = set()
+    for k in range(2000):
+        x = int(rng.integers(2, 6))
+        if k % 2:
+            p1, p2 = oracles.random_ordered_matrix_pair(x, rng)
+        else:
+            p1, p2 = rng.dirichlet(np.ones(x), size=(2, x))
+        # (p1, p1): every product meets its own mirror, a tie that must hold exactly
+        for a, b in ((p1, p2), (p2, p1), (p1, p1)):
+            verdicts.add(orders.matrix_order_geq(a, b))
+            assert orders.matrix_order_geq(a, b) == loop(a, b)
+    assert verdicts == {True, False}
 
 
 def test_three_state_ordered_pair():
     p1 = [[1, 0, 0], [0.5, 0.3, 0.2], [0.3, 0.4, 0.3]]
     p2 = [[1, 0, 0], [0.9, 0.1, 0], [0.8, 0.15, 0.05]]
     assert orders.matrix_order_geq(p1, p2)
-    assert orders.is_tp2(p1) and orders.is_tp2(p2)
+    assert oracles.is_tp2(p1) and oracles.is_tp2(p2)
 
 
 def test_assumptions_quickest_predictive(three_state_model):

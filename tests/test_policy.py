@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from phasestop import dp, model, policy as pol
+import oracles
+from phasestop import model, policy as pol
 
 
 def test_decide_examples():
@@ -53,7 +54,7 @@ def test_feasible_theta_has_no_monotonicity_violations():
         phi = rng.normal(0, 1.5, size=x - 1)
         phi[-1] = phi[-1] if abs(phi[-1]) > 1e-3 else 0.5
         theta = pol.phi_to_theta(phi)
-        assert pol.line_monotonicity_violations(theta, rng, n_lines=5) == []
+        assert oracles.line_monotonicity_violations(theta, rng, n_lines=5) == []
 
 
 def test_infeasible_theta_produces_violation():
@@ -73,7 +74,7 @@ def test_infeasible_theta_produces_violation():
             theta[-1] = -rng.uniform(0.0, 1.0)
         if pol.theta_is_mlr_increasing(theta):
             continue
-        assert pol.line_monotonicity_violations(theta, rng, n_lines=50) != []
+        assert oracles.line_monotonicity_violations(theta, rng, n_lines=50) != []
 
 
 def test_sample_cost_stop_now_is_free_without_variance(geometric_model):

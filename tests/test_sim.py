@@ -40,7 +40,7 @@ def test_belief_consistency_bitwise(geometric_model):
         pi = np.asarray(geometric_model.initial, dtype=float)
         assert np.array_equal(traj.beliefs[0], pi)
         for k, y in enumerate(traj.observations, start=1):
-            pi = filters.hmm_update(pi, int(y), geometric_model).next_belief
+            pi, _ = filters.hmm_update(pi, int(y), geometric_model)
             assert np.array_equal(traj.beliefs[k], pi)
 
 
