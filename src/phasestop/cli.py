@@ -367,10 +367,7 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
         init = _matrix(cfg.get("init_phi", np.zeros(dim)), "config.init_phi")
         if init.shape != (dim,):
             raise ConfigError(f"config.init_phi: expected {dim} numbers, got {cfg['init_phi']!r}")
-        result = policy_mod.spsa_optimize(
-            model, spec, init, 0, params, priors, rng, max_steps=max_steps
-        )
-        score = float("nan")
+        result, score = policy_mod.SpsaResult(init[None, :], np.empty(0)), None
     elif "init_phi" in cfg:
         raise ConfigError(
             f"config.init_phi: only iterations 0 reads it (restarts draw their own starts), "
@@ -378,14 +375,7 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
         )
     else:
         result, score = policy_mod.optimize_with_restarts(
-            model,
-            spec,
-            iterations,
-            params,
-            priors,
-            rng,
-            restarts=restarts,
-            max_steps=max_steps,
+            model, spec, iterations, params, priors, rng, restarts=restarts, max_steps=max_steps
         )
     buf = io.StringIO()
     head = (
@@ -395,20 +385,15 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
         + ["batch_cost"]
     )
     buf.write(",".join(head) + "\n")
-    for n in range(result.phi_trace.shape[0]):
-        cost = f"{result.costs[n - 1]:.17g}" if 1 <= n <= result.costs.size else ""
-        row = (
-            [str(n)]
-            + [f"{v:.17g}" for v in result.phi_trace[n]]
-            + [f"{v:.17g}" for v in result.theta_trace[n]]
-            + [cost]
-        )
+    for n, (phi, theta) in enumerate(zip(result.phi_trace, result.theta_trace)):
+        cost = f"{result.costs[n - 1]:.17g}" if n else ""
+        row = [str(n)] + [f"{v:.17g}" for v in (*phi, *theta)] + [cost]
         buf.write(",".join(row) + "\n")
     _write(out_dir, f"{name}_trace.csv", buf.getvalue())
     summary = {
         "theta": [float(v) for v in result.final_theta],
         "phi": [float(v) for v in result.final_phi],
-        "evaluation_cost": None if np.isnan(score) else float(score),
+        "evaluation_cost": score,
         "feasible": bool(policy_mod.theta_is_mlr_increasing(result.final_theta)),
     }
     _write_json(out_dir, f"{name}_policy.json", summary)

@@ -6,6 +6,11 @@ The constraint set ``theta(X-2) >= 1``, ``0 <= theta(i) <= theta(X-2)``,
 ``theta(X-1) > 0`` characterizes the policies whose score is monotone along
 every line anchored at the extreme vertices, i.e. the policies consistent
 with a threshold switching curve.
+
+SPSA (:func:`spsa_optimize`) minimizes one objective ``cost(phis, seed)``:
+the cost of each unconstrained parameter ``phi`` in a list, all priced on
+the sample paths of one seed.  :func:`simulated_cost` builds that objective
+for the simulated cost of the threshold policies ``phi_to_theta(phi)``.
 """
 
 from __future__ import annotations
@@ -87,23 +92,37 @@ def phi_to_theta(phi) -> np.ndarray:
 
 
 def sample_cost(
-    policy,
+    policies: list,
     model: DetectionModel,
     spec: CostSpec,
     priors: np.ndarray,
     rng: np.random.Generator,
     max_steps: int | None = None,
-) -> float | list[float]:
-    """Average discounted sample-path cost of a policy over the given priors,
-    one simulated trajectory per prior.
+) -> list[float]:
+    """Average discounted sample-path cost of each policy over the given
+    priors, one simulated trajectory per prior.
 
-    A list of policies is simulated in one :func:`~phasestop.sim.simulate_batch`
-    call, on shared sample paths, and gives a list of costs.
+    The policies are simulated in one :func:`~phasestop.sim.simulate_batch`
+    call, on shared sample paths.
     """
-    res = simulate_batch(model, spec, policy, priors, rng, max_steps=max_steps)
-    if res.costs.ndim == 2:  # a list of policies, one row each
-        return [float(c.mean()) for c in res.costs]
-    return float(res.costs.mean())
+    res = simulate_batch(model, spec, list(policies), priors, rng, max_steps=max_steps)
+    return [float(c.mean()) for c in res.costs]
+
+
+def simulated_cost(
+    model: DetectionModel, spec: CostSpec, priors: np.ndarray, max_steps: int | None = None
+):
+    """The objective ``cost(phis, seed)`` of the threshold policies: the
+    :func:`sample_cost` of each ``phi``'s policy, all priced in one batch on
+    the sample paths of ``np.random.default_rng(seed)``."""
+
+    def cost(phis, seed: int) -> list[float]:
+        policies = [LinearThresholdPolicy(phi_to_theta(phi)) for phi in phis]
+        return sample_cost(
+            policies, model, spec, priors, np.random.default_rng(seed), max_steps=max_steps
+        )
+
+    return cost
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +151,19 @@ class SpsaParams:
 @dataclass
 class SpsaResult:
     phi_trace: np.ndarray  # (iterations+1, dim)
-    theta_trace: np.ndarray
     costs: np.ndarray  # per-iteration two-sided average batch cost
-    final_phi: np.ndarray
-    final_theta: np.ndarray
+
+    @property
+    def theta_trace(self) -> np.ndarray:
+        return np.array([phi_to_theta(phi) for phi in self.phi_trace])
+
+    @property
+    def final_phi(self) -> np.ndarray:
+        return self.phi_trace[-1]
+
+    @property
+    def final_theta(self) -> np.ndarray:
+        return phi_to_theta(self.final_phi)
 
     @property
     def policy(self) -> LinearThresholdPolicy:
@@ -143,55 +171,24 @@ class SpsaResult:
 
 
 def spsa_optimize(
-    model: DetectionModel,
-    spec: CostSpec,
-    init_phi,
-    iterations: int,
-    params: SpsaParams,
-    priors: np.ndarray | None,
-    rng: np.random.Generator,
-    cost_fn=None,
-    max_steps: int | None = None,
+    cost, init_phi, iterations: int, params: SpsaParams, rng: np.random.Generator
 ) -> SpsaResult:
     """Two-point simultaneous-perturbation gradient descent on the
     unconstrained parametrization.
 
-    Each iteration evaluates the batch cost at ``phi +/- delta_n d_n`` with
-    common random numbers, forms the random-direction gradient estimate, and
-    takes a decaying step.  The simulated policy cost runs both sides in one
-    stacked :func:`~phasestop.sim.simulate_batch` call, on the same sample
-    paths.  ``cost_fn(phi, rng)`` may replace it (used for synthetic
-    objectives and tests); it is then called once per side, each on a fresh
-    generator from that seed.
+    Each iteration draws a random direction ``d_n`` and then a seed, prices
+    ``phi +/- delta_n d_n`` with one ``cost([phi_plus, phi_minus], seed)``
+    call (common random numbers: both on the seed's sample paths), forms
+    the random-direction gradient estimate, and takes a decaying step.
     """
-    phi = np.asarray(init_phi, dtype=float).copy()
-    if cost_fn is None:
-        if priors is None:
-            raise ValueError("priors required when optimizing the simulated cost")
-
-        def pair_cost(phi_plus, phi_minus, seed):
-            # one stacked batch: J+ and J- on the same sample paths
-            pols = [LinearThresholdPolicy(phi_to_theta(q)) for q in (phi_plus, phi_minus)]
-            return sample_cost(
-                pols, model, spec, priors, np.random.default_rng(seed), max_steps=max_steps
-            )
-
-    else:
-
-        def pair_cost(phi_plus, phi_minus, seed):
-            return (
-                cost_fn(phi_plus, np.random.default_rng(seed)),
-                cost_fn(phi_minus, np.random.default_rng(seed)),
-            )
-
-    dim = phi.size
-    phi_trace = [phi.copy()]
+    phi = np.asarray(init_phi, dtype=float)
+    phi_trace = [phi]
     costs = []
     for n in range(iterations):
         delta_n = params.perturb / (n + 1.0) ** params.perturb_decay
-        direction = rng.integers(0, 2, size=dim) * 2 - 1
+        direction = rng.integers(0, 2, size=phi.size) * 2 - 1
         seed = int(rng.integers(0, 2**63 - 1))
-        j_plus, j_minus = pair_cost(phi + delta_n * direction, phi - delta_n * direction, seed)
+        j_plus, j_minus = cost([phi + delta_n * direction, phi - delta_n * direction], seed)
         if not (np.isfinite(j_plus) and np.isfinite(j_minus)):
             raise RuntimeError(
                 f"non-finite batch cost at iteration {n}: phi={phi}, "
@@ -200,17 +197,9 @@ def spsa_optimize(
         grad = (j_plus - j_minus) / (2.0 * delta_n) * direction
         step_n = params.step / (n + 2.0 + params.stability) ** params.step_decay
         phi = phi - step_n * grad
-        phi_trace.append(phi.copy())
+        phi_trace.append(phi)
         costs.append(0.5 * (j_plus + j_minus))
-    phi_arr = np.array(phi_trace)
-    theta_arr = np.array([phi_to_theta(p) for p in phi_trace])
-    return SpsaResult(
-        phi_trace=phi_arr,
-        theta_trace=theta_arr,
-        costs=np.array(costs),
-        final_phi=phi,
-        final_theta=phi_to_theta(phi),
-    )
+    return SpsaResult(np.array(phi_trace), np.array(costs))
 
 
 def optimize_with_restarts(
@@ -223,28 +212,19 @@ def optimize_with_restarts(
     restarts: int = 5,
     max_steps: int | None = None,
 ) -> tuple[SpsaResult, float]:
-    """Run SPSA from several standard-normal initial points and keep the
-    cheapest final policy, scored on ``priors`` with a shared evaluation seed
-    drawn from ``rng`` first."""
+    """Run SPSA on the :func:`simulated_cost` from several standard-normal
+    initial points and keep the cheapest final policy (the first of tied
+    scores), every one scored on ``priors`` with one evaluation seed drawn
+    from ``rng`` first."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    cost = simulated_cost(model, spec, priors, max_steps)
     dim = model.n_states - 1
     eval_seed = int(rng.integers(0, 2**63 - 1))
-    results = []
-    for _ in range(max(1, restarts)):
-        init = rng.normal(0.0, 1.0, size=dim)
-        results.append(
-            spsa_optimize(model, spec, init, iterations, params, priors, rng, max_steps=max_steps)
-        )
-    # every final policy scored on the same evaluation paths, in one stacked batch
-    scores = sample_cost(
-        [res.policy for res in results],
-        model,
-        spec,
-        priors,
-        np.random.default_rng(eval_seed),
-        max_steps=max_steps,
-    )
-    best = 0
-    for r, score in enumerate(scores):
-        if score < scores[best]:
-            best = r
+    results = [
+        spsa_optimize(cost, rng.normal(0.0, 1.0, size=dim), iterations, params, rng)
+        for _ in range(restarts)
+    ]
+    scores = cost([res.final_phi for res in results], eval_seed)
+    best = int(np.argmin(scores))
     return results[best], scores[best]

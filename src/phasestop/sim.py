@@ -465,9 +465,9 @@ def trajectory_csv(traj: Trajectory) -> str:
     head = "step,state,observation," + ",".join(f"belief{k}" for k in range(x)) + ",action"
     lines = [head]
     for k in range(len(traj.beliefs)):
-        obs = str(int(traj.observations[k - 1])) if 1 <= k <= len(traj.observations) else ""
-        act = str(int(traj.actions[k - 1])) if 1 <= k <= len(traj.actions) else ""
-        state = int(traj.states[k]) if k < len(traj.states) else int(traj.states[-1])
+        # step 0 has no observation and no action
+        obs = str(int(traj.observations[k - 1])) if k else ""
+        act = str(int(traj.actions[k - 1])) if k else ""
         belief = ",".join(f"{v:.17g}" for v in traj.beliefs[k])
-        lines.append(f"{k},{state},{obs},{belief},{act}")
+        lines.append(f"{k},{int(traj.states[k])},{obs},{belief},{act}")
     return "\n".join(lines) + "\n"

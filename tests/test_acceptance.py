@@ -367,9 +367,8 @@ def test_criterion_09_spsa_matches_grid_policy(fig3):
 
     target = np.array([0.5, -0.3])
     quad = pol.spsa_optimize(
-        None, None, np.zeros(2), 1000,
-        pol.SpsaParams(step=0.5, stability=10.0), None,
-        np.random.default_rng(4242), cost_fn=lambda p, r: float(np.sum((p - target) ** 2)),
+        lambda phis, seed: [float(np.sum((p - target) ** 2)) for p in phis], np.zeros(2), 1000,
+        pol.SpsaParams(step=0.5, stability=10.0), np.random.default_rng(4242),
     )
     quad_err = float(np.max(np.abs(quad.final_phi - target)))
 

@@ -44,6 +44,19 @@ def test_bundled_configs_parse():
                 cli.parse_model(entry["model"])
 
 
+def test_fig3a_derived_configs_run_by_bundled_name(tmp_path):
+    fig3a = cli.load_config("fig3a")
+    for name in ("fig3a_spsa", "fig3a_simulate", "fig3a_transient", "fig3a_risk", "fig3a_discounted"):
+        cfg = cli.load_config(name)
+        assert cfg["model"]["transition"] == fig3a["model"]["transition"], name
+        assert cfg["bins"] == fig3a["bins"], name
+    # discounted with no horizon: solved to convergence, with a genuine threshold
+    assert cli.main(["solve", "--config", "fig3a_discounted", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "fig3a_discounted_report.json").read_text())
+    assert report["sup_delta"] < 1e-8
+    assert 0 < report["stop_points"] < report["grid_points"]
+
+
 def test_unknown_config_rejected(capsys):
     assert cli.main(["solve", "--config", "no_such_config"]) == 2
     assert "no such file" in capsys.readouterr().err
@@ -150,6 +163,12 @@ def test_spsa_zero_iterations(tmp_path):
     assert cli.main(["spsa", "--config", ref, "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "zeroiter_policy.json").read_text())
     assert summary["theta"] == [pytest.approx(0.16)]
+    # no optimizer runs: one trace row at init_phi, with no batch cost and no score
+    assert summary["phi"] == [0.4]
+    assert summary["evaluation_cost"] is None and summary["feasible"] is True
+    assert (tmp_path / "zeroiter_trace.csv").read_text() == (
+        "iteration,phi0,theta0,batch_cost\n0,0.40000000000000002,0.16000000000000003,\n"
+    )
 
 
 def test_simulate_requires_positive_count(tmp_path, capsys):

@@ -84,7 +84,7 @@ def test_sample_cost_stop_now_is_free_without_variance(geometric_model):
     stop_now = pol.LinearThresholdPolicy(np.array([2.0]))  # score always < 0
     rng = np.random.default_rng(0)
     priors = rng.dirichlet([1, 1], size=64)
-    cost = pol.sample_cost(stop_now, geometric_model, spec, priors, rng)
+    [cost] = pol.sample_cost([stop_now], geometric_model, spec, priors, rng)
     assert cost == pytest.approx(0.0, abs=1e-12)
 
 
@@ -95,7 +95,7 @@ def test_sample_cost_never_stop_geometric_series(geometric_model):
     never = pol.LinearThresholdPolicy(np.array([-1.0]))  # score always > 0
     rng = np.random.default_rng(1)
     priors = rng.dirichlet([1, 1], size=8)
-    cost = pol.sample_cost(never, geometric_model, spec, priors, rng)
+    [cost] = pol.sample_cost([never], geometric_model, spec, priors, rng)
     assert cost == pytest.approx(0.37 / (1 - 0.9), rel=1e-4)
 
 
@@ -105,8 +105,8 @@ def test_sample_cost_deterministic(geometric_model):
     )
     policy = pol.LinearThresholdPolicy(np.array([0.3]))
     priors = np.random.default_rng(5).dirichlet([1, 1], size=32)
-    a = pol.sample_cost(policy, geometric_model, spec, priors, np.random.default_rng(77))
-    b = pol.sample_cost(policy, geometric_model, spec, priors, np.random.default_rng(77))
+    a = pol.sample_cost([policy], geometric_model, spec, priors, np.random.default_rng(77))
+    b = pol.sample_cost([policy], geometric_model, spec, priors, np.random.default_rng(77))
     assert a == b
 
 
@@ -130,7 +130,7 @@ def test_spsa_zero_iterations_returns_init(geometric_model):
     rng = np.random.default_rng(3)
     priors = rng.dirichlet([1, 1], size=8)
     res = pol.spsa_optimize(
-        geometric_model, spec, [0.4], 0, pol.SpsaParams(), priors, rng
+        pol.simulated_cost(geometric_model, spec, priors), [0.4], 0, pol.SpsaParams(), rng
     )
     assert np.array_equal(res.final_phi, [0.4])
     assert res.costs.size == 0
@@ -138,8 +138,8 @@ def test_spsa_zero_iterations_returns_init(geometric_model):
 
 def test_spsa_flat_objective_is_stationary():
     res = pol.spsa_optimize(
-        None, None, [0.5, -0.5], 50, pol.SpsaParams(),
-        None, np.random.default_rng(0), cost_fn=lambda phi, rng: 0.0,
+        lambda phis, seed: [0.0] * len(phis), [0.5, -0.5], 50, pol.SpsaParams(),
+        np.random.default_rng(0),
     )
     assert np.allclose(res.phi_trace, res.phi_trace[0])
 
@@ -147,13 +147,12 @@ def test_spsa_flat_objective_is_stationary():
 def test_spsa_quadratic_oracle_converges():
     target = np.array([0.5, -0.3])
 
-    def quad(phi, rng):
-        return float(np.sum((phi - target) ** 2))
+    def quad(phis, seed):
+        return [float(np.sum((phi - target) ** 2)) for phi in phis]
 
     res = pol.spsa_optimize(
-        None, None, np.zeros(2), 1000,
-        pol.SpsaParams(step=0.5, stability=10.0),
-        None, np.random.default_rng(42), cost_fn=quad,
+        quad, np.zeros(2), 1000, pol.SpsaParams(step=0.5, stability=10.0),
+        np.random.default_rng(42),
     )
     assert np.max(np.abs(res.final_phi - target)) < 1e-2
 
@@ -165,21 +164,18 @@ def test_spsa_iterates_stay_feasible(geometric_model):
     rng = np.random.default_rng(6)
     priors = rng.dirichlet([1, 1], size=16)
     res = pol.spsa_optimize(
-        geometric_model, spec, [0.8], 30, pol.SpsaParams(), priors, rng
+        pol.simulated_cost(geometric_model, spec, priors), [0.8], 30, pol.SpsaParams(), rng
     )
     for theta in res.theta_trace:
         assert pol.theta_is_mlr_increasing(theta)
 
 
 def test_spsa_nonfinite_cost_reported():
-    def bad(phi, rng):
-        return float("nan")
+    def bad(phis, seed):
+        return [float("nan")] * len(phis)
 
     with pytest.raises(RuntimeError, match="non-finite"):
-        pol.spsa_optimize(
-            None, None, [0.1], 5, pol.SpsaParams(), None,
-            np.random.default_rng(0), cost_fn=bad,
-        )
+        pol.spsa_optimize(bad, [0.1], 5, pol.SpsaParams(), np.random.default_rng(0))
 
 
 def _noisy_spsa_case(staged_model):
@@ -193,7 +189,8 @@ def _noisy_spsa_case(staged_model):
 def test_spsa_pair_shares_one_sample_path(staged_model):
     m, spec, priors, params = _noisy_spsa_case(staged_model)
     got = pol.spsa_optimize(
-        m, spec, [0.3, 0.8], 15, params, priors, np.random.default_rng(8), max_steps=200
+        pol.simulated_cost(m, spec, priors, max_steps=200), [0.3, 0.8], 15, params,
+        np.random.default_rng(8),
     )
     # the same iterations, each pair priced by one stacked batch on its seed
     rng, phi = np.random.default_rng(8), np.array([0.3, 0.8])
@@ -225,7 +222,8 @@ def test_restarts_scored_in_one_batch_match_a_per_restart_loop(staged_model):
         for _ in range(restarts):
             init = rng.normal(0.0, 1.0, size=2)
             results.append(pol.spsa_optimize(
-                m, spec, init, iterations, params, priors, rng, max_steps=max_steps
+                pol.simulated_cost(m, spec, priors, max_steps=max_steps), init, iterations,
+                params, rng,
             ))
         scores = pol.sample_cost(
             [res.policy for res in results], m, spec, priors,
@@ -244,6 +242,15 @@ def test_restarts_scored_in_one_batch_match_a_per_restart_loop(staged_model):
     assert np.array_equal(got.costs, want.costs)
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_restarts_below_one_are_rejected(staged_model, restarts):
+    m, spec, priors, params = _noisy_spsa_case(staged_model)
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        pol.optimize_with_restarts(
+            m, spec, 5, params, priors, np.random.default_rng(5), restarts=restarts
+        )
+
+
 def test_sample_cost_of_a_list_shares_one_sample_path(staged_model):
     m, spec, priors, _ = _noisy_spsa_case(staged_model)
     # the first policy's stop region lies inside the second's
@@ -251,7 +258,7 @@ def test_sample_cost_of_a_list_shares_one_sample_path(staged_model):
     got = pol.sample_cost(
         policies + policies[:1], m, spec, priors, np.random.default_rng(3), max_steps=200
     )
-    solo = pol.sample_cost(policies[0], m, spec, priors, np.random.default_rng(3), max_steps=200)
+    [solo] = pol.sample_cost(policies[:1], m, spec, priors, np.random.default_rng(3), max_steps=200)
     assert got[0] == got[2] == solo and got[0] != got[1]
     flipped = pol.sample_cost(
         policies[::-1], m, spec, priors, np.random.default_rng(3), max_steps=200
