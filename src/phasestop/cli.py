@@ -367,6 +367,10 @@ def cmd_spsa(cfg: dict, out_dir: Path, name: str) -> int:
         init = _matrix(cfg.get("init_phi", np.zeros(dim)), "config.init_phi")
         if init.shape != (dim,):
             raise ConfigError(f"config.init_phi: expected {dim} numbers, got {cfg['init_phi']!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = policy_mod.phi_to_theta(init)
+        if not np.isfinite(theta).all():
+            raise ConfigError(f"config.init_phi: its theta {theta.tolist()} is not finite")
         result, score = policy_mod.SpsaResult(init[None, :], np.empty(0)), None
     elif "init_phi" in cfg:
         raise ConfigError(

@@ -1,7 +1,9 @@
 """Linear threshold policies on the simplex and the SPSA policy-gradient search.
 
 A threshold policy stops exactly when the linear score
-``pi(2) + theta(1) pi(3) + ... + theta(X-2) pi(X) - theta(X-1)`` is negative.
+``pi(2) + theta(1) pi(3) + ... + theta(X-2) pi(X) - theta(X-1)`` is negative,
+summed elementwise so that a belief's decision is the same alone or in a
+stack of policies (:meth:`LinearThresholdPolicy.stop_mask`).
 The constraint set ``theta(X-2) >= 1``, ``0 <= theta(i) <= theta(X-2)``,
 ``theta(X-1) > 0`` characterizes the policies whose score is monotone along
 every line anchored at the extreme vertices, i.e. the policies consistent
@@ -16,11 +18,34 @@ for the simulated cost of the threshold policies ``phi_to_theta(phi)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .model import CostSpec, DetectionModel
 from .sim import simulate_batch
+
+
+def _stop_mask(coefs: tuple, threshold, pts: np.ndarray) -> np.ndarray:
+    """The linear stop test on the beliefs ``pts`` (rows, X): the score
+    ``pi(2) + coefs[0] pi(3) + ... + coefs[X-3] pi(X)``, summed elementwise
+    left to right, is below ``threshold``.  Scalar coefficients give one
+    policy's (rows,) mask, (T, 1) columns the (T, rows) mask of a stack."""
+    if not coefs:
+        return pts[:, 1] < threshold
+    score = coefs[0] * pts[:, 2]
+    score += pts[:, 1]  # pi(2) + theta(1) pi(3): addition commutes exactly
+    for i in range(1, len(coefs)):
+        score += coefs[i] * pts[:, i + 2]
+    return score < threshold
+
+
+def _check_size(theta_size: int, n_states: int) -> None:
+    if theta_size != n_states - 1:
+        raise ValueError(
+            f"a linear policy on {n_states} states needs {n_states - 1} theta entries, "
+            f"got {theta_size}"
+        )
 
 
 @dataclass(frozen=True)
@@ -32,8 +57,8 @@ class LinearThresholdPolicy:
         object.__setattr__(self, "theta", t)
         if t.ndim != 1 or t.size < 1:
             raise ValueError("theta must be a vector with at least one entry")
-        # the score's terms, computed once per policy
-        object.__setattr__(self, "_coefficients", self.coefficients())
+        # the score's terms, as Python floats, computed once per policy
+        object.__setattr__(self, "_terms", (tuple(t[:-1].tolist()), float(t[-1])))
 
     @property
     def n_states(self) -> int:
@@ -48,10 +73,29 @@ class LinearThresholdPolicy:
 
     def stop_mask(self, pts: np.ndarray) -> np.ndarray:
         """True where the policy stops, one belief per row of ``pts``: where
-        the score is strictly negative.  A score of exactly 0 continues."""
-        # for finite values, pts @ c < t exactly when the score pts @ c - t < 0
-        c, t = self._coefficients
-        return pts @ c < t
+        the score is strictly negative.  A score of exactly 0 continues.
+
+        The score is summed elementwise, left to right: ``s = pi(2)``, then
+        ``s += theta(i) pi(i + 2)`` for ``i = 1 .. X-2``, and a row stops
+        where ``s < theta(X-1)``.  A row's bits depend on that row alone, so
+        a belief gets the same decision alone, in a taller array, or in a
+        stack of policies (:meth:`stacked_mask`).  Raises ``ValueError``
+        unless ``pts`` has ``X = theta.size + 1`` columns.
+        """
+        _check_size(self.theta.size, pts.shape[-1])
+        return _stop_mask(*self._terms, pts)
+
+    @staticmethod
+    def stacked_mask(policies, n_states: int):
+        """One stop test for a stack of T policies on ``n_states`` states:
+        a function of ``pts`` whose (T, rows) result has row ``t`` equal to
+        ``policies[t].stop_mask(pts)``, bit for bit.  The coefficients are
+        stacked once, as (T, 1) columns.  Raises ``ValueError`` unless every
+        theta has ``n_states - 1`` entries."""
+        for p in policies:
+            _check_size(p.theta.size, n_states)
+        terms = [col[:, None] for col in np.array([p.theta for p in policies]).T.copy()]
+        return partial(_stop_mask, tuple(terms[:-1]), terms[-1])
 
 
 def theta_is_mlr_increasing(theta) -> bool:

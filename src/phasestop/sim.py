@@ -29,7 +29,8 @@ returns ``k * 2**-53`` for an integer ``k``, so ``cdf <= u`` holds exactly
 when ``ceil(cdf * 2**53) <= k``, and both sides are integers below
 ``2**53``.  A batch step draws one uniform per active row for the state
 moves, then one per active row for the symbols, in ascending row order, in
-one ``rng.random`` call of twice the active rows.
+one ``rng.random`` call of twice the active rows, and quantizes them once,
+in their own buffer, to the integers ``k`` (:func:`_uniform_keys`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .dp import CONTINUE, STOP, stage_cost_vectors
-from .filters import ZeroProbabilityError, _bayes_step, as_belief, hmm_update
+from .filters import SUM_TOL, ZeroProbabilityError, _bayes_step, as_belief, hmm_update
 from .model import CostSpec, DetectionModel
 
 DETECTION_MAX_STEPS = 10_000
@@ -198,23 +199,30 @@ class _DrawTable:
         return guide
 
 
-def _draw_positions(table: _DrawTable, offsets: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws: entry ``i`` draws from row ``s = offsets[i] >> 54``
-    of ``table`` with the uniform ``u[i]``, giving the draw's position
-    ``s * cols + j`` in the flattened table, ``j`` being the number of
-    entries of the row at or below ``u[i]``.
+def _uniform_keys(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uniforms ``u = rng.random(size)`` as the integers
+    ``k = u * 2**53``, written over the uniforms' own buffer."""
+    u = rng.random(size)
+    keys = u.view(np.int64)
+    np.multiply(u, _GRID, out=keys, casting="unsafe")
+    return keys
 
-    Exact only for uniforms on the ``2**-53`` grid, as ``rng.random()``
-    returns them: ``k = u * 2**53`` is then an integer, and a row's entry
-    is at or below ``u`` exactly when its key is at or below
-    ``offsets[i] + k``.  Every key of an earlier row lies below that query
-    and every key of a later row above it, so one ``searchsorted`` over the
-    flattened table counts ``s * cols`` entries plus the draw.  From
-    ``GUIDE_MIN_QUERIES`` queries on, the guide gives the count, and the
-    search runs only on the queries whose bucket holds a key.
+
+def _draw_positions(table: _DrawTable, query: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: the integer query ``(s << 54) + k`` draws from row
+    ``s`` of ``table`` with the uniform ``u = k * 2**-53``, giving the
+    draw's position ``s * cols + j`` in the flattened table, ``j`` being the
+    number of entries of the row at or below ``u``.
+
+    A row's entry is at or below ``u`` exactly when its key is at or below
+    the query (:func:`_uniform_keys` gives ``k`` for ``rng.random()``'s
+    uniforms, which lie on the ``2**-53`` grid).  Every key of an earlier
+    row lies below the query and every key of a later row above it, so one
+    ``searchsorted`` over the flattened table counts ``s * cols`` entries
+    plus the draw.  From ``GUIDE_MIN_QUERIES`` queries on, the guide gives
+    the count, and the search runs only on the queries whose bucket holds a
+    key.
     """
-    query = (u * _GRID).astype(np.int64)
-    query += offsets
     if query.size < GUIDE_MIN_QUERIES:
         return table.keys.searchsorted(query, side="right")
     pos = table.guide.take(query >> table.shift)
@@ -270,6 +278,51 @@ def _price_steps(spec, model, original, steps, acc, costs):
     return acc
 
 
+def _check_priors(priors: np.ndarray, n_states: int) -> None:
+    """Raise ``ValueError`` unless ``priors`` is (n, X) and each row is a
+    belief: entries at least ``-SUM_TOL``, summing to 1 within
+    ``SUM_TOL * X``.  A NaN row passes; its filter step raises."""
+    if priors.ndim != 2 or priors.shape[1] != n_states:
+        raise ValueError(
+            f"priors must have shape (n, {n_states}), one column per state, got {priors.shape}"
+        )
+    negative = (priors < -SUM_TOL).any(axis=1)
+    off_sum = np.abs(priors.sum(axis=1) - 1.0) > SUM_TOL * n_states
+    if negative.any() or off_sum.any():
+        i = int(np.argmax(negative | off_sum))
+        rule = "has an entry below 0" if negative[i] else "does not sum to 1"
+        raise ValueError(f"prior row {i} {rule}: {priors[i].tolist()}")
+
+
+def _stop_test(policies: list, n_states: int):
+    """The stop test of a list of T policies, built once per batch: a
+    function of the beliefs ``pts`` giving their (T, rows) stop mask (a
+    lone policy of no stack may give its (rows,) mask, which broadcasts).
+
+    The policies of a class with a ``stacked_mask(policies, n_states)``
+    method (:class:`~phasestop.policy.LinearThresholdPolicy`) share one
+    test; every other policy is a group of one through its ``stop_mask``.
+    """
+    stacks, groups = {}, []
+    for t, pol in enumerate(policies):
+        if hasattr(type(pol), "stacked_mask"):
+            stacks.setdefault(type(pol), []).append(t)
+        else:
+            groups.append(([t], pol.stop_mask))
+    for cls, index in stacks.items():
+        groups.append((index, cls.stacked_mask([policies[t] for t in index], n_states)))
+    if len(groups) == 1:
+        return groups[0][1]
+
+    def test(pts):
+        stop = np.empty((len(policies), pts.shape[0]), dtype=bool)
+        for index, mask in groups:
+            stop[index] = mask(pts)
+        return stop
+
+    return test
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_batch(
     model: DetectionModel,
@@ -286,16 +339,21 @@ def simulate_batch(
     With ``transformed=False`` the raw expected costs are accumulated.
     Censored trajectories contribute their truncated cost and are flagged.
     The step loop works on the still-active rows only, in ascending row
-    order.  Raises :class:`~phasestop.filters.ZeroProbabilityError` when a
-    row's filter normalisation is zero or not finite (a NaN prior, or a
-    belief that underflowed away from the true state), and
-    ``FloatingPointError``, not a warning, when the stage-cost bound or a
-    returned cost is not finite (cost parameters that overflow).
+    order.  Raises ``ValueError``, before the first draw, when ``priors`` is
+    not (n, X) or a row is not a belief (an entry below ``-SUM_TOL``, or a
+    sum off 1 by more than ``SUM_TOL * X``), and when a linear policy's
+    theta does not have X - 1 entries;
+    :class:`~phasestop.filters.ZeroProbabilityError` when a row's filter
+    normalisation is zero or NaN (a NaN prior, or a belief that underflowed
+    away from the true state); and ``FloatingPointError``, not a warning,
+    when the stage-cost bound or a returned cost is not finite (cost
+    parameters that overflow).
 
     ``policy`` may also be a list of T policies, giving (T, n) arrays.  The
     policies share one sample path per row (chain, symbols, beliefs), as only
     their stop steps differ: each step draws and filters once the rows some
-    policy still runs, and every policy decides on all of them.  A policy
+    policy still runs, and every policy decides on all of them, the linear
+    policies in one stacked test (:func:`_stop_test`).  A policy
     whose stop region lies inside every other's thus matches its solo run
     bit for bit, generator end state included, and nested stop regions give
     stop steps ordered row by row.  The step loop computes no cost: it
@@ -313,6 +371,8 @@ def simulate_batch(
     if not policies:
         raise ValueError("simulate_batch needs at least one policy")
     priors = np.atleast_2d(np.asarray(priors, dtype=float))
+    _check_priors(priors, model.n_states)
+    stop_test = _stop_test(policies, model.n_states)
     n = priors.shape[0]
     b = model.discrete_obs().matrix
     p = model.transition
@@ -352,24 +412,30 @@ def simulate_batch(
     for k in range(1, max_steps + 1):
         if rows.size == 0:
             break
-        u = rng.random(2 * rows.size)  # the state moves' uniforms, then the symbols'
-        off = next_off[_draw_positions(table_p, off, u[: rows.size])]
+        # the state moves' queries, then the symbols': uniform keys plus row offsets
+        keys = _uniform_keys(rng, 2 * rows.size)
+        move, symbol = keys[: rows.size], keys[rows.size :]
+        move += off
+        off = next_off[_draw_positions(table_p, move)]
         t0[(t0 < 0) & (off == 0)] = k
-        y_pos = _draw_positions(table_b, off, u[rows.size :])
-        del u  # before the Bayes step allocates: no higher peak memory
+        symbol += off
+        y_pos = _draw_positions(table_b, symbol)
+        del keys, move, symbol  # before the Bayes step allocates: no higher peak memory
         beliefs = beliefs @ p  # the prediction, dropping the old beliefs before the gather
         beliefs, sigma, low = _bayes_step(beliefs, lik.take(y_pos, axis=0))
-        if not (low > 0.0 and sigma.max() < np.inf):
-            j = int(np.argmax(~((sigma > 0.0) & (sigma < np.inf))))
+        # checked priors keep every sigma finite: a zero or NaN one makes low fail
+        if not low > 0.0:
+            j = int(np.argmax(~(sigma > 0.0)))
             raise ZeroProbabilityError(
                 f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
                 f"{sigma[j]} after observation {int(y_pos[j]) % b.shape[1]}"
             )
         del y_pos, sigma  # before the policies allocate
-        stop = alive & np.array([pol.stop_mask(beliefs) for pol in policies])
+        stop = alive & stop_test(beliefs)
+        hit = stop.ravel().nonzero()[0]  # the stops' flat positions t * rows + j
         stops = keep = None
-        if stop.any():
-            t, j = np.nonzero(stop)
+        if hit.size:
+            t, j = np.divmod(hit, rows.size)
             done = rows[j]
             tau[t, done], tau0[t, done] = k, t0[j]
             stops = t, j, done
@@ -411,7 +477,9 @@ def sample_change_times(
     for k in range(1, max_steps + 1):
         if rows.size == 0:
             break
-        off = next_off[_draw_positions(table_p, off, rng.random(rows.size))]
+        query = _uniform_keys(rng, rows.size)
+        query += off
+        off = next_off[_draw_positions(table_p, query)]
         hit = off == 0
         times[rows[hit]] = k
         rows, off = rows[~hit], off[~hit]

@@ -701,6 +701,8 @@ def _case_id(value):
         # only a run of 0 iterations starts from init_phi: restarts draw their own starts
         ("spsa", {"init_phi": "abc"}, "config.init_phi: only iterations 0 reads it"),
         ("spsa", {"init_phi": [0.4]}, "config.init_phi: only iterations 0 reads it"),
+        # phi_to_theta squares the last entry: 1e200 overflows to an infinite theta
+        ("spsa", {"iterations": 0, "init_phi": [1e200]}, "config.init_phi: its theta [inf] is not finite"),
     ],
     ids=_case_id,
 )

@@ -385,8 +385,9 @@ GRID = 2.0**53
 
 
 def draw_positions(table, states, u):
-    """``sim._draw_positions`` from the rows ``states`` of a draw table."""
-    return sim._draw_positions(table, states << sim._ROW_SHIFT, u)
+    """``sim._draw_positions`` from the rows ``states`` of a draw table, with
+    the grid uniforms ``u`` quantized to their integer keys."""
+    return sim._draw_positions(table, (states << sim._ROW_SHIFT) + (u * GRID).astype(np.int64))
 
 
 def grid_uniforms_around(cdf):
@@ -731,3 +732,113 @@ def test_single_policy_keeps_its_shapes(three_state_model):
     assert_shared_paths(three_state_model, spec, [linear], 0, priors, 4)
     with pytest.raises(ValueError, match="at least one policy"):
         sim.simulate_batch(three_state_model, spec, [], priors, np.random.default_rng(4))
+
+
+# ---------------------------------------------------------------------------
+# One stop test for a stack of policies
+
+
+def written_out_score(theta, pi) -> float:
+    """The linear score one belief at a time, in Python floats, before its
+    intercept: pi(2) + theta(1) pi(3) + ..., summed left to right."""
+    score = float(pi[1])
+    for c, p in zip(theta[:-1], pi[2:]):
+        score += float(c) * float(p)
+    return score
+
+
+def tied_thetas(pts, rng, count):
+    """``count`` random feasible theta, each with its intercept set to the
+    written-out score of one row of ``pts``: that row ties and continues,
+    and rows next to it decide by the last bits of their scores."""
+    thetas = []
+    for t in range(count):
+        theta = pol.phi_to_theta(rng.normal(size=pts.shape[1] - 1))
+        theta[-1] = written_out_score(theta, pts[t % len(pts)])
+        thetas.append(theta)
+    return thetas
+
+
+@pytest.mark.parametrize("x", [2, 3, 4, 5])
+def test_stacked_linear_mask_matches_each_policy(x):
+    rng = np.random.default_rng(60 + x)
+    pts = rng.dirichlet(np.ones(x), size=400)
+    policies = [pol.LinearThresholdPolicy(th) for th in tied_thetas(pts, rng, 40)]
+    mask = pol.LinearThresholdPolicy.stacked_mask(policies, x)
+    stacked = mask(pts)
+    assert stacked.dtype == bool and stacked.shape == (len(policies), len(pts))
+    assert stacked.any() and not stacked.all()
+    for t, policy in enumerate(policies):
+        solo = policy.stop_mask(pts)
+        assert np.array_equal(stacked[t], solo)
+        assert not solo[t]  # the tied row continues
+        assert list(solo) == [written_out_score(policy.theta, pi) < policy.theta[-1] for pi in pts]
+    # one row at a time, alone and stacked, decides as in the taller arrays
+    for i in range(0, len(pts), 7):
+        row = pts[i : i + 1]
+        assert np.array_equal(mask(row)[:, 0], stacked[:, i])
+        assert [p.stop_mask(row)[0] for p in policies] == list(stacked[:, i])
+
+
+def test_stacked_mask_of_a_625_theta_mesh():
+    pts = np.random.default_rng(62).dirichlet(np.ones(3), size=100)
+    mesh = [np.array([a, b]) for a in np.linspace(1.0, 3.0, 25) for b in np.linspace(0.05, 1.5, 25)]
+    policies = [pol.LinearThresholdPolicy(th) for th in mesh]
+    stacked = pol.LinearThresholdPolicy.stacked_mask(policies, 3)(pts)
+    assert stacked.shape == (625, 100) and stacked.any() and not stacked.all()
+    for t, policy in enumerate(policies):
+        assert np.array_equal(stacked[t], policy.stop_mask(pts))
+        assert np.array_equal(stacked[t, :1], policy.stop_mask(pts[:1]))
+
+
+def test_stop_test_of_a_mixed_stack(noisy_grid_policy):
+    grid_policy = noisy_grid_policy[2]
+    pts = np.random.default_rng(63).dirichlet(np.ones(3), size=300)
+    linear = [pol.LinearThresholdPolicy(th) for th in tied_thetas(pts, np.random.default_rng(64), 3)]
+    callable_ = StopWhere(lambda pi: pi[0] > 0.6)
+    policies = [grid_policy, linear[0], callable_, linear[1], grid_policy, linear[2]]
+    test = sim._stop_test(policies, 3)
+    for rows in (pts, pts[5:6]):
+        stacked = test(rows)
+        assert stacked.dtype == bool and stacked.shape == (len(policies), len(rows))
+        for t, policy in enumerate(policies):
+            assert np.array_equal(stacked[t], policy.stop_mask(rows)), t
+    # a list of linear policies alone is one stacked test, in list order
+    assert np.array_equal(sim._stop_test(linear, 3)(pts), np.array([p.stop_mask(pts) for p in linear]))
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_linear_theta_must_fit_the_states(three_state_model, size):
+    spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
+    bad = pol.LinearThresholdPolicy(np.full(size, 0.5))
+    message = f"a linear policy on 3 states needs 2 theta entries, got {size}"
+    with pytest.raises(ValueError, match=message):
+        bad.stop_mask(np.full((4, 3), 1 / 3))
+    priors = np.tile(three_state_model.initial, (10, 1))
+    for policy in (bad, [pol.LinearThresholdPolicy(np.array([1.2, 0.4])), bad]):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            sim.simulate_batch(three_state_model, spec, policy, priors, rng, max_steps=20)
+        assert rng.bit_generator.state == before  # raised before the first draw
+
+
+@pytest.mark.parametrize(
+    "priors, message",
+    [
+        (np.full((4, 2), 0.5), r"priors must have shape \(n, 3\), one column per state, got \(4, 2\)"),
+        ([[2.0, 1.0, 1.0]], r"prior row 0 does not sum to 1: \[2.0, 1.0, 1.0\]"),
+        ([[0.2, 0.3, 0.5], [0.5, 0.6, -0.1]], r"prior row 1 has an entry below 0: \[0.5, 0.6, -0.1\]"),
+    ],
+)
+def test_batch_rejects_priors_that_are_not_beliefs(three_state_model, priors, message):
+    spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
+    linear = pol.LinearThresholdPolicy(np.array([1.2, 0.4]))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        sim.simulate_batch(three_state_model, spec, linear, priors, rng, max_steps=20)
+    assert rng.bit_generator.state == before
+    # rounding within SUM_TOL per entry passes
+    fine = [[0.5, 0.5 + 2e-12, -1e-12]]
+    sim.simulate_batch(three_state_model, spec, linear, fine, rng, max_steps=20)
