@@ -137,7 +137,10 @@ class SimplexGrid:
                 first = frac[j] >= frac[i]
                 rank[i] += first
                 rank[j] -= first
-        low += rank < self.m - low.sum(axis=0)
+        # k as int8, as the ranks: a k that does not fit belongs to a row
+        # with a coordinate far below 0, which raises below
+        with np.errstate(invalid="ignore"):
+            low += rank < (self.m - low.sum(axis=0)).astype(np.int8)
         if (low < 0).any():
             raise ValueError("nearest: belief too far off the simplex")
         # offsets into the rank table, exact in float64 (integers below 2**53)
@@ -489,8 +492,15 @@ def convexity_check(region, grid: SimplexGrid) -> np.ndarray:
 
 
 def _chain_order(grid: SimplexGrid, vertex: int) -> tuple[np.ndarray, np.ndarray]:
-    """The chains of :func:`vertex_chains`, concatenated, and the offset in
-    that order at which each chain ends (exclusive)."""
+    """The maximal grid-aligned lines toward the (1-based) vertex,
+    concatenated, and the offset in that order at which each line ends
+    (exclusive).
+
+    Points are grouped by the projective class of their remaining
+    coordinates (divided by their gcd); the lines come in ascending order of
+    that class, each ordered by increasing mass on the vertex and ending at
+    the vertex itself.
+    """
     axis = vertex - 1
     if not 0 <= axis < grid.n_states:
         raise ValueError("vertex out of range")
@@ -506,18 +516,6 @@ def _chain_order(grid: SimplexGrid, vertex: int) -> tuple[np.ndarray, np.ndarray
     # the vertex closes each chain: insert it before each chain's end
     order = np.insert(pts[perm], ends, vertex_idx)
     return order, ends + np.arange(1, ends.size + 1)
-
-
-def vertex_chains(grid: SimplexGrid, vertex: int) -> list[np.ndarray]:
-    """Maximal grid-aligned lines toward the (1-based) vertex.
-
-    Points are grouped by the projective class of their remaining
-    coordinates (divided by their gcd); the chains come in ascending order
-    of that class, each ordered by increasing mass on the vertex and ending
-    at the vertex itself.
-    """
-    order, ends = _chain_order(grid, vertex)
-    return np.split(order, ends[:-1])
 
 
 def line_crossing_check(sol: GridSolution, grid: SimplexGrid, vertex: int) -> int:

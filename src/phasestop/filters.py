@@ -1,10 +1,11 @@
 """Belief-state recursions: the one Bayes step and the myopic social action rule.
 
-:func:`bayes_step` corrects a prediction by a likelihood for every belief
-recursion in the package: the HMM filter :func:`hmm_update` (which raises
+:func:`bayes_step` corrects a prediction by a likelihood for the belief
+recursions in the package: the HMM filter :func:`hmm_update` (which raises
 :class:`ZeroProbabilityError` on a zero or NaN normalisation), every cost
-family's ``updates``, the grid solver and the batch simulator (through
-:func:`_bayes_step`, which also returns the least normalisation).
+family's ``updates`` and the grid solver.  The batch simulator makes the
+same correction in place on its fresh predictions, with :func:`_row_sum`
+for the normalisations, and raises on a zero or NaN one before it divides.
 :func:`social_scores` and :func:`social_likelihoods`, the myopic social
 action rule on a stack of beliefs, give ``SocialStopping.updates``.
 """
@@ -67,17 +68,10 @@ def bayes_step(pred, lik):
     what that means is up to the caller.  When every ``sigma`` is positive
     the rows are divided by ``sigma`` itself, with no guarded copy of it.
     """
-    return _bayes_step(pred, lik)[:2]
-
-
-def _bayes_step(pred, lik):
-    """:func:`bayes_step`'s ``(belief, sigma)`` and ``sigma``'s least entry,
-    for a caller that checks the normalisations anyway."""
     unnorm = pred * lik
     sigma = _row_sum(unnorm)
-    low = sigma.min()
-    unnorm /= (sigma if low > 0.0 else np.where(sigma > 0.0, sigma, 1.0))[..., None]
-    return unnorm, sigma, low
+    unnorm /= (sigma if sigma.min() > 0.0 else np.where(sigma > 0.0, sigma, 1.0))[..., None]
+    return unnorm, sigma
 
 
 def hmm_update(pi, y: int, model: DetectionModel) -> tuple[np.ndarray, float]:

@@ -64,13 +64,6 @@ class LinearThresholdPolicy:
     def n_states(self) -> int:
         return self.theta.size + 1
 
-    def coefficients(self) -> tuple[np.ndarray, float]:
-        """Belief-space coefficient vector and intercept of the score."""
-        c = np.zeros(self.n_states)
-        c[1] = 1.0
-        c[2:] = self.theta[: self.n_states - 2]
-        return c, float(self.theta[-1])
-
     def stop_mask(self, pts: np.ndarray) -> np.ndarray:
         """True where the policy stops, one belief per row of ``pts``: where
         the score is strictly negative.  A score of exactly 0 continues.

@@ -3,45 +3,55 @@
 Timing convention: the chain starts at ``x_0`` drawn from the initial belief;
 at each step ``k >= 1`` the chain moves, a symbol is observed, the belief is
 updated, and the decision is applied to the updated belief.  ``tau`` is the
-first step whose decision is stop, ``tau0`` the first step in the absorbing
-state.  Costs therefore start accruing at the first post-observation belief.
+first step whose decision is stop, ``tau0`` the first step in state 1 (the
+absorbing post-change state of a change model).  Costs therefore start
+accruing at the first post-observation belief.
 
 Draw convention: a draw from a pmf is the inverse CDF of one uniform
 ``u = rng.random()``: the first index whose CDF entry exceeds ``u``, that
 is the number of entries at or below ``u``.  Every path draws this way, on
 tables built by :func:`_cdf`, which pins the entries at a row's total to
 1.0, so no draw picks a zero-probability column or one past the end.  The
-batch paths (:func:`simulate_batch`, :func:`sample_change_times`) turn each
-table once per call into a :class:`_DrawTable`: one sorted, flattened array
-of integer keys, and a guide table (Chen & Asau 1974; Devroye 1986,
-section III.2), built when a step first draws ``GUIDE_MIN_QUERIES`` or
-more rows.  A batch draw (:func:`_draw_positions`), whichever row of the
-table each entry draws from, reads its count from the guide bucket of its
-uniform.  A bucket that holds a key, and every draw of a shorter array, is
-counted by one ``searchsorted`` on the keys instead, which gives the same
-count.  A draw is a position in the flattened table,
-``s * cols + j`` for column ``j`` of row ``s``, and the batch paths map
-positions to what they need through arrays built once per call: the chain
-table to the next state's row offset ``j << 54``, which the step carries in
-place of the state (offset 0 is state 1), and the observation table to the
-likelihood row ``b[:, j]``.  The keys are exact: NumPy's ``random()``
-returns ``k * 2**-53`` for an integer ``k``, so ``cdf <= u`` holds exactly
-when ``ceil(cdf * 2**53) <= k``, and both sides are integers below
-``2**53``.  A batch step draws one uniform per active row for the state
-moves, then one per active row for the symbols, in ascending row order, in
-one ``rng.random`` call of twice the active rows, and quantizes them once,
-in their own buffer, to the integers ``k`` (:func:`_uniform_keys`).
+batch path (:func:`simulate_batch`) turns each table once per call into a
+:class:`_DrawTable`: one sorted, flattened array of integer keys, and a
+guide table (Chen & Asau 1974; Devroye 1986, section III.2), built when a
+step first draws ``GUIDE_MIN_QUERIES`` or more rows.  A batch draw
+(:func:`_draw_positions`), whichever row of the table each entry draws
+from, reads its count from the guide bucket of its uniform.  A bucket that
+holds a key, and every draw of a shorter array, is counted by one
+``searchsorted`` on the keys instead, which gives the same count.  A draw
+is a position in the flattened table, ``s * cols + j`` for column ``j`` of
+row ``s``, and the batch path maps positions to what it needs through
+arrays built once per call: the chain table to the next state's row offset
+``j << 54``, which the step carries in place of the state (offset 0 is
+state 1), and the observation table to the likelihood row ``b[:, j]``.
+The keys are exact: NumPy's ``random()`` returns ``k * 2**-53`` for an
+integer ``k``, so ``cdf <= u`` holds exactly when ``ceil(cdf * 2**53) <=
+k``, and both sides are integers below ``2**53``.  A batch step draws one
+uniform per active row for the state moves, then one per active row for
+the symbols, in ascending row order, in one ``rng.random`` call of twice
+the active rows, and turns them into the integers ``k`` in their own buffer
+(:func:`_uniform_keys`): it multiplies them by ``2**53`` in place, which is
+exact, and casts the products to ``int64`` over the same bytes.
+
+Change time: a batch row carries the least ``off + k`` over its steps so
+far, ``off`` being its state's row offset at step ``k`` (step 0 for the
+prior's draw).  As every offset but state 1's is at least ``2**54``, that
+minimum is the first step in state 1 once the row has been there, and at
+least ``2**54`` before; it becomes ``tau0``, or -1, where ``tau0`` is
+written: at the row's stops, and for a censored row at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
 from .dp import CONTINUE, STOP, stage_cost_vectors
-from .filters import SUM_TOL, ZeroProbabilityError, _bayes_step, as_belief, hmm_update
+from .filters import SUM_TOL, ZeroProbabilityError, _row_sum, as_belief, hmm_update
 from .model import CostSpec, DetectionModel
 
 DETECTION_MAX_STEPS = 10_000
@@ -201,10 +211,11 @@ class _DrawTable:
 
 def _uniform_keys(rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` uniforms ``u = rng.random(size)`` as the integers
-    ``k = u * 2**53``, written over the uniforms' own buffer."""
+    ``k = u * 2**53``: scaled in place, then cast over their own buffer."""
     u = rng.random(size)
+    u *= _GRID
     keys = u.view(np.int64)
-    np.multiply(u, _GRID, out=keys, casting="unsafe")
+    np.copyto(keys, u, casting="unsafe")
     return keys
 
 
@@ -258,24 +269,45 @@ def _price_steps(spec, model, original, steps, acc, costs):
     taller one.  Then, step by step, each stop costs ``acc + disc * stop
     cost``, and each row still running adds ``disc * continue cost`` to
     ``acc``.
+
+    A run of consecutive stop-free steps of more than one row, which share
+    their rows, is charged at once: ``np.add.accumulate`` down the columns of
+    the (run length + 1, rows) block of ``acc`` over each step's ``disc *
+    continue cost`` adds each column in step order, the bits of one ``acc +=
+    disc * c2`` per step.
     """
     wide = [step[1] for step in steps if step[1].shape[0] > 1]
     if wide:
         stacked = wide[0] if len(wide) == 1 else np.concatenate(wide)
         c_stop, c_cont = stage_cost_vectors(spec, model, stacked, original=original)
     start = 0
-    for disc, beliefs, stops, keep in steps:
-        if beliefs.shape[0] == 1:
-            c1, c2 = stage_cost_vectors(spec, model, beliefs, original=original)
-        else:
-            end = start + beliefs.shape[0]
-            c1, c2, start = c_stop[start:end], c_cont[start:end], end
-        if stops is not None:
-            t, j, done = stops
-            costs[t, done] = acc[j] + disc * c1[j]
-            acc, c2 = acc[keep], c2[keep]
-        acc += disc * c2
+    for free, group in groupby(steps, key=lambda step: step[2] is None and step[1].shape[0] > 1):
+        if free:
+            discs = np.array([step[0] for step in group])
+            end = start + discs.size * acc.size
+            block = np.empty((discs.size + 1, acc.size))
+            block[0] = acc
+            np.multiply(discs[:, None], c_cont[start:end].reshape(discs.size, -1), out=block[1:])
+            acc, start = np.add.accumulate(block, axis=0, out=block)[-1], end
+            continue
+        for disc, beliefs, stops, keep in group:
+            if beliefs.shape[0] == 1:
+                c1, c2 = stage_cost_vectors(spec, model, beliefs, original=original)
+            else:
+                end = start + beliefs.shape[0]
+                c1, c2, start = c_stop[start:end], c_cont[start:end], end
+            if stops is not None:
+                t, j, done = stops
+                costs[t, done] = acc[j] + disc * c1[j]
+                acc, c2 = acc[keep], c2[keep]
+            acc += disc * c2
     return acc
+
+
+def _tau0(t0: np.ndarray) -> np.ndarray:
+    """``tau0`` from the least ``off + k`` of each row: below ``2**54`` only
+    once the row has visited state 1 (offset 0) at step ``k``, else -1."""
+    return np.where(t0 < 1 << _ROW_SHIFT, t0, -1)
 
 
 def _check_priors(priors: np.ndarray, n_states: int) -> None:
@@ -399,13 +431,13 @@ def simulate_batch(
     censored = np.zeros(shape, dtype=bool)
 
     # the rows some policy still runs, ascending, with their state's row
-    # offset, belief, tau0, running cost (the same for every policy still
-    # running the row, and behind the loop by the steps not yet priced) and
-    # which policies still run them
+    # offset, belief, least ``off + k`` so far (tau0 once below 2**54), running
+    # cost (the same for every policy still running the row, and behind the
+    # loop by the steps not yet priced) and which policies still run them
     rows = np.arange(n)
     # the prior table has a row per trajectory: count its entries at or below u
     off = (_cdf(priors) <= rng.random(n)[:, None]).sum(axis=1) << _ROW_SHIFT
-    beliefs, t0, acc = priors.copy(), np.where(off == 0, 0, -1), np.zeros(n)
+    beliefs, t0, acc = priors.copy(), off.copy(), np.zeros(n)
     alive = np.ones(shape, dtype=bool)
     disc = 1.0
     steps, recorded = [], 0  # the steps not yet priced, and their rows
@@ -417,19 +449,21 @@ def simulate_batch(
         move, symbol = keys[: rows.size], keys[rows.size :]
         move += off
         off = next_off[_draw_positions(table_p, move)]
-        t0[(t0 < 0) & (off == 0)] = k
+        np.minimum(t0, off + k, out=t0)
         symbol += off
         y_pos = _draw_positions(table_b, symbol)
         del keys, move, symbol  # before the Bayes step allocates: no higher peak memory
         beliefs = beliefs @ p  # the prediction, dropping the old beliefs before the gather
-        beliefs, sigma, low = _bayes_step(beliefs, lik.take(y_pos, axis=0))
-        # checked priors keep every sigma finite: a zero or NaN one makes low fail
-        if not low > 0.0:
+        beliefs *= lik.take(y_pos, axis=0)  # filters.bayes_step, in place
+        sigma = _row_sum(beliefs)
+        # checked priors keep every sigma finite: a zero or NaN one makes its least fail
+        if not sigma.min() > 0.0:
             j = int(np.argmax(~(sigma > 0.0)))
             raise ZeroProbabilityError(
                 f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
                 f"{sigma[j]} after observation {int(y_pos[j]) % b.shape[1]}"
             )
+        beliefs /= sigma[:, None]
         del y_pos, sigma  # before the policies allocate
         stop = alive & stop_test(beliefs)
         hit = stop.ravel().nonzero()[0]  # the stops' flat positions t * rows + j
@@ -437,7 +471,7 @@ def simulate_batch(
         if hit.size:
             t, j = np.divmod(hit, rows.size)
             done = rows[j]
-            tau[t, done], tau0[t, done] = k, t0[j]
+            tau[t, done], tau0[t, done] = k, _tau0(t0[j])
             stops = t, j, done
             alive ^= stop  # stop lies inside alive
             keep = np.flatnonzero(alive.any(axis=0))
@@ -452,38 +486,12 @@ def simulate_batch(
         disc *= rho
     acc = _price_steps(spec, model, not transformed, steps, acc, costs)
     t, j = np.nonzero(alive)
-    costs[t, rows[j]], tau0[t, rows[j]], censored[t, rows[j]] = acc[j], t0[j], True
+    costs[t, rows[j]], tau0[t, rows[j]], censored[t, rows[j]] = acc[j], _tau0(t0[j]), True
     if not np.isfinite(costs).all():
         raise FloatingPointError("a simulated cost is not finite: the cost parameters overflow")
     if not stacked:
         return BatchResult(costs=costs[0], tau=tau[0], tau0=tau0[0], censored=censored[0])
     return BatchResult(costs=costs, tau=tau, tau0=tau0, censored=censored)
-
-
-def sample_change_times(
-    model: DetectionModel,
-    n: int,
-    rng: np.random.Generator,
-    max_steps: int = DETECTION_MAX_STEPS,
-) -> np.ndarray:
-    """First-hit times of the absorbing state for ``n`` independent chains
-    (-1 when not absorbed within ``max_steps``)."""
-    p = model.transition
-    table_p, next_off = _DrawTable(_cdf(p)), _row_offsets(*p.shape)
-    states = np.searchsorted(_cdf(as_belief(model.initial)), rng.random(n), side="right")
-    times = np.where(states == 0, 0, -1)
-    rows = np.flatnonzero(states != 0)
-    off = states[rows] << _ROW_SHIFT
-    for k in range(1, max_steps + 1):
-        if rows.size == 0:
-            break
-        query = _uniform_keys(rng, rows.size)
-        query += off
-        off = next_off[_draw_positions(table_p, query)]
-        hit = off == 0
-        times[rows[hit]] = k
-        rows, off = rows[~hit], off[~hit]
-    return times
 
 
 # ---------------------------------------------------------------------------

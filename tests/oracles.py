@@ -5,9 +5,20 @@ import itertools
 
 import numpy as np
 
-from phasestop.model import DiscreteObs
+from phasestop.dp import SimplexGrid, _chain_order
+from phasestop.filters import as_belief
+from phasestop.model import DetectionModel, DiscreteObs
 from phasestop.orders import ORDER_TOL, _min_minor, _minors, _pairs, matrix_order_geq
 from phasestop.policy import LinearThresholdPolicy
+from phasestop.sim import (
+    _ROW_SHIFT,
+    DETECTION_MAX_STEPS,
+    _cdf,
+    _draw_positions,
+    _DrawTable,
+    _row_offsets,
+    _uniform_keys,
+)
 
 MLR_RATIO_SCALE = 2.0
 TILT_TRIES = 500
@@ -140,7 +151,7 @@ def line_monotonicity_violations(
     t = np.asarray(theta, dtype=float)
     pol = LinearThresholdPolicy(t)
     x = pol.n_states
-    c, intercept = pol.coefficients()
+    c, intercept = coefficients(pol)
     out: list[str] = []
     if intercept <= tol:
         out.append("first vertex not in the stopping set (intercept <= 0)")
@@ -206,3 +217,49 @@ def social_fixed_points_from(costs: np.ndarray, b: np.ndarray) -> tuple[float, f
     eta2 = delta1 / dens[1]
     eta3 = delta1 * b[0, 1] / dens[2]
     return float(eta1), float(eta2), float(eta3)
+
+
+def coefficients(policy: LinearThresholdPolicy) -> tuple[np.ndarray, float]:
+    """Belief-space coefficient vector and intercept of a linear policy's score."""
+    c = np.zeros(policy.n_states)
+    c[1] = 1.0
+    c[2:] = policy.theta[: policy.n_states - 2]
+    return c, float(policy.theta[-1])
+
+
+def vertex_chains(grid: SimplexGrid, vertex: int) -> list[np.ndarray]:
+    """Maximal grid-aligned lines toward the (1-based) vertex.
+
+    Points are grouped by the projective class of their remaining
+    coordinates (divided by their gcd); the chains come in ascending order
+    of that class, each ordered by increasing mass on the vertex and ending
+    at the vertex itself.
+    """
+    order, ends = _chain_order(grid, vertex)
+    return np.split(order, ends[:-1])
+
+
+def sample_change_times(
+    model: DetectionModel,
+    n: int,
+    rng: np.random.Generator,
+    max_steps: int = DETECTION_MAX_STEPS,
+) -> np.ndarray:
+    """First-hit times of the absorbing state for ``n`` independent chains
+    (-1 when not absorbed within ``max_steps``)."""
+    p = model.transition
+    table_p, next_off = _DrawTable(_cdf(p)), _row_offsets(*p.shape)
+    states = np.searchsorted(_cdf(as_belief(model.initial)), rng.random(n), side="right")
+    times = np.where(states == 0, 0, -1)
+    rows = np.flatnonzero(states != 0)
+    off = states[rows] << _ROW_SHIFT
+    for k in range(1, max_steps + 1):
+        if rows.size == 0:
+            break
+        query = _uniform_keys(rng, rows.size)
+        query += off
+        off = next_off[_draw_positions(table_p, query)]
+        hit = off == 0
+        times[rows[hit]] = k
+        rows, off = rows[~hit], off[~hit]
+    return times

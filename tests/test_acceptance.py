@@ -228,7 +228,7 @@ def test_criterion_06_ph_distribution():
     )
     kmax = 200
     pmf = model.ph_pmf(staged, kmax).pmf
-    times = sim.sample_change_times(staged, 100_000, np.random.default_rng(2718), 5000)
+    times = oracles.sample_change_times(staged, 100_000, np.random.default_rng(2718), 5000)
     emp = np.bincount(np.clip(times, 0, kmax + 1), minlength=kmax + 2) / times.size
     ref = np.concatenate([pmf, [max(0.0, 1.0 - pmf.sum())]])
     tv = 0.5 * float(np.abs(emp - ref).sum())

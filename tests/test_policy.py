@@ -10,7 +10,7 @@ def test_decide_examples():
     # the first vertex always stops; at e2 the score is 1*1 + theta(1)*0 -
     # theta(2) = 0.5 > 0: continue; a boundary score of exactly zero continues
     # (strict inequality)
-    c, t = p3.coefficients()
+    c, t = oracles.coefficients(p3)
     assert np.array([0.5, 0.5, 0.0]) @ c - t == 0.0
     assert list(p3.stop_mask(np.array([[1, 0, 0], [0, 1, 0], [0.5, 0.5, 0.0]]))) == [True, False, False]
     p2 = pol.LinearThresholdPolicy(np.array([0.3]))

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from conftest import StopWhere
 from phasestop import dp, filters, model, sim
 from phasestop import policy as pol
@@ -69,7 +70,7 @@ def test_change_times_match_ph_pmf(staged_model):
     m = staged_model(0.2)
     kmax = 120
     nu = model.ph_pmf(m, kmax).pmf
-    times = sim.sample_change_times(m, 20_000, np.random.default_rng(5), max_steps=2000)
+    times = oracles.sample_change_times(m, 20_000, np.random.default_rng(5), max_steps=2000)
     emp = np.bincount(np.clip(times, 0, kmax + 1), minlength=kmax + 2) / times.size
     ref = np.concatenate([nu, [max(0.0, 1 - nu.sum())]])
     tv = 0.5 * np.abs(emp - ref).sum()
@@ -334,7 +335,7 @@ FIVE_PHASE = model.DetectionModel(
 )
 
 
-def test_batch_bit_identical_across_price_blocks(three_state_model, geometric_model):
+def test_batch_bit_identical_across_price_blocks(three_state_model, geometric_model, monkeypatch):
     # costs are priced per block of recorded steps, a one-row step alone:
     # (a) 300 rows whose row-steps fill several blocks, some censored
     spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
@@ -371,12 +372,85 @@ def test_batch_bit_identical_across_price_blocks(three_state_model, geometric_mo
         assert_batches_equal(new, ref)
     tau = np.sort(new.tau)
     assert tau[-1] - tau[-2] >= 20  # one row runs alone after the second-last stop
+    # (d) three stacked linear policies at X = 4: long stop-free runs, broken
+    # by stops and by compactions, and a one-row tail; the stack equals its
+    # inner policy's solo run and, row by row, the same stack charged one step
+    # at a time, each step priced by its own stage_cost_vectors call
+    classical = model.QuickestClassicalDelay(
+        alpha=0.5, beta=2.0, d=1.0, rho=0.999, false_alarm=[0, 1, 1.5, 2]
+    )
+    priors = np.tile(FOUR_PHASE.initial, (40, 1))
+    thetas = ([1.0, 1.0, 0.1], [1.0, 1.0, 0.05], [1.0, 1.0, 0.02])
+    stack = [pol.LinearThresholdPolicy(np.array(th)) for th in thetas]
+    for transformed in (True, False):
+        kw = dict(max_steps=500, transformed=transformed)
+        new = assert_shared_paths(FOUR_PHASE, classical, stack, 2, priors, 0, **kw)
+        assert_batches_equal(*both_batches(FOUR_PHASE, classical, stack[2], priors, 0, **kw))
+        monkeypatch.setattr(sim, "_price_steps", price_each_step)
+        each = sim.simulate_batch(FOUR_PHASE, classical, stack, priors, np.random.default_rng(0), **kw)
+        monkeypatch.undo()
+        assert_batches_equal(new, each)
+    stops = np.unique(new.tau)
+    assert np.diff(stops).max() >= 50 and stops.size >= 40 and not new.censored.any()
+    last = np.sort(new.tau.max(axis=0))  # the step at which each row leaves the batch
+    assert last[-1] - last[-2] >= 50 and np.unique(last).size >= 20
+
+
+def price_each_step(spec, model_, original, steps, acc, costs):
+    """``sim._price_steps`` one recorded step at a time: each step's costs
+    from its own ``stage_cost_vectors`` call, charged as a per-step loop would."""
+    for disc, beliefs, stops, keep in steps:
+        c1, c2 = dp.stage_cost_vectors(spec, model_, beliefs, original=original)
+        if stops is not None:
+            t, j, done = stops
+            costs[t, done] = acc[j] + disc * c1[j]
+            acc, c2 = acc[keep], c2[keep]
+        acc += disc * c2
+    return acc
+
+
+def leaving_chain(x):
+    """An X-state chain that leaves state 1 again (with probability 0.4 per
+    step) and enters it with probability at most 0.03 per step; the initial
+    belief puts no mass on state 1."""
+    rng = np.random.default_rng(70 + x)
+    p = rng.dirichlet(np.ones(x), size=x)
+    p[1:, 0] = 0.03 * p[1:, 0] / p[1:, 0].max()
+    p[1:, 1:] *= ((1 - p[1:, 0]) / p[1:, 1:].sum(axis=1))[:, None]
+    p[0] = np.r_[0.6, np.full(x - 1, 0.4 / (x - 1))]
+    means = np.r_[0.0, 1.0 + 0.5 * np.arange(x - 1)]
+    obs = model.discretize_gaussian(model.GaussianObs(means, np.full(x, 0.25)), 21)
+    return model.DetectionModel(p, np.r_[0.0, np.full(x - 1, 1 / (x - 1))], obs)
+
+
+@pytest.mark.parametrize("x", [2, 3, 4, 5])
+def test_tau0_is_the_first_visit_on_a_chain_that_leaves_state_1(x):
+    m = leaving_chain(x)
+    spec = model.QuickestPredictiveDelay(alpha=0.0, beta=1.0, d=1.0, rho=1.0, op_cost=1e-3)
+    rng = np.random.default_rng(x)
+    eye = np.eye(x)
+    # rows drawn anywhere, rows that start in state 1, rows that start in the last state
+    priors = np.vstack([rng.dirichlet(np.ones(x), size=150), np.tile(eye[0], (25, 1)), np.tile(eye[-1], (25, 1))])
+    linear = pol.LinearThresholdPolicy(np.r_[np.ones(x - 2), 0.05])
+    for policy in (linear, never_stop):
+        new, ref = both_batches(m, spec, policy, priors, 80 + x, max_steps=40)
+        assert_batches_equal(new, ref)
+        assert np.all(new.tau0[150:175] == 0)
+        assert (new.tau0 == -1).sum() >= 20 and (new.tau0 > 0).sum() >= 40
+    first = new.tau0  # never_stop's: each row's first visit within the 40 steps
+    # stacked, never_stop innermost: a row's tau0 is its first visit up to its stop
+    stack = [pol.LinearThresholdPolicy(np.r_[np.ones(x - 2), 0.6]), linear, never_stop]
+    batch = assert_shared_paths(m, spec, stack, 2, priors, 80 + x, max_steps=40)
+    for t in range(len(stack)):
+        seen = (first >= 0) & (first <= batch.tau[t])
+        assert np.array_equal(batch.tau0[t], np.where(seen, first, -1)), t
+    assert (batch.tau0[0] != first).any()  # a row that stopped before its first visit
 
 
 def test_change_times_bit_identical(staged_model):
     for m in (staged_model(0.2), FOUR_PHASE):
         for seed in range(3):
-            new = sim.sample_change_times(m, 3000, np.random.default_rng(seed), max_steps=400)
+            new = oracles.sample_change_times(m, 3000, np.random.default_rng(seed), max_steps=400)
             ref = _reference_change_times(m, 3000, np.random.default_rng(seed), max_steps=400)
             assert new.dtype == ref.dtype and np.array_equal(new, ref)
 
@@ -516,7 +590,7 @@ def test_draws_at_the_ends_of_the_unit_interval(three_state_model):
         m, spec, never_stop, np.array([m.initial]), Uniforms(uniforms), max_steps=2
     )
     assert batch.tau0[0] == 2 and batch.censored[0]
-    assert sim.sample_change_times(m, 1, Uniforms([0.0] * 3), max_steps=2)[0] == 2
+    assert oracles.sample_change_times(m, 1, Uniforms([0.0] * 3), max_steps=2)[0] == 2
 
 
 def test_batch_nan_prior_raises_zero_probability(geometric_model):
@@ -682,7 +756,7 @@ def test_stacked_grid_linear_and_callable_policies(noisy_grid_policy, transforme
 def test_stop_masks_match_actions(noisy_grid_policy):
     m, spec, grid_policy = noisy_grid_policy
     linear = pol.LinearThresholdPolicy(np.array([1.0, 0.5]))
-    c, t = linear.coefficients()
+    c, t = oracles.coefficients(linear)
     pts = np.random.default_rng(9).dirichlet(np.ones(3), size=400)
     # exact ties: linear's score is exactly 0 here, and these lie halfway
     # between grid points of different actions
