@@ -238,15 +238,17 @@ def _project(grid: SimplexGrid, beliefs: np.ndarray, interpolate: bool):
 def _successors(grid: SimplexGrid, pred: np.ndarray, liks, interpolate: bool):
     """Grid indices and sigma-weights of the successors ``pred * lik``, one
     branch per likelihood in ``liks``; a zero or NaN sigma sends the branch to
-    point 0."""
-    idx_parts, w_parts = [], []
-    for lik in liks:
+    point 0.  Each branch writes its columns of the (N, S) outputs in place."""
+    k = 2 if interpolate else 1
+    idx = np.empty((pred.shape[0], k * len(liks)), dtype=int)
+    w = np.empty(idx.shape)
+    for b, lik in enumerate(liks):
         nxt, sigma = bayes_step(pred, lik)
         nxt[~(sigma > 0.0)] = grid.points[0]
-        idx, w = _project(grid, nxt, interpolate)
-        idx_parts.append(idx)
-        w_parts.append(w * sigma[:, None])
-    return np.concatenate(idx_parts, axis=1), np.concatenate(w_parts, axis=1)
+        cols = slice(k * b, k * (b + 1))
+        idx[:, cols], w_proj = _project(grid, nxt, interpolate)
+        np.multiply(w_proj, sigma[:, None], out=w[:, cols])
+    return idx, w
 
 
 # ---------------------------------------------------------------------------
@@ -426,25 +428,21 @@ def extract_regions(sol: GridSolution, grid: SimplexGrid) -> RegionReport:
     )
 
 
-def _half_roundings(x: int) -> np.ndarray:
-    """0/1 up-rounding vectors, shape (2**x, K, x).
-
-    Row ``code`` lists, for the odd coordinates given by the bits of
+def _half_roundings(x: int) -> list[np.ndarray]:
+    """Each parity code's 0/1 up-rounding vectors, one (K_code, x) array per
+    code in ``range(2**x)``: for the odd coordinates given by the bits of
     ``code`` (an even number q of them), the C(q, q/2) ways to round up
-    exactly half of them, padded with copies of the first to the common
-    length K.  Rows of odd-sized masks hold zeros; no pair of grid points
-    has such a mask.
-    """
+    exactly half of them.  An odd-sized code gets none; no pair of grid
+    points has one."""
     rows = []
     for code in range(2**x):
         odd = [a for a in range(x) if code >> a & 1]
-        halves = combinations(odd, len(odd) // 2) if len(odd) % 2 == 0 else [()]
-        rows.append([np.isin(np.arange(x), h) for h in halves])
-    k = max(len(r) for r in rows)
-    return np.array([r + r[:1] * (k - len(r)) for r in rows], dtype=int)
+        halves = combinations(odd, len(odd) // 2) if len(odd) % 2 == 0 else []
+        rows.append(np.array([np.isin(np.arange(x), h) for h in halves], dtype=int).reshape(-1, x))
+    return rows
 
 
-CONVEXITY_CHUNK = 1 << 16  # pairs per block; bounds the check's memory
+CONVEXITY_CHUNK = 1 << 14  # pairs per block; bounds the check's memory
 
 
 def convexity_check(region, grid: SimplexGrid) -> np.ndarray:
@@ -464,29 +462,31 @@ def convexity_check(region, grid: SimplexGrid) -> np.ndarray:
     flat = grid._flat(coords)
     parity = (coords & 1) @ (1 << np.arange(grid.n_states))
     # Rank offsets are linear in the coordinates, so a pair's candidates
-    # depend only on code = its odd-coordinate bit mask and S = flat(a) +
-    # flat(b): they sit at (S - flat(odd)) / 2 + flat(up).  ok[code, S] says
-    # whether any of them is in the region; entries no pair has are unused.
-    ups = _half_roundings(grid.n_states)
-    odd = (np.arange(len(ups))[:, None] >> np.arange(grid.n_states)) & 1
+    # depend only on code = its odd-coordinate bit mask and the half-sum
+    # h = (flat(a) + flat(b)) >> 1: flat(floor(s / 2)) is h - (flat(odd) >> 1)
+    # (s - odd is even), and the candidates sit there plus flat(up).
+    # miss[code, h] says whether none of them is in the region.  inside is
+    # padded by size on both sides, so every entry reads within it; entries
+    # no pair has are unused.
     size = grid.rank.size
-    inside = np.zeros(2 * size, dtype=bool)
-    inside[flat] = True
-    half = (np.arange(2 * size)[None, :] - grid._flat(odd)[:, None]) >> 1
-    ok = np.zeros((len(ups), 2 * size), dtype=bool)
-    for up in np.moveaxis(grid._flat(ups), 1, 0):
-        ok |= inside[half + up[:, None]]
-    ok = ok.ravel()
+    inside = np.zeros(3 * size, dtype=bool)
+    inside[size + flat] = True
+    miss = np.zeros((2**grid.n_states, size), dtype=bool)
+    for code, ups in enumerate(_half_roundings(grid.n_states)):
+        shift = size - (grid._flat(code >> np.arange(grid.n_states) & 1) >> 1)
+        for up in grid._flat(ups) + shift:
+            miss[code] |= inside[up : up + size]
+    miss = np.logical_not(miss, out=miss).ravel()
     bad_pairs = [np.empty((0, 2), dtype=int)]
     lo = 0
     while lo < r - 1:  # rows lo..hi-1 against the columns after lo
         hi = min(r - 1, lo + max(1, CONVEXITY_CHUNK // (r - lo)))
         cols = slice(lo + 1, r)
         code = parity[lo:hi, None] ^ parity[None, cols]
-        key = code * (2 * size) + flat[lo:hi, None] + flat[None, cols]
-        upper = np.arange(lo + 1, r)[None, :] > np.arange(lo, hi)[:, None]
-        i, j = np.nonzero(upper & ~ok[key])
-        bad_pairs.append(np.stack([region[lo + i], region[lo + 1 + j]], axis=1))
+        key = code * size + ((flat[lo:hi, None] + flat[None, cols]) >> 1)
+        i, j = np.nonzero(miss[key])
+        upper = j >= i  # column lo + 1 + j comes after row lo + i
+        bad_pairs.append(np.stack([region[lo + i[upper]], region[lo + 1 + j[upper]]], axis=1))
         lo = hi
     return np.concatenate(bad_pairs)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -333,7 +334,7 @@ def test_convexity_check_trivial_and_punctured():
     assert len(dp.convexity_check(punctured, g)) > 0
 
 
-@pytest.mark.parametrize("x,m", [(2, 12), (3, 8), (4, 6)])
+@pytest.mark.parametrize("x,m", [(2, 12), (3, 8), (4, 6), (5, 4), (6, 3)])
 def test_convexity_check_matches_brute_force(x, m):
     g = dp.build_grid(x, m)
     rng = np.random.default_rng(x * 10 + m)
@@ -352,6 +353,28 @@ def test_convexity_check_matches_brute_force(x, m):
         assert [tuple(p) for p in got.tolist()] == brute_convexity(region, g)
         found += len(got)
     assert found > 0
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_convexity_check_memory_is_one_table_of_the_box():
+    # one bool per (parity code, half-sum) and blocks of pairs: 4 bytes per
+    # (code, box entry) bounds the whole check, 15 MB at X=6 m=8
+    x, m = 6, 8
+    g = dp.build_grid(x, m)
+    score = g.points @ np.random.default_rng(0).normal(size=x)
+    region = np.flatnonzero(score <= np.sort(score)[912])
+    assert region.size == 913
+    _, peak = _traced_peak(dp.convexity_check, region, g)
+    assert peak <= 4 * 2**x * (m + 1) ** (x - 1)
 
 
 def test_line_crossing_detects_hand_built_violation():
@@ -846,6 +869,17 @@ def test_run_gather_matches_the_fancy_index_gather(case):
         for v in (solved, rng.normal(size=g.n_points), signed_zeros):
             (got,) = dp._q_values([(c, runs, w)], disc, v)
             assert np.array_equal(_bits(got), _bits(c + disc * (w * v[idx]).sum(axis=1)))
+
+
+@pytest.mark.parametrize("name,m", [("fig3a", 50), ("phase4", 20)])
+def test_successor_table_is_built_in_place(name, m):
+    # the branches write into the two (N, S) outputs: no per-branch copies
+    # held next to them
+    mdl, spec, _, _ = _config_case(name)
+    g = dp.build_grid(mdl.n_states, m)
+    _, update = spec.updates(mdl, g.points)
+    (idx, w), peak = _traced_peak(dp._successors, g, *update, False)
+    assert peak <= 1.5 * (idx.nbytes + w.nbytes)
 
 
 def _reference_components(indices, edges):
