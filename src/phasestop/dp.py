@@ -12,7 +12,12 @@ action with no successors.  A row of successor indices holds a few grid
 points in runs, so each sweep gathers successor values by runs
 (``np.repeat`` of one value per run); the products and row sums see the
 same operands in the same order as ``(w * v[idx]).sum(axis=1)``, so every
-bit is unchanged.  The Bayes step comes from :mod:`phasestop.filters`.
+bit is unchanged.  When the first sweep lowers no value, no later sweep
+lowers one, so a row whose stop value is strictly below its continue value
+stays stopped: it settles and is left out of the later sweeps, bit for bit
+(:func:`value_iterate`).  Runs break at row starts, so a row subset keeps
+the runs that start in its rows.  The Bayes step comes from
+:mod:`phasestop.filters`.
 Structural analysis helpers check connectedness, convexity, and
 single-crossing of the policy along vertex-anchored lines.
 """
@@ -273,11 +278,33 @@ DEFAULT_HORIZON_UNDISCOUNTED = 200
 
 
 def _runs(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, lengths)`` of the runs of equal entries in ``idx.ravel()``,
-    so that ``np.repeat(values, lengths)`` is ``idx.ravel()``."""
+    """``(values, lengths)`` of the runs of equal entries in the rows of the
+    (N, S) table ``idx``, so that ``np.repeat(values, lengths)`` is
+    ``idx.ravel()``.  A run breaks at each row start, so the runs of a row
+    subset are the runs that start in its rows (:func:`_keep_rows`)."""
     flat = idx.ravel()
-    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    new = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    new[:: idx.shape[1]] = True
+    starts = np.flatnonzero(new)
+    del new  # the (N, S) mask, freed before the run tables are built
     return flat[starts], np.diff(starts, append=flat.size)
+
+
+def _keep_rows(actions, keep: np.ndarray) -> list:
+    """The rows of ``actions`` (as :func:`_bellman_setup` lists them) where
+    the boolean mask ``keep`` is true.  A run is kept with the row it starts
+    in, ``(cumsum(lengths) - lengths) // S``: one gather over the runs, with
+    no (N, S) index table rebuilt."""
+    out = []
+    for c, runs, w in actions:
+        if runs is None:
+            out.append((c[keep], None, None))
+            continue
+        values, lengths = runs
+        kept = keep[(np.cumsum(lengths) - lengths) // w.shape[1]]
+        out.append((c[keep], (values[kept], lengths[kept]), w[keep]))
+    return out
 
 
 def _bellman_setup(model, spec, grid, offset, interpolate):
@@ -333,6 +360,24 @@ def value_iterate(
     ``ValueError`` before any sweep when ``horizon`` is not an integer >= 1
     or ``tol`` is NaN or negative, and ``FloatingPointError``, not a
     warning, when a stage cost, the offset or a value is not finite.
+
+    Settled stop rows are left out of the sweeps: exact action elimination
+    (MacQueen 1967).  It applies when the first action is a stop (no
+    successors), ``disc >= 0`` and the first sweep lowers no value
+    (``v_1 >= v_0``).  The values then never fall: the sigma-weights are
+    >= 0 and rounding is monotone, so if ``v_k >= v_{k-1}``, each product
+    ``w * v[idx]``, each partial sum of a row, each action's value and their
+    minimum is at least the previous sweep's.  A row whose stop value is
+    strictly below its continue value therefore stays so at every later
+    sweep: it settles, keeps its stop cost bit for bit, changes by
+    exactly 0 and ends with the stop action.  Settled rows leave the swept
+    table once they are at least 1/8 of its rows.  Ties never settle, so
+    the choice of ``np.minimum`` between -0.0 and +0.0 is never skipped.
+    The values stay between ``v_0`` and the stop cost, so the products of a
+    skipped row stay finite, and its continue value cannot turn NaN where
+    the full sweep would raise.  When the check fails (a first sweep that
+    lowers a value, or a family with no stop action), every sweep prices
+    every row.
     """
     if horizon is not None and (
         isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1
@@ -351,16 +396,31 @@ def value_iterate(
             horizon = DEFAULT_HORIZON_UNDISCOUNTED
         else:
             tol = DEFAULT_TOL
+    # the rows still swept, and their tables; v keeps every row's value
+    rows = np.arange(grid.n_points)
+    v = np.array(v, dtype=float)
+    settling = disc >= 0.0 and actions[0][1] is None
     deltas = []
     sweeps = 0
     while True:
-        v_new = reduce(np.minimum, _q_values(actions, disc, v))
-        delta = float(np.max(np.abs(v_new - v)))
+        q = _q_values(actions, disc, v)
+        v_new = reduce(np.minimum, q)
+        v_old = v[rows]
+        delta = float(np.max(np.abs(v_new - v_old), initial=0.0))
         if not math.isfinite(delta):
             raise FloatingPointError(f"a value is not finite after {sweeps + 1} sweeps")
+        if sweeps == 0:
+            settling = settling and bool((v_new >= v_old).all())
+        v[rows] = v_new
         deltas.append(delta)
-        v = v_new
         sweeps += 1
+        if settling:
+            settled = q[0] < q[1]
+            n_settled = np.count_nonzero(settled)
+            if n_settled and 8 * n_settled >= rows.size:
+                keep = ~settled
+                rows = rows[keep]
+                actions = _keep_rows(actions, keep)
         if horizon is not None and sweeps >= horizon:
             break
         # delta == 0.0 is a fixed point, which tol = 0 would otherwise never accept
@@ -370,7 +430,8 @@ def value_iterate(
     original = v + offset
     if not np.isfinite(original).all():
         raise FloatingPointError("a value in original units is not finite")
-    policy = np.where(q1 <= q2, STOP, CONTINUE)
+    policy = np.full(grid.n_points, STOP)
+    policy[rows] = np.where(q1 <= q2, STOP, CONTINUE)
     return GridSolution(v, original, policy, sweeps, deltas[-1], np.array(deltas))
 
 

@@ -650,7 +650,7 @@ def _ref_social_branches(spec, mdl, grid, interpolate):
     return np.concatenate(idx_parts, axis=1), np.concatenate(w_parts, axis=1)
 
 
-def _ref_value_iterate(mdl, spec, grid, horizon=None, tol=None, interpolate=False):
+def _ref_value_iterate(mdl, spec, grid, horizon=None, tol=None, interpolate=False, init=None):
     undiscounted = isinstance(spec, model.RiskSensitive) or getattr(spec, "rho", 1.0) >= 1.0
     if horizon is None and tol is None:
         if undiscounted:
@@ -676,7 +676,8 @@ def _ref_value_iterate(mdl, spec, grid, horizon=None, tol=None, interpolate=Fals
         policy = np.where(q1 <= q2, dp.STOP, dp.CONTINUE)
         return dp.GridSolution(v, v + offset, policy, len(deltas), deltas[-1], np.array(deltas))
 
-    init = -offset
+    if init is None:
+        init = np.zeros(grid.n_points) if isinstance(spec, model.RiskSensitive) else -offset
     if isinstance(spec, model.Scheduling):
         hi_model = model.DetectionModel(mdl.transition, mdl.initial, spec.obs_hi)
         idx1, w1 = _ref_hmm_branches(mdl, grid, interpolate)
@@ -687,7 +688,6 @@ def _ref_value_iterate(mdl, spec, grid, horizon=None, tol=None, interpolate=Fals
         _, r2 = spec.scalings(mdl.transition)
         idx, w = _ref_hmm_branches(mdl, grid, interpolate, scale=r2)
         disc = 1.0
-        init = np.zeros(grid.n_points)
     elif isinstance(spec, model.SocialStopping):
         idx, w = _ref_social_branches(spec, mdl, grid, interpolate)
         disc = spec.rho
@@ -767,18 +767,94 @@ BELLMAN_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BELLMAN_CASES))
-def test_value_iterate_matches_two_loop_reference(case):
-    mdl, spec, m, kwargs = BELLMAN_CASES[case]
-    g = dp.build_grid(mdl.n_states, m)
-    got = dp.value_iterate(mdl, spec, g, **kwargs)
-    want = _ref_value_iterate(mdl, spec, g, **kwargs)
+def _assert_same_solution(got, want):
     for name in ("values", "values_original", "policy", "delta_history"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert got.sweeps == want.sweeps and got.sup_delta == want.sup_delta
     assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
     assert np.array_equal(np.signbit(got.values_original), np.signbit(want.values_original))
+
+
+@pytest.mark.parametrize("case", sorted(BELLMAN_CASES))
+def test_value_iterate_matches_two_loop_reference(case):
+    mdl, spec, m, kwargs = BELLMAN_CASES[case]
+    g = dp.build_grid(mdl.n_states, m)
+    _assert_same_solution(dp.value_iterate(mdl, spec, g, **kwargs),
+                          _ref_value_iterate(mdl, spec, g, **kwargs))
+
+
+_ZERO_COSTS = (
+    model.DetectionModel([[1, 0], [0.5, 0.5]], [0, 1], _BIN2),
+    model.QuickestPredictiveDelay(alpha=0.0, beta=0.0, d=0.0, rho=0.9),
+)
+
+
+def _edge_case(case, monkeypatch):
+    """``(model, spec, m, kwargs, init)`` of a settling case: bundled configs
+    at scale, and cases where every row, or no row, may settle. ``init`` is
+    the zero-horizon value the reference needs, None for the family's own."""
+    if case in ("fig3a", "phase4", "fig3a_discounted"):
+        cfg = cli.load_config(case)
+        mdl = cli.parse_model(cfg["model"], bins=cfg["bins"])
+        m = {"fig3a": 50, "phase4": 20, "fig3a_discounted": 50}[case]
+        return mdl, cli.parse_cost(cfg["cost"]), m, cli._stopping_rule(cfg), None
+    if case.startswith("zero-costs"):
+        return (*_ZERO_COSTS, 50, {"tol": 1e-12} if case == "zero-costs-tol" else {"horizon": 5}, None)
+    if case == "first-sweep-lowers":
+        # a zero-horizon value above every stop cost: the first sweep lowers
+        # it, so no row may settle
+        mdl, spec, m, kwargs = BELLMAN_CASES["classical-x3-horizon"]
+        monkeypatch.setattr(type(spec), "initial_value", lambda self, offset: np.full_like(offset, 10.0))
+        return mdl, spec, m, kwargs, np.full(dp.build_grid(mdl.n_states, m).n_points, 10.0)
+    return (*BELLMAN_CASES[case], None)
+
+
+@pytest.mark.parametrize("case", [
+    "fig3a", "phase4", "fig3a_discounted", "predictive-x2-horizon", "first-sweep-lowers",
+    "zero-costs-tol", "zero-costs-horizon",
+])
+def test_value_iterate_matches_the_reference_at_scale_and_at_the_edges(case, monkeypatch):
+    mdl, spec, m, kwargs, init = _edge_case(case, monkeypatch)
+    g = dp.build_grid(mdl.n_states, m)
+    _assert_same_solution(dp.value_iterate(mdl, spec, g, **kwargs),
+                          _ref_value_iterate(mdl, spec, g, init=init, **kwargs))
+
+
+def _rows_priced(monkeypatch, mdl, spec, g, **kwargs):
+    """The solution and the share of the grid that each sweep prices."""
+    rows, q_values = [], dp._q_values
+
+    def recording(actions, disc, v):
+        rows.append(len(actions[0][0]))
+        return q_values(actions, disc, v)
+
+    monkeypatch.setattr(dp, "_q_values", recording)
+    sol = dp.value_iterate(mdl, spec, g, **kwargs)
+    monkeypatch.setattr(dp, "_q_values", q_values)
+    # the last call prices the final policy, after the sweeps
+    assert len(rows) == sol.sweeps + 1
+    return sol, np.array(rows[:-1]) / g.n_points
+
+
+def test_value_iterate_sweeps_only_the_rows_that_can_change(monkeypatch):
+    mdl, spec, m, kwargs, _ = _edge_case("fig3a", monkeypatch)
+    sol, share = _rows_priced(monkeypatch, mdl, spec, dp.build_grid(mdl.n_states, m), **kwargs)
+    assert sol.sweeps == 200 and share.mean() <= 0.6 and share[-1] <= 0.35
+    assert np.all(np.diff(share) <= 0.0)
+    # every row settles
+    mdl, spec, m, kwargs, _ = _edge_case("predictive-x2-horizon", monkeypatch)
+    _, share = _rows_priced(monkeypatch, mdl, spec, dp.build_grid(mdl.n_states, m), **kwargs)
+    assert share[-1] == 0.0
+
+
+@pytest.mark.parametrize("case", ["first-sweep-lowers", "scheduling-x3-horizon", "zero-costs-horizon"])
+def test_value_iterate_sweeps_every_row_when_no_row_may_settle(case, monkeypatch):
+    # a first sweep that lowers a value, a family with no stop action, and
+    # ties of the stop and continue values, which never settle
+    mdl, spec, m, kwargs, _ = _edge_case(case, monkeypatch)
+    _, share = _rows_priced(monkeypatch, mdl, spec, dp.build_grid(mdl.n_states, m), **kwargs)
+    assert share.size > 1 and np.all(share == 1.0)
 
 
 # one case per family, with the belief pi+ at which the transformed continue
@@ -866,9 +942,19 @@ def test_run_gather_matches_the_fancy_index_gather(case):
         idx, w = dp._successors(g, *update, interpolate)
         runs = dp._runs(idx)
         assert np.array_equal(np.repeat(*runs), idx.ravel())
+        # no run crosses a row boundary
+        start = np.cumsum(runs[1]) - runs[1]
+        assert np.array_equal(start // idx.shape[1], (start + runs[1] - 1) // idx.shape[1])
         for v in (solved, rng.normal(size=g.n_points), signed_zeros):
             (got,) = dp._q_values([(c, runs, w)], disc, v)
             assert np.array_equal(_bits(got), _bits(c + disc * (w * v[idx]).sum(axis=1)))
+        # a row subset keeps the runs that start in its rows
+        masks = [rng.random(g.n_points) < p for p in (0.1, 0.5, 0.9)]
+        for keep in masks + [np.zeros(g.n_points, bool), np.ones(g.n_points, bool)]:
+            ((c_sub, (values, lengths), w_sub),) = dp._keep_rows([(c, runs, w)], keep)
+            want_values, want_lengths = dp._runs(idx[keep])
+            assert np.array_equal(values, want_values) and np.array_equal(lengths, want_lengths)
+            assert np.array_equal(c_sub, c[keep]) and np.array_equal(w_sub, w[keep])
 
 
 @pytest.mark.parametrize("name,m", [("fig3a", 50), ("phase4", 20)])
@@ -880,6 +966,18 @@ def test_successor_table_is_built_in_place(name, m):
     _, update = spec.updates(mdl, g.points)
     (idx, w), peak = _traced_peak(dp._successors, g, *update, False)
     assert peak <= 1.5 * (idx.nbytes + w.nbytes)
+
+
+@pytest.mark.parametrize("name", ["fig3a", "phase4"])
+def test_value_iterate_memory_stays_near_the_successor_table(name, monkeypatch):
+    # a row subset is gathered from the runs and weights, with no (N, S)
+    # index table rebuilt next to the full weights
+    mdl, spec, m, kwargs, _ = _edge_case(name, monkeypatch)
+    g = dp.build_grid(mdl.n_states, m)
+    _, update = spec.updates(mdl, g.points)
+    idx, w = dp._successors(g, *update, False)
+    _, peak = _traced_peak(lambda: dp.value_iterate(mdl, spec, g, **kwargs))
+    assert peak <= 1.25 * (idx.nbytes + w.nbytes)
 
 
 def _reference_components(indices, edges):
