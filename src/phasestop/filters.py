@@ -65,12 +65,11 @@ def bayes_step(pred, lik):
     Returns ``(pred * lik / sigma, sigma)``, ``sigma`` being the sum over the
     last axis, for one belief or a stack of rows (``lik`` broadcasts against
     ``pred``).  A row whose ``sigma`` is zero or NaN is returned undivided;
-    what that means is up to the caller.  When every ``sigma`` is positive
-    the rows are divided by ``sigma`` itself, with no guarded copy of it.
+    what that means is up to the caller.
     """
     unnorm = pred * lik
     sigma = _row_sum(unnorm)
-    unnorm /= (sigma if sigma.min() > 0.0 else np.where(sigma > 0.0, sigma, 1.0))[..., None]
+    unnorm /= np.where(sigma > 0.0, sigma, 1.0)[..., None]
     return unnorm, sigma
 
 

@@ -479,11 +479,7 @@ class TransientDetection(_DetectionCost):
                 raise ValueError("variance penalty requires the default start-state false alarm")
 
     def _continue_terms(self, model, pts):
-        if self.false_alarm is None:
-            # f = e_X: f'pi is pi's last entry and P f is P's last column,
-            # copied because pts @ may sum a strided column in another order
-            return pts[:, -1], pts @ model.transition[:, -1].copy(), pts @ self.delays
-        f = self.false_alarm
+        f = np.eye(model.n_states)[-1] if self.false_alarm is None else self.false_alarm
         return pts @ f, pts @ (model.transition @ f), pts @ self.delays
 
     def _stop_cost(self, pts, fpi):

@@ -12,41 +12,29 @@ Draw convention: a draw from a pmf is the inverse CDF of one uniform
 is the number of entries at or below ``u``.  Every path draws this way, on
 tables built by :func:`_cdf`, which pins the entries at a row's total to
 1.0, so no draw picks a zero-probability column or one past the end.  The
-batch path (:func:`simulate_batch`) turns each table once per call into a
-:class:`_DrawTable`: one sorted, flattened array of integer keys, and a
-guide table (Chen & Asau 1974; Devroye 1986, section III.2), built when a
-step first draws ``GUIDE_MIN_QUERIES`` or more rows.  A batch draw
-(:func:`_draw_positions`), whichever row of the table each entry draws
-from, reads its count from the guide bucket of its uniform.  A bucket that
-holds a key, and every draw of a shorter array, is counted by one
-``searchsorted`` on the keys instead, which gives the same count.  A draw
-is a position in the flattened table, ``s * cols + j`` for column ``j`` of
-row ``s``, and the batch path maps positions to what it needs through
-arrays built once per call: the chain table to the next state's row offset
-``j << 54``, which the step carries in place of the state (offset 0 is
-state 1), and the observation table to the likelihood row ``b[:, j]``.
-The keys are exact: NumPy's ``random()`` returns ``k * 2**-53`` for an
-integer ``k``, so ``cdf <= u`` holds exactly when ``ceil(cdf * 2**53) <=
-k``, and both sides are integers below ``2**53``.  A batch step draws one
-uniform per active row for the state moves, then one per active row for
-the symbols, in ascending row order, in one ``rng.random`` call of twice
-the active rows, and turns them into the integers ``k`` in their own buffer
-(:func:`_uniform_keys`): it multiplies them by ``2**53`` in place, which is
-exact, and casts the products to ``int64`` over the same bytes.
+batch path (:func:`simulate_batch`) compares integers instead: NumPy's
+``random()`` returns ``k * 2**-53`` for an integer ``k``, so ``cdf <= u``
+holds exactly when ``ceil(cdf * 2**53) <= k``, and both sides are integers
+below ``2**53``.  A batch step draws one uniform per active row for the
+state moves, then one per active row for the symbols, in ascending row
+order, in one ``rng.random`` call of twice the active rows.
 
-Change time: a batch row carries the least ``off + k`` over its steps so
-far, ``off`` being its state's row offset at step ``k`` (step 0 for the
-prior's draw).  As every offset but state 1's is at least ``2**54``, that
-minimum is the first step in state 1 once the row has been there, and at
-least ``2**54`` before; it becomes ``tau0``, or -1, where ``tau0`` is
-written: at the row's stops, and for a censored row at the end.
+State offsets: a batch row carries its state ``j + 1`` as the row offset
+``j << 54`` (offset 0 is state 1), which added to a uniform's ``k`` is the
+query of its draw (:func:`_draw_positions`).  A draw is a position in the
+flattened table, ``s * cols + j`` for column ``j`` of row ``s``, and arrays
+built once per call map it to what the step needs: a chain-table position
+to the next state's row offset, an observation-table position to the
+likelihood row ``b[:, j]``.  A row also carries the least ``off + k`` over
+its steps so far (step 0 for the prior's draw), which :func:`_tau0` turns
+into ``tau0`` where ``tau0`` is written: at the row's stops, and for a
+censored row at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
@@ -269,38 +257,23 @@ def _price_steps(spec, model, original, steps, acc, costs):
     taller one.  Then, step by step, each stop costs ``acc + disc * stop
     cost``, and each row still running adds ``disc * continue cost`` to
     ``acc``.
-
-    A run of consecutive stop-free steps of more than one row, which share
-    their rows, is charged at once: ``np.add.accumulate`` down the columns of
-    the (run length + 1, rows) block of ``acc`` over each step's ``disc *
-    continue cost`` adds each column in step order, the bits of one ``acc +=
-    disc * c2`` per step.
     """
     wide = [step[1] for step in steps if step[1].shape[0] > 1]
     if wide:
         stacked = wide[0] if len(wide) == 1 else np.concatenate(wide)
         c_stop, c_cont = stage_cost_vectors(spec, model, stacked, original=original)
     start = 0
-    for free, group in groupby(steps, key=lambda step: step[2] is None and step[1].shape[0] > 1):
-        if free:
-            discs = np.array([step[0] for step in group])
-            end = start + discs.size * acc.size
-            block = np.empty((discs.size + 1, acc.size))
-            block[0] = acc
-            np.multiply(discs[:, None], c_cont[start:end].reshape(discs.size, -1), out=block[1:])
-            acc, start = np.add.accumulate(block, axis=0, out=block)[-1], end
-            continue
-        for disc, beliefs, stops, keep in group:
-            if beliefs.shape[0] == 1:
-                c1, c2 = stage_cost_vectors(spec, model, beliefs, original=original)
-            else:
-                end = start + beliefs.shape[0]
-                c1, c2, start = c_stop[start:end], c_cont[start:end], end
-            if stops is not None:
-                t, j, done = stops
-                costs[t, done] = acc[j] + disc * c1[j]
-                acc, c2 = acc[keep], c2[keep]
-            acc += disc * c2
+    for disc, beliefs, stops, keep in steps:
+        if beliefs.shape[0] == 1:
+            c1, c2 = stage_cost_vectors(spec, model, beliefs, original=original)
+        else:
+            end = start + beliefs.shape[0]
+            c1, c2, start = c_stop[start:end], c_cont[start:end], end
+        if stops is not None:
+            t, j, done = stops
+            costs[t, done] = acc[j] + disc * c1[j]
+            acc, c2 = acc[keep], c2[keep]
+        acc += disc * c2
     return acc
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from phasestop import model
+from phasestop import dp, model
 
 
 def test_belief_validation():
@@ -342,3 +342,26 @@ def test_stage_costs_match_written_out_costs(three_state_model, case):
     stop, cont = spec.stage_costs(m, pts, True)
     want_stop, want_cont = written_out(spec, m, pts)
     assert stop.tobytes() == want_stop.tobytes() and cont.tobytes() == want_cont.tobytes()
+
+
+@pytest.mark.parametrize("x", [2, 3, 4, 5, 6])
+def test_transient_default_false_alarm_is_the_last_unit_vector(x):
+    """``TransientDetection`` without a false-alarm vector prices as with
+    ``false_alarm = e_X`` (alpha = 0, as an explicit vector requires): the
+    same bits in both coordinate systems and the same offset, on every grid
+    point at m = 4 and on Dirichlet stacks of 1, 2 and 1 000 rows.  As no
+    belief entry is -0.0, ``f'pi`` is then the last entry, bit for bit."""
+    rng = np.random.default_rng([x, 29])
+    p = np.vstack([np.eye(x)[0], rng.dirichlet(np.ones(x), size=x - 1)])
+    m = model.DetectionModel(p, np.eye(x)[-1], model.DiscreteObs(rng.dirichlet(np.ones(3), size=x)))
+    delays = np.append(rng.uniform(0.0, 2.0, x - 1), 0.0)
+    default = model.TransientDetection(alpha=0.0, beta=1.3, delays=delays, rho=0.9)
+    explicit = dataclasses.replace(default, false_alarm=np.eye(x)[-1])
+    stacks = [dp.build_grid(x, 4).points] + [rng.dirichlet(np.ones(x), size=n) for n in (1, 2, 1000)]
+    for pts in stacks:
+        for original in (False, True):
+            got, want = default.stage_costs(m, pts, original), explicit.stage_costs(m, pts, original)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        offset = default.offset(m, pts)
+        assert offset.tobytes() == explicit.offset(m, pts).tobytes()
+        assert offset.tobytes() == (default.beta * pts[:, -1]).tobytes()
