@@ -142,10 +142,7 @@ class SimplexGrid:
                 first = frac[j] >= frac[i]
                 rank[i] += first
                 rank[j] -= first
-        # k as int8, as the ranks: a k that does not fit belongs to a row
-        # with a coordinate far below 0, which raises below
-        with np.errstate(invalid="ignore"):
-            low += rank < (self.m - low.sum(axis=0)).astype(np.int8)
+        low += rank < self.m - low.sum(axis=0)
         if (low < 0).any():
             raise ValueError("nearest: belief too far off the simplex")
         # offsets into the rank table, exact in float64 (integers below 2**53)

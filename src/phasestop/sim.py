@@ -25,10 +25,7 @@ query of its draw (:func:`_draw_positions`).  A draw is a position in the
 flattened table, ``s * cols + j`` for column ``j`` of row ``s``, and arrays
 built once per call map it to what the step needs: a chain-table position
 to the next state's row offset, an observation-table position to the
-likelihood row ``b[:, j]``.  A row also carries the least ``off + k`` over
-its steps so far (step 0 for the prior's draw), which :func:`_tau0` turns
-into ``tau0`` where ``tau0`` is written: at the row's stops, and for a
-censored row at the end.
+likelihood row ``b[:, j]``.
 """
 
 from __future__ import annotations
@@ -277,12 +274,6 @@ def _price_steps(spec, model, original, steps, acc, costs):
     return acc
 
 
-def _tau0(t0: np.ndarray) -> np.ndarray:
-    """``tau0`` from the least ``off + k`` of each row: below ``2**54`` only
-    once the row has visited state 1 (offset 0) at step ``k``, else -1."""
-    return np.where(t0 < 1 << _ROW_SHIFT, t0, -1)
-
-
 def _check_priors(priors: np.ndarray, n_states: int) -> None:
     """Raise ``ValueError`` unless ``priors`` is (n, X) and each row is a
     belief: entries at least ``-SUM_TOL``, summing to 1 within
@@ -404,13 +395,13 @@ def simulate_batch(
     censored = np.zeros(shape, dtype=bool)
 
     # the rows some policy still runs, ascending, with their state's row
-    # offset, belief, least ``off + k`` so far (tau0 once below 2**54), running
-    # cost (the same for every policy still running the row, and behind the
-    # loop by the steps not yet priced) and which policies still run them
+    # offset, belief, first step in state 1 (-1 before it), running cost (the
+    # same for every policy still running the row, and behind the loop by the
+    # steps not yet priced) and which policies still run them
     rows = np.arange(n)
     # the prior table has a row per trajectory: count its entries at or below u
     off = (_cdf(priors) <= rng.random(n)[:, None]).sum(axis=1) << _ROW_SHIFT
-    beliefs, t0, acc = priors.copy(), off.copy(), np.zeros(n)
+    beliefs, t0, acc = priors.copy(), np.where(off == 0, 0, -1), np.zeros(n)
     alive = np.ones(shape, dtype=bool)
     disc = 1.0
     steps, recorded = [], 0  # the steps not yet priced, and their rows
@@ -422,7 +413,7 @@ def simulate_batch(
         move, symbol = keys[: rows.size], keys[rows.size :]
         move += off
         off = next_off[_draw_positions(table_p, move)]
-        np.minimum(t0, off + k, out=t0)
+        t0[(t0 < 0) & (off == 0)] = k
         symbol += off
         y_pos = _draw_positions(table_b, symbol)
         del keys, move, symbol  # before the Bayes step allocates: no higher peak memory
@@ -444,7 +435,7 @@ def simulate_batch(
         if hit.size:
             t, j = np.divmod(hit, rows.size)
             done = rows[j]
-            tau[t, done], tau0[t, done] = k, _tau0(t0[j])
+            tau[t, done], tau0[t, done] = k, t0[j]
             stops = t, j, done
             alive ^= stop  # stop lies inside alive
             keep = np.flatnonzero(alive.any(axis=0))
@@ -459,7 +450,7 @@ def simulate_batch(
         disc *= rho
     acc = _price_steps(spec, model, not transformed, steps, acc, costs)
     t, j = np.nonzero(alive)
-    costs[t, rows[j]], tau0[t, rows[j]], censored[t, rows[j]] = acc[j], _tau0(t0[j]), True
+    costs[t, rows[j]], tau0[t, rows[j]], censored[t, rows[j]] = acc[j], t0[j], True
     if not np.isfinite(costs).all():
         raise FloatingPointError("a simulated cost is not finite: the cost parameters overflow")
     if not stacked:

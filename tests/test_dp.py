@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -162,13 +163,28 @@ def test_nearest_tie_rule_example():
 
 @pytest.mark.parametrize(
     "row",
-    # the last row's round-up count does not fit the int8 ranks, and raises no cast warning
     [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [-0.1, 0.6, 0.5], [1.0, 1.0, 0.0], [1e30, 0.0, 0.0]],
 )
 def test_nearest_rejects_invalid_beliefs(row):
     g = dp.build_grid(3, 10)
     with pytest.raises(ValueError):
         g.nearest(np.array([[0.2, 0.3, 0.5], row]))
+
+
+@pytest.mark.parametrize(
+    "row", [[1e18, 0.0, 0.0], [3e17, 1e17, 0.0], [1e20, 0.0, 0.0], [1e30, 0.0, 0.0]]
+)
+def test_nearest_rejects_rows_whose_round_up_count_is_outside_int8(row):
+    g = dp.build_grid(3, 10)
+    # the round-up count k = m - sum(floor(z)), as nearest computes it: far
+    # above 127 or far below -128 on these finite, non-negative rows
+    z = np.asarray(row) * g.m
+    k = g.m - np.floor(z + (g.m - z.sum()) / 3).sum()
+    assert not -128 <= k <= 127
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the count either
+        with pytest.raises(ValueError, match="too far off the simplex"):
+            g.nearest(np.array([[0.2, 0.3, 0.5], row]))
 
 
 @pytest.mark.parametrize("x,m", [(2, 7), (3, 9), (4, 6), (5, 4)])

@@ -334,7 +334,8 @@ def test_bayes_step_leaves_a_zero_or_nan_row_undivided():
 @pytest.mark.parametrize("x", range(2, 13))
 def test_row_sum_is_numpy_sum_bit_for_bit(x):
     rng = np.random.default_rng(x)
-    for k in (1, 7, 100, 20_000):
+    edge = filters.SHORT_SUM_MIN_ROWS  # the row count from which it adds by columns
+    for k in (1, 7, edge - 1, edge, edge + 1, 100, 20_000):
         # entries of one magnitude per row, where the order of the additions
         # shows in the last bits, and of mixed magnitudes, from 1e-300 to 1e5
         row_scale = 10.0 ** rng.uniform(-300, 5, size=(k, 1))
