@@ -15,9 +15,12 @@ tables built by :func:`_cdf`, which pins the entries at a row's total to
 batch path (:func:`simulate_batch`) compares integers instead: NumPy's
 ``random()`` returns ``k * 2**-53`` for an integer ``k``, so ``cdf <= u``
 holds exactly when ``ceil(cdf * 2**53) <= k``, and both sides are integers
-below ``2**53``.  A batch step draws one uniform per active row for the
+below ``2**53``.  A batch step takes one uniform per active row for the
 state moves, then one per active row for the symbols, in ascending row
-order, in one ``rng.random`` call of twice the active rows.
+order: the order of one ``rng.random`` call of twice the active rows.  The
+batch reads them ahead in blocks (:class:`_UniformReader`) and, when it
+returns or raises, gives back those no step took, so the generator ends
+where per-step draws leave it.
 
 State offsets: a batch row carries its state ``j + 1`` as the row offset
 ``j << 54`` (offset 0 is state 1), which added to a uniform's ``k`` is the
@@ -44,8 +47,11 @@ DETECTION_MAX_STEPS = 10_000
 BATCH_FAMILIES = ("quickest_predictive", "quickest_classical", "transient")
 # a discounted batch runs until the largest stage cost, discounted, falls below this
 TRUNCATION_TOL = 1e-8
-# a batch prices its stage costs once its recorded steps hold this many rows
+# a batch settles its recorded steps once they hold this many rows
 BLOCK_ROW_STEPS = 4096
+# a batch reads its uniforms from the generator this many at a time, or a
+# step's worth when a step needs more
+UNIFORM_BLOCK = 4096
 
 
 @dataclass
@@ -204,6 +210,50 @@ def _uniform_keys(rng: np.random.Generator, size: int) -> np.ndarray:
     return keys
 
 
+_NO_KEYS = np.empty(0, dtype=np.int64)
+
+
+class _UniformReader:
+    """The uniform keys (:func:`_uniform_keys`) of a batch's steps, read
+    from ``rng`` ahead of the steps in blocks of at least ``UNIFORM_BLOCK``.
+
+    :meth:`take` hands them out in the generator's order, so a step gets
+    the keys that an ``rng.random`` call of its own would give.
+    :meth:`give_back` returns the keys no step took: it sets the generator
+    back to its state before the last block, then redraws the part of that
+    block the steps took.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.keys, self.pos = _NO_KEYS, 0
+        self.start, self.block = None, 0  # the state before the last block, and its size
+
+    def take(self, size: int, steps_left: int) -> np.ndarray:
+        """The next ``size`` keys, for a step of ``size`` uniforms with
+        ``steps_left - 1`` steps after it, none of them wider: a block
+        reads no more than these steps can take."""
+        end = self.pos + size
+        if end > self.keys.size:
+            left = self.keys[self.pos :]
+            start = self.rng.bit_generator.state
+            block = min(max(UNIFORM_BLOCK, size - left.size), size * steps_left - left.size)
+            block = _uniform_keys(self.rng, block)
+            self.keys = np.concatenate([left, block]) if left.size else block
+            self.start, self.block, self.pos, end = start, block.size, 0, size
+        keys = self.keys[self.pos : end]
+        if end == self.keys.size:  # so that the step's del frees a spent block
+            self.keys, end = _NO_KEYS, 0
+        self.pos = end
+        return keys
+
+    def give_back(self) -> None:
+        unused = self.keys.size - self.pos
+        if unused:
+            self.rng.bit_generator.state = self.start
+            self.rng.random(self.block - unused)
+
+
 def _draw_positions(table: _DrawTable, query: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws: the integer query ``(s << 54) + k`` draws from row
     ``s`` of ``table`` with the uniform ``u = k * 2**-53``, giving the
@@ -240,35 +290,54 @@ def _stage_cost_bound(spec: CostSpec, model: DetectionModel) -> float:
     return bound + spec.alpha + 1e-12
 
 
-def _price_steps(spec, model, original, steps, acc, costs):
-    """Charge recorded batch steps to ``costs``, in order, and return the
-    running costs ``acc`` after them.
+def _price_steps(spec, model, original, steps, acc, first, enters, out):
+    """Settle recorded batch steps in ``out``, a :class:`BatchResult`, in
+    order, and return the running costs ``acc`` after them.
 
-    A step is ``(disc, beliefs, stops, keep)``: its discount, the beliefs of
-    the rows it ran (those of ``acc``), and, when some policy stopped, the
-    policies ``t``, positions ``j`` and trajectories of the stops and the
-    positions still running.  The steps of more than one row are priced by
-    one :func:`~phasestop.dp.stage_cost_vectors` call on their stacked
-    beliefs; a one-row step is priced alone, as NumPy's one-row
-    matrix-vector product rounds differently from the same row inside a
-    taller one.  Then, step by step, each stop costs ``acc + disc * stop
-    cost``, and each row still running adds ``disc * continue cost`` to
-    ``acc``.
+    A step is ``(k, disc, beliefs, rows, moves, stops, keep)``: its number
+    and discount, the beliefs of the rows it ran (those of ``acc``), their
+    trajectories and the chain-table positions of their moves, and, when
+    some policy stopped, the policies ``t`` and positions ``j`` of the stops
+    and the positions still running.  First the moves that ``enters`` marks,
+    those into state 1 from another state, lower their trajectories' first
+    step in state 1 in ``first``: a trajectory's first visit is its least
+    such step.  A block of one step, as every wide step is, reads its own
+    arrays without a copy.  The steps of more than one row are priced by one
+    :func:`~phasestop.dp.stage_cost_vectors` call on their stacked beliefs;
+    a one-row step is priced alone, as NumPy's one-row matrix-vector product
+    rounds differently from the same row inside a taller one.  Then, step by
+    step, a stop at step ``k`` gets ``tau = k``, ``tau0`` its first step in
+    state 1 if that is at most ``k`` (else -1), and the cost ``acc + disc *
+    stop cost``, and each row still running adds ``disc * continue cost``
+    to ``acc``.
     """
-    wide = [step[1] for step in steps if step[1].shape[0] > 1]
+    if not steps:
+        return acc
+    ks, _, step_beliefs, step_rows, moves, _, _ = zip(*steps)
+    if len(steps) == 1:
+        entry, ks, moved = enters.take(moves[0]), ks[0], step_rows[0]
+    else:
+        entry = enters.take(np.concatenate(moves))
+        ks = np.repeat(ks, [m.size for m in moves]).compress(entry)
+        moved = np.concatenate(step_rows)
+    np.minimum.at(first, moved.compress(entry), ks)
+    wide = [b for b in step_beliefs if b.shape[0] > 1]
     if wide:
         stacked = wide[0] if len(wide) == 1 else np.concatenate(wide)
         c_stop, c_cont = stage_cost_vectors(spec, model, stacked, original=original)
     start = 0
-    for disc, beliefs, stops, keep in steps:
+    for k, disc, beliefs, rows, _, stops, keep in steps:
         if beliefs.shape[0] == 1:
             c1, c2 = stage_cost_vectors(spec, model, beliefs, original=original)
         else:
             end = start + beliefs.shape[0]
             c1, c2, start = c_stop[start:end], c_cont[start:end], end
         if stops is not None:
-            t, j, done = stops
-            costs[t, done] = acc[j] + disc * c1[j]
+            t, j = stops
+            done = rows[j]
+            t0 = first[done]
+            out.tau[t, done], out.tau0[t, done] = k, np.where(t0 <= k, t0, -1)
+            out.costs[t, done] = acc[j] + disc * c1[j]
             acc, c2 = acc[keep], c2[keep]
         acc += disc * c2
     return acc
@@ -352,10 +421,13 @@ def simulate_batch(
     policies in one stacked test (:func:`_stop_test`).  A policy
     whose stop region lies inside every other's thus matches its solo run
     bit for bit, generator end state included, and nested stop regions give
-    stop steps ordered row by row.  The step loop computes no cost: it
-    records each step's beliefs and stops, and :func:`_price_steps` charges
-    them once the recorded steps hold ``BLOCK_ROW_STEPS`` rows, and at the
-    end, with the operands and order of a per-step charge.
+    stop steps ordered row by row.  A step only draws, filters and decides,
+    its uniforms read ahead in blocks (:class:`_UniformReader`).  It
+    records its beliefs, rows, the chain-table positions of their moves and
+    its stops, and :func:`_price_steps` settles the recorded steps once
+    they hold ``BLOCK_ROW_STEPS`` rows, and at the end: the first visits to
+    state 1 with one mask per block, then the stop steps, change times and
+    costs, the costs with the operands and order of a per-step charge.
     """
     if spec.family not in BATCH_FAMILIES:
         raise ValueError(
@@ -385,77 +457,89 @@ def simulate_batch(
             max_steps = int(np.ceil(np.log(TRUNCATION_TOL / max(bound, 1e-12)) / np.log(rho)))
             max_steps = max(1, min(max_steps, DETECTION_MAX_STEPS))
     table_p, table_b = _DrawTable(_cdf(p)), _DrawTable(_cdf(b))
-    # by draw position: the next state's row offset, and symbol y's likelihood per state
+    # by draw position: the next state's row offset, whether the move enters
+    # state 1 from another state, and symbol y's likelihood per state. Only
+    # an entry can be a first visit; a stay in state 1 (position 0), the
+    # common move late in a batch, is left out
     next_off, lik = _row_offsets(*p.shape), np.tile(b.T, (b.shape[0], 1))
+    enters = next_off == 0
+    enters[0] = False
 
     shape = (len(policies), n)
-    costs = np.zeros(shape)
-    tau = np.full(shape, max_steps, dtype=int)
-    tau0 = np.full(shape, -1)
-    censored = np.zeros(shape, dtype=bool)
+    out = BatchResult(
+        costs=np.zeros(shape),
+        tau=np.full(shape, max_steps, dtype=int),
+        tau0=np.full(shape, -1),
+        censored=np.zeros(shape, dtype=bool),
+    )
 
     # the rows some policy still runs, ascending, with their state's row
-    # offset, belief, first step in state 1 (-1 before it), running cost (the
-    # same for every policy still running the row, and behind the loop by the
-    # steps not yet priced) and which policies still run them
+    # offset, belief, running cost (the same for every policy still running
+    # the row, and behind the loop by the steps not yet settled) and which
+    # policies still run them; and by trajectory, the first step in state 1
+    # (max_steps + 1 before it), up to the last settled step
     rows = np.arange(n)
     # the prior table has a row per trajectory: count its entries at or below u
     off = (_cdf(priors) <= rng.random(n)[:, None]).sum(axis=1) << _ROW_SHIFT
-    beliefs, t0, acc = priors.copy(), np.where(off == 0, 0, -1), np.zeros(n)
+    beliefs, first, acc = priors.copy(), np.where(off == 0, 0, max_steps + 1), np.zeros(n)
     alive = np.ones(shape, dtype=bool)
     disc = 1.0
-    steps, recorded = [], 0  # the steps not yet priced, and their rows
-    for k in range(1, max_steps + 1):
-        if rows.size == 0:
-            break
-        # the state moves' queries, then the symbols': uniform keys plus row offsets
-        keys = _uniform_keys(rng, 2 * rows.size)
-        move, symbol = keys[: rows.size], keys[rows.size :]
-        move += off
-        off = next_off[_draw_positions(table_p, move)]
-        t0[(t0 < 0) & (off == 0)] = k
-        symbol += off
-        y_pos = _draw_positions(table_b, symbol)
-        del keys, move, symbol  # before the Bayes step allocates: no higher peak memory
-        beliefs = beliefs @ p  # the prediction, dropping the old beliefs before the gather
-        beliefs *= lik.take(y_pos, axis=0)  # filters.bayes_step, in place
-        sigma = _row_sum(beliefs)
-        # checked priors keep every sigma finite: a zero or NaN one makes its least fail
-        if not sigma.min() > 0.0:
-            j = int(np.argmax(~(sigma > 0.0)))
-            raise ZeroProbabilityError(
-                f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
-                f"{sigma[j]} after observation {int(y_pos[j]) % b.shape[1]}"
-            )
-        beliefs /= sigma[:, None]
-        del y_pos, sigma  # before the policies allocate
-        stop = alive & stop_test(beliefs)
-        hit = stop.ravel().nonzero()[0]  # the stops' flat positions t * rows + j
-        stops = keep = None
-        if hit.size:
-            t, j = np.divmod(hit, rows.size)
-            done = rows[j]
-            tau[t, done], tau0[t, done] = k, t0[j]
-            stops = t, j, done
-            alive ^= stop  # stop lies inside alive
-            keep = np.flatnonzero(alive.any(axis=0))
-            rows, off, t0, alive = rows[keep], off[keep], t0[keep], alive.take(keep, axis=1)
-        steps.append((disc, beliefs, stops, keep))
-        recorded += beliefs.shape[0]
-        if recorded >= BLOCK_ROW_STEPS:  # before the compacted beliefs allocate
-            acc = _price_steps(spec, model, not transformed, steps, acc, costs)
-            steps, recorded = [], 0
-        if keep is not None:
-            beliefs = beliefs.take(keep, axis=0)
-        disc *= rho
-    acc = _price_steps(spec, model, not transformed, steps, acc, costs)
+    steps, recorded = [], 0  # the steps not yet settled, and their rows
+    uniforms = _UniformReader(rng)
+    try:
+        for k in range(1, max_steps + 1):
+            if rows.size == 0:
+                break
+            # the state moves' queries, then the symbols': uniform keys plus row offsets
+            keys = uniforms.take(2 * rows.size, max_steps - k + 1)
+            move, symbol = keys[: rows.size], keys[rows.size :]
+            move += off
+            moves = _draw_positions(table_p, move)
+            off = next_off[moves]
+            symbol += off
+            y_pos = _draw_positions(table_b, symbol)
+            del keys, move, symbol  # before the Bayes step allocates: no higher peak memory
+            beliefs = beliefs @ p  # the prediction, dropping the old beliefs before the gather
+            beliefs *= lik.take(y_pos, axis=0)  # filters.bayes_step, in place
+            sigma = _row_sum(beliefs)
+            # checked priors keep every sigma finite: a zero or NaN one makes its least fail
+            if not sigma.min() > 0.0:
+                j = int(np.argmax(~(sigma > 0.0)))
+                raise ZeroProbabilityError(
+                    f"simulate_batch step {k}: row {int(rows[j])} has filter normalisation "
+                    f"{sigma[j]} after observation {int(y_pos[j]) % b.shape[1]}"
+                )
+            beliefs /= sigma[:, None]
+            del y_pos, sigma  # before the policies allocate
+            stop = alive & stop_test(beliefs)
+            hit = stop.ravel().nonzero()[0]  # the stops' flat positions t * rows + j
+            stops = keep = None
+            if hit.size:
+                stops = np.divmod(hit, rows.size)
+                alive ^= stop  # stop lies inside alive
+                keep = np.flatnonzero(alive.any(axis=0))
+            steps.append((k, disc, beliefs, rows, moves, stops, keep))
+            recorded += beliefs.shape[0]
+            if recorded >= BLOCK_ROW_STEPS:  # before the compacted rows allocate
+                acc = _price_steps(spec, model, not transformed, steps, acc, first, enters, out)
+                steps, recorded = [], 0
+            if keep is not None:
+                rows, off, alive = rows[keep], off[keep], alive.take(keep, axis=1)
+                beliefs = beliefs.take(keep, axis=0)
+            disc *= rho
+    finally:
+        uniforms.give_back()
+    acc = _price_steps(spec, model, not transformed, steps, acc, first, enters, out)
     t, j = np.nonzero(alive)
-    costs[t, rows[j]], tau0[t, rows[j]], censored[t, rows[j]] = acc[j], t0[j], True
-    if not np.isfinite(costs).all():
+    done = rows[j]
+    t0 = first[done]
+    out.costs[t, done], out.tau0[t, done] = acc[j], np.where(t0 <= max_steps, t0, -1)
+    out.censored[t, done] = True
+    if not np.isfinite(out.costs).all():
         raise FloatingPointError("a simulated cost is not finite: the cost parameters overflow")
     if not stacked:
-        return BatchResult(costs=costs[0], tau=tau[0], tau0=tau0[0], censored=censored[0])
-    return BatchResult(costs=costs, tau=tau, tau0=tau0, censored=censored)
+        return BatchResult(out.costs[0], out.tau[0], out.tau0[0], out.censored[0])
+    return out
 
 
 # ---------------------------------------------------------------------------

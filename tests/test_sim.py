@@ -243,10 +243,12 @@ FOUR_PHASE = model.DetectionModel(
 
 
 def both_batches(model_, spec, policy, priors, seed, **kw):
-    new = sim.simulate_batch(model_, spec, policy, priors, np.random.default_rng(seed), **kw)
-    ref = _reference_simulate_batch(
-        model_, spec, policy, priors, np.random.default_rng(seed), **kw
-    )
+    """The batch and its reference, each on a fresh generator from ``seed``;
+    asserts that both generators end in the same state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = sim.simulate_batch(model_, spec, policy, priors, rng, **kw)
+    ref = _reference_simulate_batch(model_, spec, policy, priors, ref_rng, **kw)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
     return new, ref
 
 
@@ -396,14 +398,20 @@ def test_batch_bit_identical_across_price_blocks(three_state_model, geometric_mo
     assert last[-1] - last[-2] >= 50 and np.unique(last).size >= 20
 
 
-def price_each_step(spec, model_, original, steps, acc, costs):
-    """``sim._price_steps`` one recorded step at a time: each step's costs
-    from its own ``stage_cost_vectors`` call, charged as a per-step loop would."""
-    for disc, beliefs, stops, keep in steps:
+def price_each_step(spec, model_, original, steps, acc, first, enters, out):
+    """``sim._price_steps`` one recorded step at a time: each step's first
+    visits to state 1 and costs from its own calls, settled as a per-step
+    loop would."""
+    for k, disc, beliefs, rows, moves, stops, keep in steps:
+        visit = rows[enters[moves]]
+        first[visit[first[visit] > k]] = k
         c1, c2 = dp.stage_cost_vectors(spec, model_, beliefs, original=original)
         if stops is not None:
-            t, j, done = stops
-            costs[t, done] = acc[j] + disc * c1[j]
+            t, j = stops
+            done = rows[j]
+            out.tau[t, done] = k
+            out.tau0[t, done] = np.where(first[done] <= k, first[done], -1)
+            out.costs[t, done] = acc[j] + disc * c1[j]
             acc, c2 = acc[keep], c2[keep]
         acc += disc * c2
     return acc
@@ -558,15 +566,20 @@ def test_guide_draws_match_searchsorted_at_bucket_edges(three_state_model):
 
 
 class Uniforms:
-    """A generator stand-in that returns the given uniforms in order."""
+    """A generator stand-in that returns the given uniforms in order, and
+    raises ``IndexError`` when asked for more.  Its ``bit_generator.state``
+    is its position, which can be set back."""
 
     def __init__(self, values):
-        self.values = iter(values)
+        self.values, self.state, self.bit_generator = list(values), 0, self
 
     def random(self, size=None):
         if size is None:
-            return next(self.values)
-        return np.array([next(self.values) for _ in range(size)])
+            return self.random(1)[0]
+        if self.state + size > len(self.values):
+            raise IndexError(f"uniform {len(self.values) + 1} asked for, {len(self.values)} given")
+        self.state += size
+        return np.array(self.values[self.state - size : self.state])
 
 
 def test_draws_at_the_ends_of_the_unit_interval(three_state_model):
@@ -612,6 +625,70 @@ def test_batch_nan_prior_raises_zero_probability(geometric_model):
             filters.ZeroProbabilityError, match=f"step 1: row 3 .* after observation {y}$"
         ):
             sim.simulate_batch(m, spec, linear, priors, np.random.default_rng(0), max_steps=20)
+
+
+class StopAt:
+    """A policy that stops every row at its ``k``-th stop test: at step ``k``."""
+
+    def __init__(self, k):
+        self.k, self.calls = k, 0
+
+    def stop_mask(self, pts):
+        self.calls += 1
+        return np.full(pts.shape[0], self.calls >= self.k)
+
+
+BLOCK = sim.UNIFORM_BLOCK
+
+
+@pytest.mark.parametrize(
+    "rows, stop, max_steps",
+    [
+        (50, 1, 500),  # the rows stop inside the first block
+        (64, BLOCK // 128, 100),  # the last step ends on the block's last uniform
+        (64, BLOCK // 128 + 1, 100),  # one step into the second block
+        (3 * BLOCK // 8, 4, 10),  # steps whose uniforms span two blocks
+        (BLOCK, 3, 10),  # steps wider than a block
+        (10, 60, 50),  # censored at the step cap, which caps the reads
+    ],
+)
+def test_batch_gives_back_the_uniforms_no_step_took(geometric_model, rows, stop, max_steps):
+    spec = model.QuickestClassicalDelay(alpha=0.0, beta=3.0, d=1.0, rho=1.0, false_alarm=[0, 1])
+    priors = np.tile([0.0, 1.0], (rows, 1))
+    rng = np.random.default_rng(rows)
+    batch = sim.simulate_batch(geometric_model, spec, StopAt(stop), priors, rng, max_steps=max_steps)
+    steps = min(stop, max_steps)
+    assert np.all(batch.tau == steps) and np.all(batch.censored == (stop > max_steps))
+    # the prior's uniforms, then two per row and step
+    ref = np.random.default_rng(rows)
+    ref.random(rows + 2 * rows * steps)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_batch_error_gives_back_the_uniforms(geometric_model):
+    spec = model.QuickestClassicalDelay(alpha=0.0, beta=3.0, d=1.0, rho=1.0, false_alarm=[0, 1])
+    # (a) a NaN prior row fails step 1: the generator sits after n + 2n uniforms
+    priors = np.tile([0.2, 0.8], (5, 1))
+    priors[3] = np.nan
+    rng = np.random.default_rng(0)
+    with pytest.raises(filters.ZeroProbabilityError, match="step 1: row 3 "):
+        sim.simulate_batch(geometric_model, spec, never_stop, priors, rng, max_steps=20)
+    ref = np.random.default_rng(0)
+    ref.random(5 + 2 * 5)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # (b) step 3 of 3 rows on a chain that stays in state 2: two symbols of
+    # likelihood 1e-200 there underflow the belief in state 2 to 0, then a
+    # symbol only state 2 emits gives a zero normalisation; the block read
+    # 6 uniforms for each of the 10 steps the cap allows
+    m = model.DetectionModel(
+        [[1, 0], [0.5, 0.5]], [0, 1],
+        model.DiscreteObs([[0.5, 0.5, 0.0], [1e-200, 0.5, 0.5]]),
+    )
+    steps = [0.6] * 3 + [0.0] * 3
+    uniforms = Uniforms([0.3] * 3 + steps + steps + [0.6] * 3 + [0.75] * 3 + [0.5] * 42)
+    with pytest.raises(filters.ZeroProbabilityError, match="step 3: row 0 .* after observation 2$"):
+        sim.simulate_batch(m, spec, never_stop, np.tile([0.0, 1.0], (3, 1)), uniforms, max_steps=10)
+    assert uniforms.state == 3 + 3 * 2 * 3
 
 
 def test_sample_trajectory_filters_with_its_bins(three_state_model):
